@@ -57,9 +57,9 @@ struct CertifyRow {
     proofs: usize,
     /// Certified UNSAT cost windows across all traces.
     windows: usize,
-    /// Total trace steps the forward checker replayed.
+    /// Total steps of the certificate's traces.
     proof_steps: usize,
-    /// Derived clause additions that passed the RUP check.
+    /// Derived clauses in the core of the window claims, each RUP-checked.
     adds_verified: usize,
 }
 

@@ -33,7 +33,7 @@
 //!                           or a +-joined subset of bin/tier/ema/viv/elim
 //!                           (see docs/SOLVER.md)
 //!   --certify               record DRAT proof traces, assemble an optimality
-//!                           certificate, and verify it (built-in forward
+//!                           certificate, and verify it (built-in backward
 //!                           checker + independent witness replay); exits
 //!                           nonzero if the certificate is rejected
 //!   --proof <file>          write the certificate's DRAT traces to <file>
@@ -155,8 +155,8 @@ fn bundled(name: &str) -> Option<Workload> {
 /// Dump every DRAT trace of a verified certificate to one text file.
 ///
 /// Each per-worker proof is prefixed with `c` comment lines naming the
-/// cost windows it certifies, so an external checker can be pointed at
-/// the matching section.
+/// cost windows it certifies and the step each window's claim is anchored
+/// at, so an external checker can be pointed at the matching section.
 fn write_proofs(path: &str, cert: &optalloc::intopt::Certificate) -> std::io::Result<()> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(
@@ -167,7 +167,11 @@ fn write_proofs(path: &str, cert: &optalloc::intopt::Certificate) -> std::io::Re
     for (i, p) in cert.proofs.iter().enumerate() {
         writeln!(f, "c proof {i}: {} certified window(s)", p.windows.len())?;
         for w in &p.windows {
-            writeln!(f, "c   window [{}, {}]", w.lo, w.hi)?;
+            writeln!(
+                f,
+                "c   window [{}, {}] claimed at step {}",
+                w.lo, w.hi, w.step
+            )?;
         }
         p.log.write_drat(&mut f)?;
     }

@@ -107,7 +107,7 @@ pub struct SolveOptions {
     /// Produce and check an optimality certificate: every solver records a
     /// DRAT proof trace, the optimum ships with refutations of all cheaper
     /// cost windows, and the optimizer verifies the proofs with the
-    /// built-in forward checker plus an independent witness replay (the
+    /// built-in backward checker plus an independent witness replay (the
     /// decoded allocation is re-analyzed and its objective value recomputed
     /// without the encoder). Adds proof-logging overhead to the search and
     /// disables cross-worker clause *imports* (exports still flow).

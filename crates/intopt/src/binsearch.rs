@@ -476,6 +476,7 @@ fn minimize_fresh(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
                         lo,
                         hi,
                         claim: vec![!g],
+                        step: log.len(),
                     }],
                     _ => Vec::new(),
                 };

@@ -11,20 +11,23 @@
 //!    *windows* as unsatisfiable, whose union must cover every cost value
 //!    strictly below the optimum down to the variable's lower range bound.
 //!
-//! Window claims come in two shapes. An incremental prober probes
-//! `lo ≤ cost ≤ hi` under a fresh guard assumption; an UNSAT answer is
-//! certified by the derived clause `¬guard` in that solver's trace (the
-//! failed-assumption clause). A fresh-solver probe asserts the bounds
-//! outright, so its UNSAT answer is certified by the trace proving global
-//! unsatisfiability — recorded as an empty claim.
+//! Window claims come in two shapes. A probe of `lo ≤ cost ≤ hi` under a
+//! fresh guard assumption is certified by the clause `¬guard` (the
+//! failed-assumption clause). A probe of the unbounded problem is certified
+//! by the trace proving global unsatisfiability — recorded as an empty
+//! claim. Either way the claim is *anchored* at the trace length when the
+//! UNSAT answer came back, and must follow from the formula as it stood
+//! there: an incremental prober closes each guard afterwards by logging
+//! `¬guard` as an input, and that input must not count as a proof.
 //!
-//! [`Certificate::verify`] re-checks every trace with the built-in forward
-//! DRAT checker ([`optalloc_sat::check_proof`]), confirms each window's
-//! claim is actually proved by its trace, rejects any certified window that
-//! contains the claimed optimum (it would refute the witness), and finally
-//! checks that the certified windows, merged, cover `[cost_lo, optimum − 1]`
-//! without gaps. Witness replay lives a layer up (in `optalloc-core`), where
-//! the domain semantics are known.
+//! [`Certificate::verify`] hands every trace and its anchored claims to the
+//! built-in backward DRAT checker ([`optalloc_sat::check_proof`]), which
+//! proves each claim at its anchor and checks every derived clause those
+//! proofs use. It then rejects any certified window that contains the
+//! claimed optimum (it would refute the witness), and finally checks that
+//! the certified windows, merged, cover `[cost_lo, optimum − 1]` without
+//! gaps. Witness replay lives a layer up (in `optalloc-core`), where the
+//! domain semantics are known.
 //!
 //! For parallel runs (portfolio racing, window search) each worker
 //! contributes a [`WindowProof`]; soundness of stitching follows from the
@@ -35,11 +38,12 @@
 //! that argument: it re-checks coverage from the recorded windows alone.
 
 use crate::problem::Model;
-use optalloc_sat::{check_proof, CheckError, Lit};
+use optalloc_sat::{check_proof, CheckError, Claim, Lit};
 use std::sync::Arc;
 
 /// One cost window `lo ≤ cost ≤ hi` refuted by a proof trace, together
-/// with the clause that certifies the refutation inside that trace.
+/// with the clause that certifies the refutation inside that trace and the
+/// point of the trace it must hold at.
 #[derive(Clone, Debug)]
 pub struct CertifiedWindow {
     /// Inclusive window lower bound.
@@ -47,9 +51,12 @@ pub struct CertifiedWindow {
     /// Inclusive window upper bound.
     pub hi: i64,
     /// The claim clause the trace must prove: `[¬guard]` for a guarded
-    /// incremental probe, empty for a fresh solver that proved its whole
-    /// formula (base problem plus hard window bounds) unsatisfiable.
+    /// probe, empty for an unbounded probe that proved the whole formula
+    /// unsatisfiable.
     pub claim: Vec<Lit>,
+    /// The trace length when the UNSAT answer came back: the claim must
+    /// follow from the steps before it (see [`optalloc_sat::Claim`]).
+    pub step: usize,
 }
 
 /// One solver's proof trace plus the cost windows it certifies. A single
@@ -87,7 +94,9 @@ pub struct CertificateSummary {
     pub windows: usize,
     /// Total proof steps across all traces.
     pub steps: usize,
-    /// Derived clauses that passed their RUP check, across all traces.
+    /// Derived clauses in the core of some window claim — the only ones
+    /// the backward checker checks — that passed their RUP check, across
+    /// all traces.
     pub adds_verified: usize,
     /// Clause deletions applied across all traces.
     pub deletions: usize,
@@ -106,15 +115,15 @@ impl std::fmt::Display for CertificateSummary {
 /// Why a certificate failed verification.
 #[derive(Clone, Debug)]
 pub enum CertificateError {
-    /// A proof trace failed the forward DRAT check.
+    /// A derived clause some window claim depends on failed its RUP check.
     ProofRejected {
         /// Index into [`Certificate::proofs`].
         proof: usize,
         /// The checker's rejection.
         error: CheckError,
     },
-    /// A trace checked out but does not prove the claim attached to one of
-    /// its windows.
+    /// A trace does not prove the claim attached to one of its windows at
+    /// the window's anchor.
     ClaimUnproved {
         /// Index into [`Certificate::proofs`].
         proof: usize,
@@ -161,9 +170,10 @@ impl std::fmt::Display for CertificateError {
 impl std::error::Error for CertificateError {}
 
 impl Certificate {
-    /// Checks the certificate end to end: every trace forward-checked,
-    /// every window claim proved, no certified window containing the
-    /// optimum, and gap-free coverage of `[cost_lo, optimum − 1]`.
+    /// Checks the certificate end to end: every window claim proved at its
+    /// anchor (with every derived clause it rests on checked), no certified
+    /// window containing the optimum, and gap-free coverage of
+    /// `[cost_lo, optimum − 1]`.
     ///
     /// This validates *optimality of the cost value* given the encoded
     /// formula. Feasibility of the witness itself is validated separately
@@ -175,22 +185,28 @@ impl Certificate {
         // (lo, hi) pairs clipped to the range that matters for coverage.
         let mut covered: Vec<(i64, i64)> = Vec::new();
         for (pi, proof) in self.proofs.iter().enumerate() {
-            let checked = check_proof(&proof.log)
-                .map_err(|error| CertificateError::ProofRejected { proof: pi, error })?;
+            // Vacuous windows (lo > hi) certify nothing and need no claim.
+            let windows: Vec<&CertifiedWindow> =
+                proof.windows.iter().filter(|w| w.lo <= w.hi).collect();
+            let claims: Vec<Claim> = windows
+                .iter()
+                .map(|w| Claim {
+                    clause: &w.claim,
+                    step: w.step,
+                })
+                .collect();
+            let checked = check_proof(&proof.log, &claims).map_err(|error| match error {
+                CheckError::ClaimUnproved { claim } => CertificateError::ClaimUnproved {
+                    proof: pi,
+                    window: (windows[claim].lo, windows[claim].hi),
+                },
+                error => CertificateError::ProofRejected { proof: pi, error },
+            })?;
             summary.proofs += 1;
             summary.steps += checked.steps;
             summary.adds_verified += checked.adds_verified;
             summary.deletions += checked.deletions;
-            for w in &proof.windows {
-                if w.lo > w.hi {
-                    continue; // vacuous window, nothing to certify
-                }
-                if !checked.proves_clause(&w.claim) {
-                    return Err(CertificateError::ClaimUnproved {
-                        proof: pi,
-                        window: (w.lo, w.hi),
-                    });
-                }
+            for w in windows {
                 if w.lo <= self.optimum && self.optimum <= w.hi {
                     return Err(CertificateError::OptimumRefuted {
                         window: (w.lo, w.hi),
@@ -237,7 +253,8 @@ mod tests {
     }
 
     /// A trace deriving `claim` by RUP from inputs (x1) and (¬x1 ∨ claim);
-    /// an empty claim yields a globally UNSAT trace instead.
+    /// an empty claim yields a globally UNSAT trace instead. Every window
+    /// is anchored at the end of the trace.
     fn proof_deriving(claim: &[Lit], windows: Vec<CertifiedWindow>) -> WindowProof {
         let mut log = ProofLog::new();
         if claim.is_empty() {
@@ -253,9 +270,13 @@ mod tests {
                 log.add(claim);
             }
         }
+        let step = log.len();
         WindowProof {
+            windows: windows
+                .into_iter()
+                .map(|w| CertifiedWindow { step, ..w })
+                .collect(),
             log: Arc::new(log),
-            windows,
         }
     }
 
@@ -273,6 +294,7 @@ mod tests {
             lo,
             hi,
             claim: claim.to_vec(),
+            step: 0,
         }
     }
 
@@ -338,7 +360,27 @@ mod tests {
         // The trace derives x2 but the window claims x3.
         let derived = [lit(2)];
         let mut proof = proof_deriving(&derived, vec![]);
-        proof.windows.push(win(0, 4, &[lit(3)]));
+        proof.windows.push(CertifiedWindow {
+            step: proof.log.len(),
+            ..win(0, 4, &[lit(3)])
+        });
+        let c = cert(5, 0, vec![proof]);
+        assert!(matches!(
+            c.verify(),
+            Err(CertificateError::ClaimUnproved {
+                proof: 0,
+                window: (0, 4)
+            })
+        ));
+    }
+
+    #[test]
+    fn claim_anchored_before_its_derivation_is_rejected() {
+        // The trace derives x2 from its second input on: anchored after the
+        // first input only, the claim has nothing to rest on.
+        let claim = [lit(2)];
+        let mut proof = proof_deriving(&claim, vec![win(0, 4, &claim)]);
+        proof.windows[0].step = 1;
         let c = cert(5, 0, vec![proof]);
         assert!(matches!(
             c.verify(),

@@ -182,6 +182,11 @@ impl<'p> CostProber<'p> {
         })
     }
 
+    /// Length of the solver's proof trace so far (the anchor of a claim).
+    fn trace_len(&self) -> usize {
+        self.solver.proof().map_or(0, optalloc_sat::ProofLog::len)
+    }
+
     /// Probes the window `lo ≤ cost ≤ hi` (or the unbounded problem when
     /// `window` is `None`). An empty window (`lo > hi`) or a trivially
     /// refuted encoding is vacuously [`Probe::Unsat`] without touching the
@@ -221,11 +226,13 @@ impl<'p> CostProber<'p> {
                 probe_sw.finish();
                 if r == SolveResult::Unsat && self.solver.config.proof {
                     // The failed-assumption clause ¬guard in the trace
-                    // certifies "no model with lo ≤ cost ≤ hi".
+                    // certifies "no model with lo ≤ cost ≤ hi" — anchored
+                    // here, before the closing input below states it.
                     self.certified.push(CertifiedWindow {
                         lo,
                         hi,
                         claim: vec![!guard],
+                        step: self.trace_len(),
                     });
                 }
                 // Close the guard: it is never assumed again, so the dead
@@ -244,6 +251,7 @@ impl<'p> CostProber<'p> {
                         lo: self.cost.lo,
                         hi: self.cost.hi,
                         claim: Vec::new(),
+                        step: self.trace_len(),
                     });
                 }
                 r
@@ -343,8 +351,12 @@ mod tests {
         let proof = prober.take_proof().expect("certify records a trace");
         assert_eq!(proof.windows.len(), 1, "only the UNSAT probe is certified");
         assert_eq!((proof.windows[0].lo, proof.windows[0].hi), (0, 6));
-        let checked = optalloc_sat::check_proof(&proof.log).expect("trace verifies");
-        assert!(checked.proves_clause(&proof.windows[0].claim));
+        let w = &proof.windows[0];
+        let claim = optalloc_sat::Claim {
+            clause: &w.claim,
+            step: w.step,
+        };
+        optalloc_sat::check_proof(&proof.log, &[claim]).expect("claim proved at its anchor");
         assert!(prober.take_proof().is_none(), "take_proof drains");
     }
 

@@ -53,7 +53,7 @@ mod pb;
 mod solver;
 mod types;
 
-pub use drat::{check_proof, CheckError, CheckedProof, ProofLog, ProofStep};
+pub use drat::{check_proof, CheckError, CheckedProof, Claim, ProofLog, ProofStep};
 pub use exchange::{ClauseExchange, EXCHANGE_SLOTS, MAX_SHARED_LITS};
 pub use formula::{Formula, ParseError};
 pub use pb::{normalize_ge, to_ge_constraints, Normalized, PbOp, PbTerm};

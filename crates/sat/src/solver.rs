@@ -743,7 +743,7 @@ impl Solver {
 
     #[inline]
     fn proof_log(&mut self) -> &mut ProofLog {
-        self.proof.get_or_insert_with(ProofLog::new)
+        log_of(&mut self.proof)
     }
 
     /// Marks the constraint set unconditionally contradictory, logging the
@@ -1503,8 +1503,7 @@ impl Solver {
         let target = local.len() / 2;
         for &c in &local[..target] {
             if self.config.proof {
-                let lits = self.db.lits(c).to_vec();
-                self.proof_log().delete(&lits);
+                log_of(&mut self.proof).delete(self.db.lits(c));
             }
             self.detach(c);
             self.db.delete(c);
@@ -1537,8 +1536,7 @@ impl Solver {
         for (i, &c) in learnts.iter().enumerate() {
             if i < target && !self.is_locked(c) && self.db.lbd(c) > 2 {
                 if self.config.proof {
-                    let lits = self.db.lits(c).to_vec();
-                    self.proof_log().delete(&lits);
+                    log_of(&mut self.proof).delete(self.db.lits(c));
                 }
                 self.detach(c);
                 self.db.delete(c);
@@ -1775,8 +1773,7 @@ impl Solver {
                 continue;
             }
             if self.config.proof {
-                let lits = self.db.lits(c).to_vec();
-                self.proof_log().delete(&lits);
+                log_of(&mut self.proof).delete(self.db.lits(c));
             }
             self.detach(c);
             self.db.delete(c);
@@ -2491,6 +2488,14 @@ enum PickOutcome {
     AllAssigned,
     AssumptionConflict,
     Decided,
+}
+
+/// The proof trace, created on first use. A free function over the field,
+/// so a caller can log literals borrowed from another field (the clause
+/// arena) without copying them first.
+#[inline]
+fn log_of(proof: &mut Option<ProofLog>) -> &mut ProofLog {
+    proof.get_or_insert_with(ProofLog::new)
 }
 
 /// Releases the excess capacity of a grossly over-allocated list, returning
@@ -3385,8 +3390,17 @@ mod tests {
         assert_eq!(s.solve(&[a.positive()]), SolveResult::Sat);
         assert!(s.model_value(c.positive()));
         let log = s.take_proof().expect("proof recorded");
-        let checked = crate::drat::check_proof(&log).expect("vivified clause is RUP");
-        assert!(checked.adds_verified >= 1);
+        // Claimed where it was logged, the vivified clause must be RUP.
+        let kept = [a.negative(), c.positive()];
+        let at = log
+            .steps()
+            .position(|st| st == crate::ProofStep::Add(&kept))
+            .expect("vivified clause logged");
+        let claim = crate::Claim {
+            clause: &kept,
+            step: at,
+        };
+        let checked = crate::drat::check_proof(&log, &[claim]).expect("vivified clause is RUP");
         // The injected lemma was never Add-ed to the trace, so its delete is
         // the checker's lenient "ignored" kind.
         assert!(checked.deletions + checked.ignored_deletions >= 1);

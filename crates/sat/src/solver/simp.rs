@@ -32,7 +32,7 @@
 //! asserting its negation makes one parent propagate the pivot and the
 //! other parent conflict — so it is logged as a plain DRAT addition.
 //! Clauses removed by *elimination* are deliberately **not** logged as
-//! deletions: the forward checker keeps propagating through them, which
+//! deletions: the proof checker keeps propagating through them, which
 //! only strengthens later RUP checks, and restoration then needs no
 //! re-derivation. (Clauses removed because they are subsumed or satisfied
 //! keep their deletion steps, exactly as before.)
@@ -510,10 +510,9 @@ impl Solver {
                                 // subsumed by the new one, so the deletion
                                 // never weakens propagation.
                                 if self.config.proof {
-                                    let new = pcs[dj as usize].lits.clone();
-                                    let prev = pcs[dj as usize].logged.replace(new.clone());
-                                    self.proof_log().add(&new);
-                                    if let Some(prev) = prev {
+                                    let d = &mut pcs[dj as usize];
+                                    self.proof_log().add(&d.lits);
+                                    if let Some(prev) = d.logged.replace(d.lits.clone()) {
                                         self.proof_log().delete(&prev);
                                     }
                                 }
@@ -562,8 +561,7 @@ impl Solver {
         // allocate surviving resolvents.
         for cref in doomed {
             if self.config.proof {
-                let old = self.db.lits(cref).to_vec();
-                self.proof_log().delete(&old);
+                log_of(&mut self.proof).delete(self.db.lits(cref));
             }
             self.detach(cref);
             self.db.delete(cref);
@@ -582,16 +580,15 @@ impl Solver {
             }
             if pc.dead {
                 if self.config.proof {
+                    let log = log_of(&mut self.proof);
                     if let Some(cref) = pc.cref {
-                        let old = self.db.lits(cref).to_vec();
-                        self.proof_log().delete(&old);
+                        log.delete(self.db.lits(cref));
                     }
                     // Drop the logged working copy too (units stay: they
                     // carry a root fact).
                     if let Some(lg) = &pc.logged {
                         if lg.len() > 1 {
-                            let lg = lg.clone();
-                            self.proof_log().delete(&lg);
+                            log.delete(lg);
                         }
                     }
                 }
@@ -625,18 +622,16 @@ impl Solver {
             // the original and the superseded copy.
             if self.config.proof {
                 let already = pc.logged.as_deref() == Some(&lits[..]);
+                let log = log_of(&mut self.proof);
                 if !satisfied && !lits.is_empty() && !already {
-                    let new = lits.clone();
-                    self.proof_log().add(&new);
+                    log.add(&lits);
                 }
                 if let Some(cref) = pc.cref {
-                    let old = self.db.lits(cref).to_vec();
-                    self.proof_log().delete(&old);
+                    log.delete(self.db.lits(cref));
                 }
                 if let Some(lg) = &pc.logged {
                     if !already {
-                        let lg = lg.clone();
-                        self.proof_log().delete(&lg);
+                        log.delete(lg);
                     }
                 }
             }

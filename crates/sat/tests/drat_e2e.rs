@@ -1,8 +1,51 @@
 //! End-to-end proof-logging tests: run the solver on known instances with
 //! `SolverConfig::proof` enabled and verify the recorded trace with the
-//! built-in forward DRAT checker.
+//! built-in backward DRAT checker.
 
-use optalloc_sat::{check_proof, PbOp, PbTerm, SolveResult, Solver, SolverConfig, Var};
+use optalloc_sat::{
+    check_proof, CheckError, CheckedProof, Claim, Lit, PbOp, PbTerm, ProofLog, ProofStep,
+    SolveResult, Solver, SolverConfig, Var,
+};
+
+/// Checks that the trace proves unsatisfiability at its end.
+fn check_unsat(log: &ProofLog) -> Result<CheckedProof, CheckError> {
+    check_proof(
+        log,
+        &[Claim {
+            clause: &[],
+            step: log.len(),
+        }],
+    )
+}
+
+/// Claims every derived clause where it was logged, so each must be RUP
+/// against the formula before it, as a forward checker would demand.
+fn check_every_lemma(log: &ProofLog) -> Result<CheckedProof, CheckError> {
+    let claims: Vec<Claim> = log
+        .steps()
+        .enumerate()
+        .filter_map(|(i, step)| match step {
+            ProofStep::Add(clause) => Some(Claim { clause, step: i }),
+            _ => None,
+        })
+        .collect();
+    check_proof(log, &claims)
+}
+
+/// A copy of `log` with step `at` replaced by `replacement`.
+fn with_step_replaced(log: &ProofLog, at: usize, replacement: &[Lit]) -> ProofLog {
+    let mut out = ProofLog::new();
+    for (i, step) in log.steps().enumerate() {
+        match step {
+            _ if i == at => out.add(replacement),
+            ProofStep::InputClause(lits) => out.input_clause(lits),
+            ProofStep::InputPb { lits, coefs, bound } => out.input_pb(lits, coefs, bound),
+            ProofStep::Add(lits) => out.add(lits),
+            ProofStep::Delete(lits) => out.delete(lits),
+        }
+    }
+    out
+}
 
 /// Pigeonhole principle: `pigeons` into `holes`; UNSAT when pigeons > holes.
 fn pigeonhole(solver: &mut Solver, pigeons: usize, holes: usize) {
@@ -35,10 +78,39 @@ fn unsat_proof_verifies_with_preprocessing() {
         pigeonhole(&mut solver, 6, 5);
         assert_eq!(solver.solve(&[]), SolveResult::Unsat);
         let log = solver.take_proof().expect("proof recorded");
-        let checked = check_proof(&log).expect("every step RUP");
-        assert!(checked.proves_unsat(), "preprocess={preprocess}");
-        assert!(checked.adds_verified > 0);
+        let checked = check_unsat(&log).expect("core lemmas RUP");
+        assert!(checked.adds_verified > 0, "preprocess={preprocess}");
     }
+}
+
+#[test]
+fn corrupted_core_lemma_is_rejected_at_its_step() {
+    // Strengthen each learned clause of a real refutation, latest first,
+    // to the unit of its first literal: the first one the refutation
+    // depends on must be rejected at its own step index. Strengthenings
+    // the final refutation does not use are skipped, never rejected.
+    let mut solver = Solver::new();
+    solver.config.proof = true;
+    pigeonhole(&mut solver, 6, 5);
+    assert_eq!(solver.solve(&[]), SolveResult::Unsat);
+    let log = solver.take_proof().expect("proof recorded");
+    let lemmas: Vec<usize> = log
+        .steps()
+        .enumerate()
+        .filter_map(|(i, s)| matches!(s, ProofStep::Add(l) if l.len() >= 2).then_some(i))
+        .collect();
+    let rejected = lemmas.iter().rev().find_map(|&i| {
+        let ProofStep::Add(lits) = log.step(i) else {
+            unreachable!()
+        };
+        match check_unsat(&with_step_replaced(&log, i, &lits[..1])) {
+            Err(CheckError::RupFailed { step, .. }) => Some((i, step)),
+            Err(e) => panic!("a stronger lemma cannot unprove the claim: {e}"),
+            Ok(_) => None,
+        }
+    });
+    let (at, step) = rejected.expect("some strengthened core lemma is rejected");
+    assert_eq!(step, at);
 }
 
 #[test]
@@ -53,8 +125,7 @@ fn proof_survives_clause_db_reduction() {
     pigeonhole(&mut solver, 7, 6);
     assert_eq!(solver.solve(&[]), SolveResult::Unsat);
     let log = solver.take_proof().expect("proof recorded");
-    let checked = check_proof(&log).expect("every step RUP");
-    assert!(checked.proves_unsat());
+    let checked = check_unsat(&log).expect("core lemmas RUP");
     assert!(
         checked.deletions > 0,
         "reduce_db should have logged deletions"
@@ -70,8 +141,11 @@ fn sat_solve_produces_checkable_trace() {
     pigeonhole(&mut solver, 5, 5);
     assert_eq!(solver.solve(&[]), SolveResult::Sat);
     let log = solver.take_proof().expect("proof recorded");
-    let checked = check_proof(&log).expect("every step RUP");
-    assert!(!checked.proves_unsat());
+    check_every_lemma(&log).expect("every learned clause RUP");
+    assert!(
+        check_unsat(&log).is_err(),
+        "a satisfiable trace proves no UNSAT"
+    );
 }
 
 #[test]
@@ -88,16 +162,30 @@ fn guarded_assumption_unsat_yields_window_claim() {
         solver.add_clause(&[!guard, v.negative()]);
     }
     assert_eq!(solver.solve(&[guard]), SolveResult::Unsat);
+    let anchor = solver.proof().expect("proof recorded").len();
     solver.add_clause(&[!guard]);
     // Solver stays usable without the guard.
     assert_eq!(solver.solve(&[]), SolveResult::Sat);
     let log = solver.take_proof().expect("proof recorded");
-    let checked = check_proof(&log).expect("every step RUP");
-    assert!(!checked.proves_unsat(), "base formula is SAT");
-    assert!(
-        checked.proves_clause(&[!guard]),
-        "the failed-assumption clause certifies the probe"
-    );
+    let not_guard = [!guard];
+    let claim = |step| Claim {
+        clause: &not_guard,
+        step,
+    };
+    let checked = check_proof(&log, &[claim(anchor)])
+        .expect("the failed-assumption clause certifies the probe");
+    assert!(checked.adds_verified >= 1);
+    assert!(check_unsat(&log).is_err(), "base formula is SAT");
+    // Anchored before the guard's clauses were added, the same claim has
+    // nothing to rest on.
+    let guarded = log
+        .steps()
+        .position(|s| matches!(s, ProofStep::InputClause(l) if l.contains(&!guard)))
+        .expect("guard clauses logged");
+    assert!(matches!(
+        check_proof(&log, &[claim(guarded)]),
+        Err(CheckError::ClaimUnproved { claim: 0 })
+    ));
 }
 
 #[test]
@@ -111,8 +199,7 @@ fn pb_constraints_enter_the_trace() {
     solver.add_pb(&terms, PbOp::Le, 1);
     assert_eq!(solver.solve(&[]), SolveResult::Unsat);
     let log = solver.take_proof().expect("proof recorded");
-    let checked = check_proof(&log).expect("PB-aware RUP");
-    assert!(checked.proves_unsat());
+    let checked = check_unsat(&log).expect("PB-aware RUP");
     assert!(checked.inputs >= 2);
 }
 
@@ -146,8 +233,9 @@ fn strengthening_chain_keeps_trace_checkable() {
         "the self-subsuming resolution chain should fire twice"
     );
     let log = solver.take_proof().expect("proof recorded");
-    let checked = check_proof(&log).expect("strengthened copies logged at derivation time");
-    assert!(checked.adds_verified >= 1);
+    // Each strengthened copy, claimed where it was logged, is RUP there.
+    let checked = check_every_lemma(&log).expect("strengthened copies logged at derivation time");
+    assert!(checked.adds_verified + checked.adds_skipped >= 2);
     assert!(checked.deletions >= 1);
 }
 

@@ -6,7 +6,7 @@
 //! regression contract: frozen and assumed variables are never eliminated,
 //! and referencing an eliminated variable transparently restores it.
 
-use optalloc_sat::{check_proof, PbOp, PbTerm, SolveResult, Solver, Var};
+use optalloc_sat::{check_proof, Claim, PbOp, PbTerm, ProofStep, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random problem over `n_vars` variables in plain data form, consumed
@@ -157,8 +157,21 @@ proptest! {
                 // The trace is allocated lazily: a formula whose every
                 // constraint folds away (empty, or trivially-true PBs)
                 // logs nothing and legitimately has no proof to take.
+                // Every resolvent and learned clause is claimed where it was
+                // logged, and an Unsat verdict at the end of the trace.
                 if let Some(log) = s.take_proof() {
-                    check_proof(&log)
+                    let mut claims: Vec<Claim> = log
+                        .steps()
+                        .enumerate()
+                        .filter_map(|(i, step)| match step {
+                            ProofStep::Add(clause) => Some(Claim { clause, step: i }),
+                            _ => None,
+                        })
+                        .collect();
+                    if verdict == SolveResult::Unsat {
+                        claims.push(Claim { clause: &[], step: log.len() });
+                    }
+                    check_proof(&log, &claims)
                         .unwrap_or_else(|e| panic!("elim trace rejected: {e}"));
                 }
             }

@@ -5,12 +5,17 @@
 //! every id reference rewritten through the sort permutations — plus the
 //! (canonicalized) objective and the semantic solve options. Two
 //! submissions that differ only in task/ECU/medium declaration order
-//! therefore hash identically and share one cache/session slot.
+//! therefore hash identically and share one cache/session slot, unless the
+//! order changes the problem (below).
 //!
-//! Order that **is** semantic survives canonicalization untouched: a
-//! medium's member list stays in declaration order (TDMA slot `i` belongs
-//! to member `i`), and a task's message list stays in send order (message
-//! routes are indexed by position).
+//! Order that **is** semantic survives canonicalization: a medium's member
+//! list stays in declaration order (TDMA slot `i` belongs to member `i`), a
+//! task's message list stays in send order (message routes are indexed by
+//! position), and the bus priority order of the messages is recorded
+//! alongside. Message priorities are deadline-monotonic with ties broken by
+//! the sender's declaration order, so two declaration orders that rank
+//! equal-deadline messages differently are different problems: an
+//! allocation schedulable in one can miss a local deadline in the other.
 //!
 //! Soundness does not rest on the hash: a cache hit additionally compares
 //! canonical forms for equality before an answer is served, so a 128-bit
@@ -18,7 +23,7 @@
 
 use crate::protocol::Instance;
 use optalloc::{Objective, SolveOptions};
-use optalloc_model::{Allocation, Architecture, EcuId, MediumId, TaskId, TaskSet};
+use optalloc_model::{Allocation, Architecture, EcuId, MediumId, MsgId, TaskId, TaskSet};
 
 /// A 128-bit canonical content hash (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,10 +109,18 @@ impl Perm {
 pub(crate) struct Canonical {
     /// The re-sorted, re-indexed instance.
     pub instance: Instance,
+    /// Every message, highest bus priority first, by canonical id.
+    message_order: Vec<MsgId>,
     medium_rank: Perm,
 }
 
 impl Canonical {
+    /// True when both describe the same problem: equal canonical instances
+    /// whose messages share one bus priority order.
+    pub fn same_problem(&self, other: &Canonical) -> bool {
+        self.instance == other.instance && self.message_order == other.message_order
+    }
+
     /// The canonical image of an objective: medium references follow the
     /// medium permutation, everything else is order-free already.
     pub fn objective(&self, objective: &Objective) -> Objective {
@@ -145,6 +158,18 @@ pub(crate) fn canonicalize(instance: &Instance) -> Canonical {
         }
     }
 
+    // Bus priority order: deadline-monotonic, ties by declaration order
+    // (`messages()` yields ids in that order, and the sort is stable).
+    let mut by_priority: Vec<_> = tasks.messages().map(|(id, m)| (m.deadline, id)).collect();
+    by_priority.sort_by_key(|&(deadline, _)| deadline);
+    let message_order = by_priority
+        .into_iter()
+        .map(|(_, id)| MsgId {
+            sender: TaskId(task_rank.new_of(id.sender.0)),
+            index: id.index,
+        })
+        .collect();
+
     let mut sorted_tasks = tasks.tasks.clone();
     sorted_tasks.sort_by(|a, b| a.name.cmp(&b.name));
     for t in &mut sorted_tasks {
@@ -170,12 +195,14 @@ pub(crate) fn canonicalize(instance: &Instance) -> Canonical {
                 tasks: sorted_tasks,
             },
         },
+        message_order,
         medium_rank,
     }
 }
 
-/// The canonical fingerprint of a job: instance content (order-free),
-/// objective (canonicalized), the semantic solve options (those that can
+/// The canonical fingerprint of a job: instance content (declaration
+/// order aside, see the module docs), objective (canonicalized), the
+/// semantic solve options (those that can
 /// change feasibility, the optimum, or what the result carries) and the
 /// requested cost window. Backend/mode/strategy knobs are deliberately
 /// excluded — they change how the optimum is found, never what it is.
@@ -192,6 +219,10 @@ pub fn fingerprint(
             .expect("model types always serialize")
             .as_bytes(),
     );
+    for m in &canon.message_order {
+        h.write(&m.sender.0.to_le_bytes());
+        h.write(&m.index.to_le_bytes());
+    }
     h.write(
         serde_json::to_string(&canon.objective(objective))
             .expect("objective always serializes")
@@ -208,8 +239,12 @@ pub fn fingerprint(
 }
 
 /// Rewrites an allocation computed for `from` into the id space of `to`,
-/// where both instances have equal canonical forms (same names, same
-/// content, possibly different declaration order). Returns `None` when the
+/// where both instances describe the same problem (same names, same
+/// content, same message priority order, possibly different declaration
+/// order — see [`Canonical::same_problem`]). Placement, task priorities,
+/// routes and slot tables all follow the names; message priorities are
+/// not part of an allocation, which is why the problems must agree on
+/// them. Returns `None` when the
 /// instances do not actually correspond — callers treat that as a cache
 /// miss, never an error.
 pub(crate) fn remap_allocation(
@@ -312,7 +347,34 @@ mod tests {
         let fb = fingerprint(&b, &Objective::MaxUtilizationPermille, &opts, None);
         assert_eq!(fa, fb);
         // And the canonical forms are *equal*, not merely hash-equal.
-        assert_eq!(canonicalize(&a).instance, canonicalize(&b).instance);
+        assert!(canonicalize(&a).same_problem(&canonicalize(&b)));
+    }
+
+    #[test]
+    fn message_priority_ties_follow_declaration_order() {
+        // a and b each send c a message with the same deadline: declared a
+        // first, a's message wins the bus; declared b first, b's does.
+        let mk = |a_first: bool| {
+            let mut arch = Architecture::new();
+            let p0 = arch.push_ecu(Ecu::new("p0"));
+            let p1 = arch.push_ecu(Ecu::new("p1"));
+            arch.push_medium(Medium::priority("can", vec![p0, p1], 1, 1));
+            let wcet = vec![(p0, 5), (p1, 5)];
+            let (first, second) = if a_first { ("a", "b") } else { ("b", "a") };
+            let mut tasks = TaskSet::new();
+            tasks.push(Task::new(first, 50, 50, wcet.clone()).sends(TaskId(2), 4, 25));
+            tasks.push(Task::new(second, 50, 50, wcet.clone()).sends(TaskId(2), 4, 25));
+            tasks.push(Task::new("c", 50, 50, wcet));
+            Instance { arch, tasks }
+        };
+        let (ab, ba) = (mk(true), mk(false));
+        assert_eq!(canonicalize(&ab).instance, canonicalize(&ba).instance);
+        assert!(!canonicalize(&ab).same_problem(&canonicalize(&ba)));
+        let opts = SolveOptions::default();
+        assert_ne!(
+            fingerprint(&ab, &Objective::MaxUtilizationPermille, &opts, None),
+            fingerprint(&ba, &Objective::MaxUtilizationPermille, &opts, None)
+        );
     }
 
     #[test]

@@ -592,7 +592,7 @@ fn run_job(
     // re-checked (hash collisions degrade to misses), and the stored
     // allocation is remapped into the submitted instance's id space.
     if let Some(hit) = shared.cache.lock().unwrap().get(&fp) {
-        if canonicalize(&hit.instance).instance == canonicalize(&payload.instance).instance {
+        if canonicalize(&hit.instance).same_problem(&canonicalize(&payload.instance)) {
             let mut result = hit.result.clone();
             let remapped = match &result.outcome {
                 JobOutcome::Optimal {

@@ -105,6 +105,79 @@ fn permuted_instance_hits_the_cache_with_a_remapped_allocation() {
     assert!(report.is_feasible(), "remapped allocation must re-validate");
 }
 
+/// `instance` with its tasks declared in reverse order: every task
+/// reference is rewritten, so only the ids change.
+fn reversed(instance: &Instance) -> Instance {
+    let last = instance.tasks.len() as u32 - 1;
+    let flip = |t: TaskId| TaskId(last - t.0);
+    let mut tasks = instance.tasks.clone();
+    tasks.tasks.reverse();
+    for t in &mut tasks.tasks {
+        t.separation = t.separation.iter().map(|&s| flip(s)).collect();
+        for m in &mut t.messages {
+            m.to = flip(m.to);
+        }
+    }
+    Instance {
+        arch: instance.arch.clone(),
+        tasks,
+    }
+}
+
+/// Regression: message priorities are deadline-monotonic with ties broken
+/// by the sender's declaration order, so reversing the tasks can change
+/// which of two equal-deadline messages wins the bus. A resubmission with
+/// the tasks reversed must still be answered with an allocation that
+/// validates in the order submitted, on 8–12-task Table-3-shape instances.
+#[test]
+fn reversed_resubmission_is_answered_with_a_valid_allocation() {
+    // Seeds 44 and 57 flip the bus order of two equal-deadline messages.
+    for seed in [0u64, 44, 57] {
+        let service = Service::new(ServiceConfig::default());
+        let n_tasks = 8 + seed as usize % 5;
+        let w = optalloc_workloads::generate(&optalloc_workloads::GenParams {
+            name: format!("svc{seed}"),
+            n_tasks,
+            n_chains: n_tasks / 3,
+            n_ecus: 8,
+            seed,
+            utilization: 0.40,
+            restricted_fraction: 0.25,
+            redundant_pairs: 2,
+            token_ring: true,
+            deadline_slack: 1.4,
+        });
+        let original = Instance {
+            arch: w.arch,
+            tasks: w.tasks,
+        };
+        let first = expect_result(service.handle(solve_request(original.clone())));
+        if !matches!(first.outcome, JobOutcome::Optimal { .. }) {
+            continue;
+        }
+        let flipped = reversed(&original);
+        let answer = expect_result(service.handle(solve_request(flipped.clone())));
+        let JobOutcome::Optimal { allocation, .. } = &answer.outcome else {
+            panic!(
+                "seed {seed}: expected an optimal outcome, got {:?}",
+                answer.outcome
+            );
+        };
+        let report = analysis::validate(
+            &flipped.arch,
+            &flipped.tasks,
+            allocation,
+            &analysis::AnalysisConfig::default(),
+        );
+        assert!(
+            report.is_feasible(),
+            "seed {seed} (cached: {}): {:?}",
+            answer.cached,
+            report.violations
+        );
+    }
+}
+
 #[test]
 fn delta_re_solve_is_warm_and_matches_a_cold_solve() {
     let service = Service::new(ServiceConfig::default());

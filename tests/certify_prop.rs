@@ -18,6 +18,7 @@ use optalloc::{Objective, Optimizer, RestartPolicy, SearchEngine, SolveOptions, 
 use optalloc_analysis::validate;
 use optalloc_heuristics::{anneal, greedy, objective_value, HeuristicObjective, SaParams};
 use optalloc_model::MediumId;
+use optalloc_sat::ProofStep;
 use optalloc_workloads::{generate, GenParams};
 use proptest::prelude::*;
 
@@ -173,6 +174,47 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The backward checker checks only the lemmas the window claims rest
+    /// on: every certificate verifies, its step count is the traces' total
+    /// length, and no more lemmas are verified than the traces derive.
+    #[test]
+    fn certificates_verify_checking_at_most_the_derived_lemmas(
+        seed in 0u64..1000,
+        n_tasks in 6usize..=8,
+        window_search in any::<bool>(),
+    ) {
+        let w = generate(&tiny(seed, n_tasks, true));
+        let strategy = if window_search {
+            Strategy::WindowSearch { workers: 2, deterministic: true }
+        } else {
+            Strategy::Single
+        };
+        let r = Optimizer::new(&w.arch, &w.tasks)
+            .with_options(certified_options(strategy))
+            .minimize(&Objective::TokenRotationTime(MediumId(0)))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let cert = &r.certificate.as_ref().expect("certify=true yields a certificate").certificate;
+        let summary = cert
+            .verify()
+            .unwrap_or_else(|e| panic!("seed {seed}: certificate rejected: {e}"));
+        let steps: usize = cert.proofs.iter().map(|p| p.log.len()).sum();
+        let adds: usize = cert
+            .proofs
+            .iter()
+            .flat_map(|p| p.log.steps())
+            .filter(|s| matches!(s, ProofStep::Add(_)))
+            .count();
+        prop_assert_eq!(summary.steps, steps);
+        prop_assert!(
+            summary.adds_verified <= adds,
+            "seed {}: {} lemmas verified, {} derived", seed, summary.adds_verified, adds
+        );
     }
 }
 
