@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the portfolio strategy: plain single search vs
-//! racing and deterministic portfolios on a small end-to-end instance.
+//! Criterion benchmarks of the parallel strategy: plain single search vs
+//! racing and deterministic window search on a small end-to-end instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optalloc::{Objective, Optimizer, SolveOptions, Strategy};
@@ -31,14 +31,14 @@ fn bench_portfolio(c: &mut Criterion) {
         ("single", Strategy::Single),
         (
             "racing",
-            Strategy::Portfolio {
+            Strategy::WindowSearch {
                 workers: 4,
                 deterministic: false,
             },
         ),
         (
             "deterministic",
-            Strategy::Portfolio {
+            Strategy::WindowSearch {
                 workers: 4,
                 deterministic: true,
             },

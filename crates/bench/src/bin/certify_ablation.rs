@@ -2,15 +2,13 @@
 //! the certificates actually check out?
 //!
 //! Table-3-style instances (token-ring task-set scaling), TRT objective,
-//! cold start. Four modes per instance:
+//! cold start. Three modes per instance:
 //!
 //! - `single` — plain incremental binary search, certification **off**:
 //!   the baseline the overhead column divides by (and a check that the
 //!   zero-cost path stays zero-cost: no proofs, no certificate);
 //! - `single+certify` — the same search with `--certify`: every probe is
 //!   proof-logged, the optimum ships with a verified certificate;
-//! - `portfolio+certify` — 2 deterministic racing workers, per-worker
-//!   traces stitched into one certificate;
 //! - `window+certify` — 2 deterministic window-search workers, the
 //!   refutation region partitioned across workers and re-assembled.
 //!
@@ -21,8 +19,8 @@
 //! is the wall-clock ratio against the uncertified single search — the
 //! acceptance bar is < 2.5× for `single+certify`.
 //!
-//! Deterministic parallel modes are used so two runs of this harness
-//! produce bit-identical certificates (checked in the portfolio test
+//! Deterministic window search is used so two runs of this harness
+//! produce bit-identical certificates (checked in the window-search test
 //! suite); here determinism just keeps the measurement stable.
 //!
 //! `OPTALLOC_ABLATION_SIZES` (comma-separated task counts) overrides the
@@ -40,7 +38,7 @@ use std::time::Instant;
 struct CertifyRow {
     instance: String,
     tasks: usize,
-    /// `single`, `single+certify`, `portfolio+certify`, `window+certify`.
+    /// `single`, `single+certify`, `window+certify`.
     mode: &'static str,
     workers: usize,
     /// Proven optimal TRT in ticks (identical across all modes — asserted).
@@ -75,7 +73,6 @@ fn main() {
     let grid: &[(&'static str, bool, usize)] = &[
         ("single", false, 1),
         ("single+certify", true, 1),
-        ("portfolio+certify", true, 2),
         ("window+certify", true, 2),
     ];
 
@@ -90,10 +87,6 @@ fn main() {
             let opts = SolveOptions {
                 certify,
                 strategy: match mode {
-                    "portfolio+certify" => Strategy::Portfolio {
-                        workers,
-                        deterministic: true,
-                    },
                     "window+certify" => Strategy::WindowSearch {
                         workers,
                         deterministic: true,

@@ -18,12 +18,10 @@
 //!   --json                  print one machine-readable JSON result line
 //!                           (the service protocol's JobResult) instead of
 //!                           the human report
-//!   --portfolio <n|auto>    race n diversified workers instead of one search
-//!                           (auto = one per host core)
 //!   --window <n|auto>       parallel window search: n workers over disjoint
 //!                           cost sub-windows (auto = one per host core)
-//!   --deterministic         bit-stable parallel mode (barrier rounds /
-//!                           join all, lowest index wins)
+//!   --deterministic         bit-stable window search (barrier rounds with
+//!                           an index-ordered fold)
 //!   --no-encoder-opt        disable the encoder optimization layer (gate
 //!                           hash-consing, interval narrowing, SAT
 //!                           preprocessing) — the pre-optimization baseline;
@@ -57,7 +55,7 @@
 //!   --queue <n>             bounded queue depth (default 16)
 //!   --cache <n>             result-cache capacity (default 64)
 //!   --timeout-ms <n>        default per-job timeout
-//!   plus the solve options --max-conflicts / --certify / --portfolio /
+//!   plus the solve options --max-conflicts / --certify / --search /
 //!   --window / --deterministic, applied to every job
 //!
 //! submit requests (all take --addr <host:port> and --json):
@@ -99,14 +97,13 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  optalloc-cli generate <name> <out.json>\n  \
          optalloc-cli solve <workload.json> [--objective o] [--medium k] \
-         [--max-conflicts n] [--timeout-ms n] [--json] [--portfolio n|auto] \
+         [--max-conflicts n] [--timeout-ms n] [--json] \
          [--window n|auto] [--deterministic] [--no-encoder-opt] \
          [--search engine] [--certify] [--proof file] [--max-slot n] \
          [--out alloc.json] [--trace file] [--metrics] [--progress]\n  \
          optalloc-cli serve [--addr host:port] [--workers n] [--queue n] \
          [--cache n] [--timeout-ms n] [--max-conflicts n] [--certify] \
-         [--search engine] [--portfolio n|auto] [--window n|auto] \
-         [--deterministic]\n  \
+         [--search engine] [--window n|auto] [--deterministic]\n  \
          optalloc-cli submit solve <workload.json> | delta <ops.json> \
          [--base fp] | status | metrics | shutdown  [--addr host:port] [--json]"
     );
@@ -117,16 +114,20 @@ fn usage() -> ExitCode {
 fn parse_workers(arg: Option<&String>) -> Option<usize> {
     let arg = arg?;
     if arg == "auto" {
-        return Some(host_cores());
+        return Some(optalloc_bench::host_cores());
     }
     arg.parse().ok()
 }
 
-/// Number of cores the host exposes (1 when undetectable).
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Window search over `window` workers, or the single search without one.
+fn strategy(window: Option<usize>, deterministic: bool) -> Strategy {
+    match window {
+        Some(workers) => Strategy::WindowSearch {
+            workers,
+            deterministic,
+        },
+        None => Strategy::Single,
+    }
 }
 
 fn bundled(name: &str) -> Option<Workload> {
@@ -261,7 +262,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let mut medium = 0u32;
     let mut max_conflicts = None;
     let mut out_path: Option<String> = None;
-    let mut portfolio: Option<usize> = None;
     let mut window: Option<usize> = None;
     let mut deterministic = false;
     let mut certify = false;
@@ -286,7 +286,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             "--max-conflicts" => max_conflicts = it.next().and_then(|s| s.parse().ok()),
             "--timeout-ms" => timeout_ms = it.next().and_then(|s| s.parse().ok()),
             "--json" => json = true,
-            "--portfolio" => portfolio = parse_workers(it.next()),
             "--window" => window = parse_workers(it.next()),
             "--deterministic" => deterministic = true,
             "--certify" => certify = true,
@@ -329,17 +328,7 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 
     let mut opts = SolveOptions {
         max_conflicts,
-        strategy: match (window, portfolio) {
-            (Some(workers), _) => Strategy::WindowSearch {
-                workers,
-                deterministic,
-            },
-            (None, Some(workers)) => Strategy::Portfolio {
-                workers,
-                deterministic,
-            },
-            (None, None) => Strategy::Single,
-        },
+        strategy: strategy(window, deterministic),
         encoder_opt,
         search,
         certify,
@@ -569,7 +558,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut config = ServiceConfig::default();
-    let mut portfolio: Option<usize> = None;
     let mut window: Option<usize> = None;
     let mut deterministic = false;
     let mut it = args[1..].iter();
@@ -606,7 +594,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--portfolio" => portfolio = parse_workers(it.next()),
             "--window" => window = parse_workers(it.next()),
             "--deterministic" => deterministic = true,
             other => {
@@ -615,17 +602,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    config.solve.strategy = match (window, portfolio) {
-        (Some(workers), _) => Strategy::WindowSearch {
-            workers,
-            deterministic,
-        },
-        (None, Some(workers)) => Strategy::Portfolio {
-            workers,
-            deterministic,
-        },
-        (None, None) => Strategy::Single,
-    };
+    config.solve.strategy = strategy(window, deterministic);
     let mut server = match serve(Service::new(config), &addr) {
         Ok(s) => s,
         Err(e) => {

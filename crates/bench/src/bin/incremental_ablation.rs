@@ -8,7 +8,8 @@
 //! * `Fresh` — every probe re-encodes and solves from scratch,
 //! * `Incremental` — one solver, bounds as assumptions, clauses retained,
 //!
-//! and prints the speedup. `--full` uses larger instances.
+//! prints the speedup, and asserts both modes prove the same optimum.
+//! `--full` uses larger instances.
 
 use optalloc::{Objective, Optimizer, SolveOptions};
 use optalloc_bench::{emit, parse_cli, Row};
@@ -28,6 +29,7 @@ fn main() {
     for &n in sizes {
         let w = task_scaling(n);
         let mut times = Vec::new();
+        let mut optima = Vec::new();
         for mode in [BinSearchMode::Fresh, BinSearchMode::Incremental] {
             let opts = SolveOptions {
                 mode,
@@ -41,6 +43,7 @@ fn main() {
             {
                 Ok(r) => {
                     times.push(r.wall.as_secs_f64());
+                    optima.push(r.cost);
                     rows.push(Row::from_report(
                         format!("{n} tasks, {mode:?}"),
                         &r,
@@ -57,6 +60,10 @@ fn main() {
                 }),
             }
         }
+        assert!(
+            optima.windows(2).all(|o| o[0] == o[1]),
+            "{n} tasks: fresh and incremental optima differ: {optima:?}"
+        );
         if times.len() == 2 && times[1] > 0.0 {
             rows.push(Row {
                 experiment: format!("{n} tasks: speedup"),

@@ -3,29 +3,22 @@
 //!
 //! Table-3-style instances (token-ring task-set scaling), TRT objective,
 //! cold start (no SA seeding — this harness isolates the parallel-search
-//! lever; `portfolio_ablation` covers the warm-start pipeline). Three
-//! modes per instance:
+//! lever). Two modes per instance:
 //!
 //! - `single` — plain incremental binary search ([`Strategy::Single`]),
 //!   the baseline every speedup column divides by;
-//! - `racing` — N diversified workers over the same interval
-//!   ([`Strategy::Portfolio`]): every worker re-proves the terminal UNSAT
-//!   window, so certification work is *replicated*;
 //! - `window` — N workers over **disjoint** sub-windows
 //!   ([`Strategy::WindowSearch`]): the certification region is partitioned,
 //!   so its conflicts split across workers instead of repeating.
 //!
 //! The per-worker conflict column (`worker_conflicts`) makes that split
-//! visible: under `racing` every worker's count is on the order of the
-//! single search; under `window` the counts sum to roughly the single
-//! search. The harness asserts all modes return the identical proven
-//! optimum.
+//! visible: under `window` the counts sum to roughly the single search.
+//! The harness asserts both modes return the identical proven optimum.
 //!
 //! On a single-core host parallel workers time-slice one CPU, so the
 //! *measured* `speedup_vs_single` stays near (or below) 1× and only
 //! reflects algorithmic effects. `projected_parallel_speedup` normalizes
-//! to one core per worker with the same formula as `portfolio_ablation`
-//! (`single / (sa + wall / workers)`, here with `sa = 0`): with fair
+//! to one core per worker (`single / (wall / workers)`): with fair
 //! time-slicing, `wall / workers` approximates a worker's solo wall time
 //! when it owns a core. `host_cores` (via
 //! `std::thread::available_parallelism()`) records how much of the
@@ -48,23 +41,22 @@ use std::time::Instant;
 struct WindowRow {
     instance: String,
     tasks: usize,
-    /// `single`, `racing`, or `window` (see module docs).
+    /// `single` or `window` (see module docs).
     mode: &'static str,
     workers: usize,
     /// CPUs available to the process — workers beyond this count time-slice
     /// cores, capping the *measured* speedup at ~1×.
     host_cores: usize,
-    /// Proven optimal TRT in ticks (identical across all modes — asserted).
+    /// Proven optimal TRT in ticks (identical across both modes — asserted).
     cost: i64,
     time_s: f64,
     solve_calls: u32,
     /// Total conflicts summed over all workers.
     conflicts: u64,
-    /// Conflicts per worker, by worker index (empty for `single`). Under
-    /// `window` these sum to roughly the single-search count; under
-    /// `racing` each entry is on that order by itself.
+    /// Conflicts per worker, by worker index (empty for `single`). These
+    /// sum to roughly the single-search count.
     worker_conflicts: Vec<u64>,
-    /// Cost windows probed per worker (window mode only; empty otherwise).
+    /// Cost windows probed per worker (empty for `single`).
     worker_windows: Vec<usize>,
     /// `time_s(single) / time_s(this row)` — measured wall clock.
     speedup_vs_single: f64,
@@ -87,12 +79,10 @@ fn main() {
     counts.retain(|&w| w <= peak);
     counts.sort_unstable();
     counts.dedup();
-    // Grid: the single baseline, racing at each parallel count, and window
-    // search from 1 worker (sequential interval bisection — isolates the
-    // scheduler overhead) up to the peak.
-    let mut grid: Vec<(&'static str, usize)> = vec![("single", 1)];
-    grid.extend(counts.iter().map(|&w| ("racing", w)));
-    grid.push(("window", 1));
+    // Grid: the single baseline, and window search from 1 worker
+    // (sequential interval bisection — isolates the scheduler overhead) up
+    // to the peak.
+    let mut grid: Vec<(&'static str, usize)> = vec![("single", 1), ("window", 1)];
     grid.extend(counts.iter().map(|&w| ("window", w)));
 
     let mut rows: Vec<WindowRow> = Vec::new();
@@ -106,10 +96,6 @@ fn main() {
             let opts = SolveOptions {
                 strategy: match mode {
                     "single" => Strategy::Single,
-                    "racing" => Strategy::Portfolio {
-                        workers,
-                        deterministic: false,
-                    },
                     _ => Strategy::WindowSearch {
                         workers,
                         deterministic: false,

@@ -18,9 +18,7 @@ use optalloc_intopt::{
 };
 use optalloc_model::{Allocation, Architecture, TaskSet};
 use optalloc_obs::{Phase, PhaseTotals};
-use optalloc_portfolio::{
-    minimize_portfolio, minimize_window_search, PortfolioOptions, WorkerReport,
-};
+use optalloc_portfolio::{minimize_window_search, PortfolioOptions, WorkerReport};
 use optalloc_sat::{SolverConfig, SolverStats};
 use std::time::{Duration, Instant};
 
@@ -44,7 +42,8 @@ pub struct OptimizeReport {
     pub encode: EncodeStats,
     /// Number of `SOLVE` calls the binary search issued.
     pub solve_calls: u32,
-    /// Aggregated solver statistics (summed over all portfolio workers).
+    /// Aggregated solver statistics (summed over all window-search
+    /// workers).
     pub stats: SolverStats,
     /// Wall-clock time of the full run (encode + search + decode).
     pub wall: Duration,
@@ -54,8 +53,8 @@ pub struct OptimizeReport {
     /// written by [`optalloc_obs::Obs::write_trace`] sums to exactly these
     /// values.
     pub phases: PhaseTotals,
-    /// Per-worker execution records when [`Strategy::Portfolio`] or
-    /// [`Strategy::WindowSearch`] ran; empty under [`Strategy::Single`].
+    /// Per-worker execution records when [`Strategy::WindowSearch`] ran;
+    /// empty under [`Strategy::Single`].
     pub workers: Vec<WorkerReport>,
     /// The verified optimality certificate when
     /// [`SolveOptions::certify`](crate::SolveOptions::certify) was set.
@@ -321,11 +320,7 @@ impl<'a> Optimizer<'a> {
                     outcome.certificate,
                 )
             }
-            Strategy::Portfolio {
-                workers,
-                deterministic,
-            }
-            | Strategy::WindowSearch {
+            Strategy::WindowSearch {
                 workers,
                 deterministic,
             } => {
@@ -335,11 +330,7 @@ impl<'a> Optimizer<'a> {
                     base: min_opts,
                     verbose: false,
                 };
-                let outcome = if matches!(self.opts.strategy, Strategy::WindowSearch { .. }) {
-                    minimize_window_search(&enc.problem, cost, &popts)
-                } else {
-                    minimize_portfolio(&enc.problem, cost, &popts)
-                };
+                let outcome = minimize_window_search(&enc.problem, cost, &popts);
                 (
                     outcome.status,
                     outcome.solve_calls,
@@ -379,7 +370,8 @@ impl<'a> Optimizer<'a> {
     /// optimizer's — in particular the same `certify` flag — since the
     /// engine's own options govern the search it runs. The configured
     /// [`Strategy`](crate::Strategy) is ignored: warm re-solving is
-    /// inherently single-search (a retained solver cannot be raced).
+    /// inherently single-search (a retained solver serves one search at a
+    /// time).
     pub fn minimize_warm(
         &self,
         objective: &Objective,
@@ -464,13 +456,6 @@ impl<'a> Optimizer<'a> {
                     }
                 };
                 Err(OptError::Budget { incumbent })
-            }
-            // The portfolio resolves external optima to concrete models
-            // before returning; a bare ExternalOptimal can only escape a
-            // direct `IntProblem::minimize` with a foreign shared bound,
-            // which neither the optimizer nor the warm engine configures.
-            MinimizeStatus::ExternalOptimal { .. } => {
-                unreachable!("optimizer never shares bounds outside a portfolio")
             }
             MinimizeStatus::Optimal { value, model } => {
                 // Every winner passes the same independent re-validation

@@ -30,23 +30,12 @@ pub enum Objective {
     Feasibility,
 }
 
-/// How many binary searches attack the encoded problem.
+/// How many workers search the encoded problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// One `BIN_SEARCH` run, configured by `mode`/`backend` (the paper's
     /// setup).
     Single,
-    /// A portfolio of diversified workers over the same encoding, with
-    /// two-sided bound sharing, learned-clause sharing, and cooperative
-    /// cancellation (see the `optalloc-portfolio` crate).
-    Portfolio {
-        /// Number of workers (worker 0 runs the base configuration).
-        workers: usize,
-        /// `true`: join all workers and pick the lowest-index decisive one
-        /// — bit-stable output. `false`: race, first proven optimum wins
-        /// (equal-cost optima may differ between runs).
-        deterministic: bool,
-    },
     /// A parallel window search: workers probe **disjoint** sub-windows of
     /// the remaining cost interval, so the terminal UNSAT certification is
     /// divided across workers instead of repeated per worker (see the
@@ -90,7 +79,7 @@ pub struct SolveOptions {
     /// (`⌈(rᵢ + Jⱼ)/tⱼ⌉`) — one of the "release jitter, blocking factors,
     /// etc." extensions the paper's §2 mentions. Off = the literal eq. (1).
     pub task_jitter: bool,
-    /// Single search vs. diversified portfolio.
+    /// Single search vs. parallel window search.
     pub strategy: Strategy,
     /// Encoder-level optimizations (gate hash-consing, interval narrowing,
     /// SAT preprocessing). Default all-on; [`EncoderOpt::none`] reproduces
@@ -134,8 +123,8 @@ pub struct SolveOptions {
     pub obs: Obs,
     /// Live progress hook: throttled [`optalloc_obs::ProgressEvent`]s from
     /// inside every search (conflict rate, restarts, learnt-DB tiers,
-    /// current cost window). Portfolio strategies stamp each worker's
-    /// events with its index.
+    /// current cost window). Window search stamps each worker's events
+    /// with its index.
     pub progress: Option<ProgressHook>,
 }
 

@@ -50,7 +50,7 @@ pub enum Backend {
 ///
 /// All stages are deterministic: variable numbering depends only on the
 /// encounter order of cache misses, never on hash-map iteration, so the
-/// deterministic portfolio/window modes stay bit-stable.
+/// deterministic window search stays bit-stable.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct EncoderOpt {
     /// Structural hashing of gates during bit-blasting.

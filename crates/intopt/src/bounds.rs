@@ -1,30 +1,5 @@
-//! Cost-bound machinery shared by the minimization searches: the exact
-//! [`Interval`] arithmetic the triplet encoder infers helper-variable
-//! ranges with, and the cross-worker [`BoundLattice`].
-//!
-//! # The bound lattice
-//!
-//! PR 1's portfolio shared only the *upper* incumbent bound (an `AtomicI64`
-//! tightened with `fetch_min`). That leaves the terminal UNSAT certification
-//! serial: every worker re-proves the same lower bound. [`BoundLattice`]
-//! pairs the incumbent bound with a certified *lower* bound tightened with
-//! `fetch_max`, so any worker's UNSAT proof over `[L, M]` shrinks everyone's
-//! remaining window from below.
-//!
-//! The two sides form a lattice in the order-theoretic sense: `lower` only
-//! ever rises, `upper` only ever falls, and both moves are monotone atomic
-//! folds — concurrent publications commute, so no ordering between workers
-//! is needed for soundness. The optimum (when one exists) always satisfies
-//! `lower ≤ opt ≤ upper`; once `lower ≥ upper` the incumbent is proven
-//! optimal and the search is over.
-//!
-//! A worker may observe the lower bound *overtake* the upper bound
-//! mid-probe (another worker certified `L > U` while this one was solving a
-//! now-stale window). That is not an inconsistency — it simply means the
-//! window is exhausted — and every consumer must treat `lower > upper` as
-//! "done", never as an error (see the bound-crossing tests).
-
-use std::sync::atomic::{AtomicI64, Ordering};
+//! The exact [`Interval`] arithmetic the triplet encoder infers
+//! helper-variable ranges with.
 
 /// A closed integer interval `[lo, hi]` with exact (tightest-possible)
 /// interval arithmetic.
@@ -108,135 +83,6 @@ impl Interval {
     /// Number of integers in the interval (saturating).
     pub fn width(&self) -> u64 {
         self.hi.abs_diff(self.lo).saturating_add(1)
-    }
-}
-
-/// A shared pair of monotone cost bounds (see the module docs).
-///
-/// `lower` carries *certified* knowledge (UNSAT proofs: no solution cheaper
-/// than `lower` exists); `upper` carries *witnessed* knowledge (some worker
-/// holds a model of cost `upper`). Reads and writes use relaxed ordering —
-/// the bounds are pure optimization hints folded between probes, and every
-/// terminal verdict is re-derived from a probe result, not from the lattice.
-pub struct BoundLattice {
-    lower: AtomicI64,
-    upper: AtomicI64,
-}
-
-impl std::fmt::Debug for BoundLattice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoundLattice")
-            .field("lower", &self.lower())
-            .field("upper", &self.upper())
-            .finish()
-    }
-}
-
-impl Default for BoundLattice {
-    fn default() -> BoundLattice {
-        BoundLattice::new()
-    }
-}
-
-impl BoundLattice {
-    /// A lattice with both sides at their vacuous extremes.
-    pub fn new() -> BoundLattice {
-        BoundLattice {
-            lower: AtomicI64::new(i64::MIN),
-            upper: AtomicI64::new(i64::MAX),
-        }
-    }
-
-    /// A lattice pre-seeded with `lower ≥ lo` and `upper ≤ hi`.
-    pub fn with_bounds(lo: i64, hi: i64) -> BoundLattice {
-        BoundLattice {
-            lower: AtomicI64::new(lo),
-            upper: AtomicI64::new(hi),
-        }
-    }
-
-    /// Certified lower bound: no solution cheaper than this exists.
-    pub fn lower(&self) -> i64 {
-        self.lower.load(Ordering::Relaxed)
-    }
-
-    /// Witnessed upper bound: some worker holds a model this cheap.
-    pub fn upper(&self) -> i64 {
-        self.upper.load(Ordering::Relaxed)
-    }
-
-    /// Both sides, read independently (no cross-side atomicity — callers
-    /// must tolerate `lower > upper`, which means "search exhausted").
-    pub fn snapshot(&self) -> (i64, i64) {
-        (self.lower(), self.upper())
-    }
-
-    /// Folds in a certified lower bound (`fetch_max`); returns the lattice
-    /// lower bound after the fold.
-    pub fn publish_lower(&self, bound: i64) -> i64 {
-        self.lower.fetch_max(bound, Ordering::Relaxed).max(bound)
-    }
-
-    /// Folds in a witnessed upper bound (`fetch_min`); returns the lattice
-    /// upper bound after the fold.
-    pub fn publish_upper(&self, bound: i64) -> i64 {
-        self.upper.fetch_min(bound, Ordering::Relaxed).min(bound)
-    }
-
-    /// True once the window is exhausted: `lower ≥ upper` means the
-    /// incumbent (if any) is proven optimal.
-    pub fn closed(&self) -> bool {
-        self.lower() >= self.upper()
-    }
-}
-
-/// Per-reader monotonicity monitor for a [`BoundLattice`] (checked mode).
-///
-/// Because both sides of the lattice only ever move by `fetch_max`
-/// (`lower`) and `fetch_min` (`upper`), a *single reader's* successive
-/// relaxed loads of the same atomic are guaranteed monotone by per-location
-/// coherence — the lower bound may only rise and the upper may only fall.
-/// `observe` asserts exactly that, from one reader's point of view; it must
-/// **not** compare observations across threads (two readers' interleavings
-/// carry no such guarantee). Instantiate one watch per search loop and feed
-/// it every fold.
-#[derive(Debug)]
-pub struct BoundWatch {
-    seen_lower: i64,
-    seen_upper: i64,
-}
-
-impl Default for BoundWatch {
-    fn default() -> BoundWatch {
-        BoundWatch::new()
-    }
-}
-
-impl BoundWatch {
-    /// A watch that accepts any first observation.
-    pub fn new() -> BoundWatch {
-        BoundWatch {
-            seen_lower: i64::MIN,
-            seen_upper: i64::MAX,
-        }
-    }
-
-    /// Reads both sides of `lattice` and panics if either regressed
-    /// relative to what *this* watch saw before.
-    pub fn observe(&mut self, lattice: &BoundLattice) {
-        let (lo, hi) = lattice.snapshot();
-        assert!(
-            lo >= self.seen_lower,
-            "BoundLattice lower bound regressed: {} -> {lo}",
-            self.seen_lower
-        );
-        assert!(
-            hi <= self.seen_upper,
-            "BoundLattice upper bound rose: {} -> {hi}",
-            self.seen_upper
-        );
-        self.seen_lower = lo;
-        self.seen_upper = hi;
     }
 }
 
@@ -345,132 +191,5 @@ mod interval_tests {
         assert_eq!(Interval::new(-3, 3).width(), 7);
         assert_eq!(Interval::singleton(9).width(), 1);
         assert_eq!(Interval::new(i64::MIN, i64::MAX).width(), u64::MAX);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn folds_are_monotone() {
-        let b = BoundLattice::new();
-        assert_eq!(b.publish_lower(3), 3);
-        assert_eq!(b.publish_lower(1), 3); // lower never regresses
-        assert_eq!(b.publish_upper(10), 10);
-        assert_eq!(b.publish_upper(12), 10); // upper never regresses
-        assert_eq!(b.snapshot(), (3, 10));
-        assert!(!b.closed());
-        b.publish_lower(10);
-        assert!(b.closed());
-    }
-
-    #[test]
-    fn crossing_is_terminal_not_fatal() {
-        // Another worker certifies L = 9 while we hold an incumbent of 5:
-        // can only happen through unsound use OR a stale read, but the
-        // lattice itself must stay well-defined and report "closed".
-        let b = BoundLattice::with_bounds(9, 5);
-        assert!(b.closed());
-        assert_eq!(b.snapshot(), (9, 5));
-    }
-
-    /// Convergence against a certified optimum: lower-side publishers only
-    /// ever publish *certified* bounds (≤ OPT by soundness of UNSAT
-    /// proofs), upper-side publishers only *witnessed* bounds (≥ OPT by
-    /// feasibility). However the publications interleave, the lattice must
-    /// never cross the optimum from either side, and once both sides have
-    /// published their best facts it must close exactly at OPT.
-    #[test]
-    fn interleaved_publishers_never_cross_the_certified_optimum() {
-        const OPT: i64 = 1_000;
-        let b = Arc::new(BoundLattice::new());
-        let mut handles = Vec::new();
-        for t in 0..4i64 {
-            // Lower publishers: rising certified bounds capped at OPT.
-            let lat = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2_000 {
-                    let certified = ((t * 7 + i * 13) % (OPT + 1)).min(OPT);
-                    let folded = lat.publish_lower(certified);
-                    assert!(folded <= OPT, "lower fold {folded} crossed the optimum");
-                }
-                lat.publish_lower(OPT);
-            }));
-            // Upper publishers: falling witnessed bounds floored at OPT.
-            let lat = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2_000 {
-                    let witnessed = OPT + ((t * 11 + i * 17) % 5_000);
-                    let folded = lat.publish_upper(witnessed);
-                    assert!(folded >= OPT, "upper fold {folded} crossed the optimum");
-                }
-                lat.publish_upper(OPT);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Both sides converged exactly onto the optimum and the window is
-        // closed — the terminal state of every sound cooperating search.
-        assert_eq!(b.snapshot(), (OPT, OPT));
-        assert!(b.closed());
-    }
-
-    /// Mid-flight invariant under concurrency: sample the lattice while
-    /// sound publishers hammer it; every snapshot must bracket the optimum
-    /// (lower ≤ OPT ≤ upper) — a reader can never observe a crossed state
-    /// when all publications are sound.
-    #[test]
-    fn snapshots_bracket_the_optimum_while_publishing() {
-        const OPT: i64 = 64;
-        let b = Arc::new(BoundLattice::new());
-        let writers: Vec<_> = (0..2i64)
-            .map(|t| {
-                let lat = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for i in 0..5_000 {
-                        lat.publish_lower((i + t) % (OPT + 1));
-                        lat.publish_upper(OPT + (i * 3 + t) % 100);
-                    }
-                })
-            })
-            .collect();
-        let reader = {
-            let lat = Arc::clone(&b);
-            std::thread::spawn(move || {
-                for _ in 0..5_000 {
-                    let (lo, hi) = lat.snapshot();
-                    assert!(lo <= OPT, "reader saw certified lower {lo} > optimum");
-                    assert!(hi >= OPT, "reader saw witnessed upper {hi} < optimum");
-                }
-            })
-        };
-        for w in writers {
-            w.join().unwrap();
-        }
-        reader.join().unwrap();
-    }
-
-    #[test]
-    fn concurrent_folds_commute() {
-        let b = Arc::new(BoundLattice::new());
-        let handles: Vec<_> = (0..4i64)
-            .map(|t| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for i in 0..1_000 {
-                        b.publish_lower(t * 1_000 + i);
-                        b.publish_upper(100_000 - (t * 1_000 + i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(b.lower(), 3_999);
-        assert_eq!(b.upper(), 96_001);
     }
 }

@@ -29,13 +29,13 @@
 //! gaps. Witness replay lives a layer up (in `optalloc-core`), where the
 //! domain semantics are known.
 //!
-//! For parallel runs (portfolio racing, window search) each worker
-//! contributes a [`WindowProof`]; soundness of stitching follows from the
-//! bound-lattice publication discipline — a worker only publishes a lower
-//! bound after an exhaustive UNSAT verdict on a window anchored at the
-//! then-global lower bound, so the union of all workers' certified windows
-//! is gap-free whenever the race reached `Optimal`. `verify` does not trust
-//! that argument: it re-checks coverage from the recorded windows alone.
+//! For parallel runs (window search) each worker contributes a
+//! [`WindowProof`]; soundness of stitching follows from the scheduler's
+//! discipline — the shared lower bound only advances over windows some
+//! worker refuted exhaustively, contiguously from the cost range's lower
+//! end, so the union of all workers' certified windows is gap-free
+//! whenever the search reached `Optimal`. `verify` does not trust that
+//! argument: it re-checks coverage from the recorded windows alone.
 
 use crate::problem::Model;
 use optalloc_sat::{check_proof, CheckError, Claim, Lit};

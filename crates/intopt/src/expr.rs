@@ -6,7 +6,7 @@
 //! with cheap structural sharing (`Arc` nodes) so that, e.g., a response-time
 //! variable appearing in dozens of constraints is one shared node. The nodes
 //! are atomically counted so a built [`crate::IntProblem`] is `Send + Sync`
-//! and portfolio workers can race over one shared encoding.
+//! and window-search workers can share one encoding.
 //!
 //! Every integer variable carries its range `[lo, hi]`; ranges of compound
 //! expressions are inferred by interval arithmetic during triplet rewriting.

@@ -15,11 +15,12 @@
 //! 3. the triplets are bit-blasted to a CDCL(PB) solver using two's
 //!    complement bit-vectors whose widths come from inferred ranges
 //!    ([`Backend::Cnf`] or [`Backend::PseudoBoolean`]);
-//! 4. [`IntProblem::minimize`] wraps the solver in the paper's `BIN_SEARCH`
-//!    scheme, either re-encoding per probe ([`BinSearchMode::Fresh`]) or
-//!    reusing one incremental solver with guard-literal bounds
-//!    ([`BinSearchMode::Incremental`], the paper's §7 learned-clause-reuse
-//!    extension).
+//! 4. [`IntProblem::minimize`] runs the paper's `BIN_SEARCH` scheme over a
+//!    [`CostProber`] that either re-encodes per probe
+//!    ([`BinSearchMode::Fresh`]) or reuses one incremental solver with
+//!    guard-literal bounds ([`BinSearchMode::Incremental`], the paper's §7
+//!    learned-clause-reuse extension); [`WarmEngine`] runs the same loop
+//!    over a prober it keeps across requests.
 //!
 //! ## Example: minimize a nonlinear objective
 //!
@@ -51,11 +52,9 @@ mod problem;
 mod triplet;
 mod warm;
 
-pub use binsearch::{
-    BinSearchMode, EncodeStats, IncumbentCallback, MinimizeOptions, MinimizeOutcome, MinimizeStatus,
-};
+pub use binsearch::{BinSearchMode, EncodeStats, MinimizeOptions, MinimizeOutcome, MinimizeStatus};
 pub use blast::{blast, blast_with, Backend, Blast, EncoderOpt};
-pub use bounds::{BoundLattice, BoundWatch, Interval};
+pub use bounds::Interval;
 pub use certificate::{
     Certificate, CertificateError, CertificateSummary, CertifiedWindow, WindowProof,
 };

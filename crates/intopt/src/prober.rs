@@ -1,21 +1,26 @@
 //! A reusable cost-window probe engine.
 //!
-//! [`CostProber`] owns one incremental solver with the problem encoded once
-//! and answers `SOLVE(φ ∧ lo ≤ cost ≤ hi)` queries against arbitrary
-//! windows, carrying every learned clause across probes (the paper's §7
-//! reuse). It is the engine under both the sequential `BIN_SEARCH` loop
-//! ([`crate::BinSearchMode::Incremental`]) and the portfolio's parallel
-//! window scheduler, which assigns each worker's prober a disjoint
-//! sub-window of the remaining cost range.
+//! [`CostProber`] answers `SOLVE(φ ∧ lo ≤ cost ≤ hi)` queries against
+//! arbitrary windows. It is the engine under the sequential `BIN_SEARCH`
+//! loop ([`crate::binsearch`]) in both of the paper's modes, and under the
+//! portfolio's parallel window scheduler, which assigns each worker's
+//! incremental prober a disjoint sub-window of the remaining cost range.
 //!
-//! Each bounded probe allocates a fresh guard literal, attaches the window
-//! bounds guarded by it, assumes the guard for the solve, and closes the
-//! guard afterwards so the dead bound clauses simplify away. Guards are
-//! therefore always allocated *above* the base encoding, which is what
-//! makes cross-worker clause sharing sound (see
+//! An *incremental* prober ([`CostProber::new`]) owns one solver with the
+//! problem encoded once and carries every learned clause across probes
+//! (the paper's §7 reuse). Each bounded probe allocates a fresh guard
+//! literal, attaches the window bounds guarded by it, assumes the guard for
+//! the solve, and closes the guard afterwards so the dead bound clauses
+//! simplify away. Guards are therefore always allocated *above* the base
+//! encoding, which is what makes cross-worker clause sharing sound (see
 //! [`optalloc_sat::ClauseExchange`]): when the solver configuration carries
 //! an exchange, the prober pins `share_var_limit` to the base encoding size
 //! so no guard-dependent clause can leak out.
+//!
+//! A *fresh* prober ([`CostProber::fresh`]) re-encodes the problem into a
+//! new solver for every probe, with the window bounds asserted hard — the
+//! paper's baseline, in which interval narrowing can refute a window before
+//! the solver runs.
 
 use crate::binsearch::{EncodeStats, MinimizeOptions};
 use crate::blast::{blast_with, Blast};
@@ -45,24 +50,51 @@ pub enum Probe {
     Interrupted,
 }
 
-/// An incremental solver bound to one problem, answering cost-window
-/// queries (see the module docs).
+/// A solver bound to one problem, answering cost-window queries (see the
+/// module docs).
 pub struct CostProber<'p> {
     problem: Cow<'p, IntProblem>,
     cost: IntVar,
+    engine: Engine,
+    encode: EncodeStats,
+    /// The part of `encode.encode_ms` already handed out by
+    /// [`CostProber::report_encode`].
+    encode_ms_reported: f64,
+    solve_calls: u32,
+    certify: bool,
+}
+
+// One engine per prober, built once per search: the size difference
+// between the variants costs nothing worth an indirection.
+#[allow(clippy::large_enum_variant)]
+enum Engine {
+    Incremental(Incremental),
+    Fresh(Fresh),
+}
+
+/// One solver with the problem encoded once; bounds enter as guards.
+struct Incremental {
     solver: Solver,
     bl: Blast,
-    encode: EncodeStats,
-    solve_calls: u32,
     /// Windows refuted so far, when proof logging is on; paired with the
-    /// solver's trace by [`CostProber::take_proof`].
+    /// solver's trace by [`CostProber::take_proofs`].
     certified: Vec<CertifiedWindow>,
+}
+
+/// A new solver and encoding per probe, bounds asserted hard.
+struct Fresh {
+    opts: MinimizeOptions,
+    /// Statistics absorbed from every probe's solver.
+    stats: SolverStats,
+    /// One trace per refuting probe, when certifying.
+    proofs: Vec<WindowProof>,
 }
 
 impl std::fmt::Debug for CostProber<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostProber")
             .field("cost", &self.cost)
+            .field("fresh", &matches!(self.engine, Engine::Fresh(_)))
             .field("encode", &self.encode)
             .field("solve_calls", &self.solve_calls)
             .finish()
@@ -70,9 +102,10 @@ impl std::fmt::Debug for CostProber<'_> {
 }
 
 impl<'p> CostProber<'p> {
-    /// Encodes `problem` once into a solver configured per `opts`.
+    /// Encodes `problem` once into an incremental solver configured per
+    /// `opts` (whatever `opts.mode` says).
     pub fn new(problem: &'p IntProblem, cost: IntVar, opts: &MinimizeOptions) -> CostProber<'p> {
-        CostProber::build(Cow::Borrowed(problem), cost, opts)
+        CostProber::incremental(Cow::Borrowed(problem), cost, opts)
     }
 
     /// Like [`CostProber::new`] but takes ownership of the problem, so the
@@ -84,10 +117,35 @@ impl<'p> CostProber<'p> {
         cost: IntVar,
         opts: &MinimizeOptions,
     ) -> CostProber<'static> {
-        CostProber::build(Cow::Owned(problem), cost, opts)
+        CostProber::incremental(Cow::Owned(problem), cost, opts)
     }
 
-    fn build(problem: Cow<'p, IntProblem>, cost: IntVar, opts: &MinimizeOptions) -> CostProber<'p> {
+    /// A prober that re-encodes `problem` into a new solver for every probe
+    /// ([`crate::BinSearchMode::Fresh`], the paper's baseline). Nothing is
+    /// encoded until the first probe, whose encoding size [`encode`]
+    /// reports.
+    ///
+    /// [`encode`]: CostProber::encode
+    pub fn fresh(problem: &'p IntProblem, cost: IntVar, opts: &MinimizeOptions) -> CostProber<'p> {
+        let engine = Engine::Fresh(Fresh {
+            opts: opts.clone(),
+            stats: SolverStats::default(),
+            proofs: Vec::new(),
+        });
+        CostProber::with_engine(
+            Cow::Borrowed(problem),
+            cost,
+            opts,
+            engine,
+            EncodeStats::default(),
+        )
+    }
+
+    fn incremental(
+        problem: Cow<'p, IntProblem>,
+        cost: IntVar,
+        opts: &MinimizeOptions,
+    ) -> CostProber<'p> {
         let mut solver = opts.new_solver();
         // The stopwatch both times the encoding and (when observability is
         // enabled) records the `encode` trace span from the *same* f64, so
@@ -114,14 +172,29 @@ impl<'p> CostProber<'p> {
             constraints: solver.num_constraints(),
             encode_ms,
         };
+        let engine = Engine::Incremental(Incremental {
+            solver,
+            bl,
+            certified: Vec::new(),
+        });
+        CostProber::with_engine(problem, cost, opts, engine, encode)
+    }
+
+    fn with_engine(
+        problem: Cow<'p, IntProblem>,
+        cost: IntVar,
+        opts: &MinimizeOptions,
+        engine: Engine,
+        encode: EncodeStats,
+    ) -> CostProber<'p> {
         CostProber {
             problem,
             cost,
-            solver,
-            bl,
+            engine,
             encode,
+            encode_ms_reported: 0.0,
             solve_calls: 0,
-            certified: Vec::new(),
+            certify: opts.certify,
         }
     }
 
@@ -136,9 +209,12 @@ impl<'p> CostProber<'p> {
     }
 
     /// Number of learned clauses currently retained by the underlying
-    /// solver (the cross-probe reuse haul).
+    /// solver (the cross-probe reuse haul; always 0 for a fresh prober).
     pub fn num_learned(&self) -> usize {
-        self.solver.num_learned()
+        match &self.engine {
+            Engine::Incremental(inc) => inc.solver.num_learned(),
+            Engine::Fresh(_) => 0,
+        }
     }
 
     /// Drops the retained learned clauses (see
@@ -146,7 +222,10 @@ impl<'p> CostProber<'p> {
     /// removed. Used at re-solve boundaries when the database outgrew the
     /// caller's retention budget.
     pub fn clear_learned(&mut self) -> usize {
-        self.solver.clear_learned()
+        match &mut self.engine {
+            Engine::Incremental(inc) => inc.solver.clear_learned(),
+            Engine::Fresh(_) => 0,
+        }
     }
 
     /// Size of the propositional encoding.
@@ -159,32 +238,57 @@ impl<'p> CostProber<'p> {
         self.solve_calls
     }
 
-    /// Statistics accumulated by the underlying solver.
+    /// Statistics accumulated by the underlying solver(s).
     pub fn stats(&self) -> &SolverStats {
-        &self.solver.stats
+        match &self.engine {
+            Engine::Incremental(inc) => &inc.solver.stats,
+            Engine::Fresh(fresh) => &fresh.stats,
+        }
     }
 
-    /// True when the encoding already refuted the problem (no probe needed).
+    /// True when the encoding already refuted the problem (no probe
+    /// needed). A fresh prober encodes per probe, so it reports such a
+    /// refutation as an [`Probe::Unsat`] instead.
     pub fn trivially_unsat(&self) -> bool {
-        self.bl.trivially_unsat()
+        match &self.engine {
+            Engine::Incremental(inc) => inc.bl.trivially_unsat(),
+            Engine::Fresh(_) => false,
+        }
     }
 
-    /// Takes the solver's proof trace together with every window it
-    /// refuted, for certificate assembly. `None` unless the solver was
-    /// configured with proof logging ([`optalloc_sat::SolverConfig::proof`],
-    /// set by `MinimizeOptions::certify`). Draining: a second call returns
-    /// `None`.
-    pub fn take_proof(&mut self) -> Option<WindowProof> {
-        let log = self.solver.take_proof()?;
-        Some(WindowProof {
-            log: Arc::new(log),
-            windows: std::mem::take(&mut self.certified),
-        })
+    /// Whether the prober was built to certify (`MinimizeOptions::certify`).
+    pub(crate) fn certifies(&self) -> bool {
+        self.certify
     }
 
-    /// Length of the solver's proof trace so far (the anchor of a claim).
-    fn trace_len(&self) -> usize {
-        self.solver.proof().map_or(0, optalloc_sat::ProofLog::len)
+    /// The encoding size, with `encode_ms` limited to the encode time no
+    /// earlier call handed out — so a retained prober's base encoding is
+    /// reported once, by the search that built it.
+    pub(crate) fn report_encode(&mut self) -> EncodeStats {
+        let mut encode = self.encode;
+        encode.encode_ms -= self.encode_ms_reported;
+        self.encode_ms_reported = self.encode.encode_ms;
+        encode
+    }
+
+    /// Takes the proof traces recorded so far, each with the windows it
+    /// refuted, for certificate assembly. Empty unless the solvers log
+    /// proofs ([`optalloc_sat::SolverConfig::proof`], set by
+    /// `MinimizeOptions::certify`). Draining: a second call returns only
+    /// what was recorded after the first.
+    pub fn take_proofs(&mut self) -> Vec<WindowProof> {
+        match &mut self.engine {
+            Engine::Incremental(inc) => inc
+                .solver
+                .take_proof()
+                .map(|log| WindowProof {
+                    log: Arc::new(log),
+                    windows: std::mem::take(&mut inc.certified),
+                })
+                .into_iter()
+                .collect(),
+            Engine::Fresh(fresh) => std::mem::take(&mut fresh.proofs),
+        }
     }
 
     /// Probes the window `lo ≤ cost ≤ hi` (or the unbounded problem when
@@ -192,18 +296,36 @@ impl<'p> CostProber<'p> {
     /// refuted encoding is vacuously [`Probe::Unsat`] without touching the
     /// solver.
     pub fn probe(&mut self, window: Option<(i64, i64)>) -> Probe {
-        if self.bl.trivially_unsat() {
+        if self.trivially_unsat() || window.is_some_and(|(lo, hi)| lo > hi) {
             return Probe::Unsat;
         }
+        self.solve_calls += 1;
+        let problem: &IntProblem = &self.problem;
+        match &mut self.engine {
+            Engine::Incremental(inc) => inc.probe(problem, self.cost, window, &mut self.encode),
+            Engine::Fresh(fresh) => {
+                let first = self.solve_calls == 1;
+                fresh.probe(problem, self.cost, window, &mut self.encode, first)
+            }
+        }
+    }
+}
+
+impl Incremental {
+    fn probe(
+        &mut self,
+        problem: &IntProblem,
+        cost: IntVar,
+        window: Option<(i64, i64)>,
+        encode: &mut EncodeStats,
+    ) -> Probe {
+        let solver = &mut self.solver;
         let result = match window {
             Some((lo, hi)) => {
-                if lo > hi {
-                    return Probe::Unsat;
-                }
                 // The whole bounded probe is one `bisect-window` span; the
                 // guard encoding and the solver's own `search` span nest
                 // inside it via the thread-local span stack.
-                let mut probe_sw = self.solver.config.obs.stopwatch(Phase::BisectWindow);
+                let mut probe_sw = solver.config.obs.stopwatch(Phase::BisectWindow);
                 if probe_sw.recording() {
                     probe_sw.attr("lo", lo.to_string());
                     probe_sw.attr("hi", hi.to_string());
@@ -211,20 +333,18 @@ impl<'p> CostProber<'p> {
                 // Guard-clause emission is encoding work: attribute it to
                 // encode_ms so solve_ms stays pure search time even across
                 // many reused probes. Same stopwatch-as-span pattern as the
-                // base encoding above.
-                let mut sw = self.solver.config.obs.stopwatch(Phase::Encode);
-                let guard = self.solver.new_var().positive();
-                self.bl
-                    .add_guarded_bounds(&mut self.solver, self.cost, lo, hi, guard);
+                // base encoding.
+                let mut sw = solver.config.obs.stopwatch(Phase::Encode);
+                let guard = solver.new_var().positive();
+                self.bl.add_guarded_bounds(solver, cost, lo, hi, guard);
                 if sw.recording() {
                     sw.attr("pass", "guard-bounds");
                 }
-                self.encode.encode_ms += sw.finish();
-                self.solve_calls += 1;
-                self.solver.config.progress_window = Some((lo, hi));
-                let r = self.solver.solve(&[guard]);
+                encode.encode_ms += sw.finish();
+                solver.config.progress_window = Some((lo, hi));
+                let r = solver.solve(&[guard]);
                 probe_sw.finish();
-                if r == SolveResult::Unsat && self.solver.config.proof {
+                if r == SolveResult::Unsat && solver.config.proof {
                     // The failed-assumption clause ¬guard in the trace
                     // certifies "no model with lo ≤ cost ≤ hi" — anchored
                     // here, before the closing input below states it.
@@ -232,41 +352,142 @@ impl<'p> CostProber<'p> {
                         lo,
                         hi,
                         claim: vec![!guard],
-                        step: self.trace_len(),
+                        step: trace_len(solver),
                     });
                 }
                 // Close the guard: it is never assumed again, so the dead
                 // bound clauses can simplify away.
-                self.solver.add_clause(&[!guard]);
+                solver.add_clause(&[!guard]);
                 r
             }
             None => {
-                self.solve_calls += 1;
-                self.solver.config.progress_window = None;
-                let r = self.solver.solve(&[]);
-                if r == SolveResult::Unsat && self.solver.config.proof {
+                solver.config.progress_window = None;
+                let r = solver.solve(&[]);
+                if r == SolveResult::Unsat && solver.config.proof {
                     // Unbounded refutation: the trace proves the base
                     // formula UNSAT outright (empty claim).
                     self.certified.push(CertifiedWindow {
-                        lo: self.cost.lo,
-                        hi: self.cost.hi,
+                        lo: cost.lo,
+                        hi: cost.hi,
                         claim: Vec::new(),
-                        step: self.trace_len(),
+                        step: trace_len(solver),
                     });
                 }
                 r
             }
         };
-        match result {
-            SolveResult::Sat => {
-                let value = self.bl.int_value(&self.solver, self.cost);
-                let model = self.problem.extract_model(&self.solver, &self.bl);
-                Probe::Sat { value, model }
+        verdict(result, problem, cost, &self.solver, &self.bl)
+    }
+}
+
+impl Fresh {
+    fn probe(
+        &mut self,
+        problem: &IntProblem,
+        cost: IntVar,
+        window: Option<(i64, i64)>,
+        encode: &mut EncodeStats,
+        first: bool,
+    ) -> Probe {
+        let opts = &self.opts;
+        // Bounds are asserted hard — except under certification, where
+        // they enter through a guard literal instead: hard-asserted bounds
+        // are folded into the encoding by interval narrowing, which can
+        // refute the window *before* the solver runs and leave no proof
+        // trace. The guard keeps the refutation inside the trace, certified
+        // by the failed-assumption clause ¬guard.
+        let use_guard = opts.certify && window.is_some();
+        let mut solver = opts.new_solver();
+        let mut p = problem.clone();
+        if !use_guard {
+            if let Some((lo, hi)) = window {
+                p.assert(cost.expr().ge(lo).and(cost.expr().le(hi)));
             }
-            SolveResult::Unsat => Probe::Unsat,
-            SolveResult::Unknown => Probe::Unknown,
-            SolveResult::Interrupted => Probe::Interrupted,
         }
+        // One `bisect-window` span per fresh-mode probe, with the `encode`
+        // and `search` spans nested inside; the same stopwatch f64 feeds
+        // `encode_ms` so the trace and stats agree exactly.
+        let mut probe_sw = solver.config.obs.stopwatch(Phase::BisectWindow);
+        if probe_sw.recording() {
+            if let Some((lo, hi)) = window {
+                probe_sw.attr("lo", lo.to_string());
+                probe_sw.attr("hi", hi.to_string());
+            }
+        }
+        let sw = solver.config.obs.stopwatch(Phase::Encode);
+        let (form, decls) = p.prepare(&opts.encoder_opt);
+        let mut bl = blast_with(&form, &decls, &mut solver, opts.backend, &opts.encoder_opt);
+        let guard = use_guard.then(|| {
+            let (lo, hi) = window.unwrap();
+            let guard = solver.new_var().positive();
+            bl.add_guarded_bounds(&mut solver, cost, lo, hi, guard);
+            guard
+        });
+        let encode_ms = sw.finish();
+        if first {
+            *encode = EncodeStats {
+                bool_vars: solver.num_vars() as u64,
+                literals: solver.num_literals(),
+                constraints: solver.num_constraints(),
+                encode_ms: 0.0,
+            };
+        }
+        encode.encode_ms += encode_ms;
+        if bl.trivially_unsat() {
+            return Probe::Unsat;
+        }
+        solver.config.progress_window = window;
+        let r = match guard {
+            Some(g) => solver.solve(&[g]),
+            None => solver.solve(&[]),
+        };
+        probe_sw.finish();
+        self.stats.absorb(&solver.stats);
+        if opts.certify && r == SolveResult::Unsat {
+            if let Some(log) = solver.take_proof() {
+                // Bounded refutation: claim ¬guard over the window. An
+                // unbounded one means overall infeasibility — keep the
+                // trace (it proves UNSAT outright) with no window.
+                let windows = match (window, guard) {
+                    (Some((lo, hi)), Some(g)) => vec![CertifiedWindow {
+                        lo,
+                        hi,
+                        claim: vec![!g],
+                        step: log.len(),
+                    }],
+                    _ => Vec::new(),
+                };
+                self.proofs.push(WindowProof {
+                    log: Arc::new(log),
+                    windows,
+                });
+            }
+        }
+        verdict(r, problem, cost, &solver, &bl)
+    }
+}
+
+/// Length of the solver's proof trace so far (the anchor of a claim).
+fn trace_len(solver: &Solver) -> usize {
+    solver.proof().map_or(0, optalloc_sat::ProofLog::len)
+}
+
+/// The probe verdict for `r`, with the witness read off `solver` on SAT.
+fn verdict(
+    r: SolveResult,
+    problem: &IntProblem,
+    cost: IntVar,
+    solver: &Solver,
+    bl: &Blast,
+) -> Probe {
+    match r {
+        SolveResult::Sat => Probe::Sat {
+            value: bl.int_value(solver, cost),
+            model: problem.extract_model(solver, bl),
+        },
+        SolveResult::Unsat => Probe::Unsat,
+        SolveResult::Unknown => Probe::Unknown,
+        SolveResult::Interrupted => Probe::Interrupted,
     }
 }
 
@@ -348,7 +569,9 @@ mod tests {
         let mut prober = CostProber::new(&p, x, &opts);
         assert!(matches!(prober.probe(Some((0, 6))), Probe::Unsat));
         assert!(matches!(prober.probe(Some((7, 100))), Probe::Sat { .. }));
-        let proof = prober.take_proof().expect("certify records a trace");
+        let [proof] = &prober.take_proofs()[..] else {
+            panic!("certify records one trace");
+        };
         assert_eq!(proof.windows.len(), 1, "only the UNSAT probe is certified");
         assert_eq!((proof.windows[0].lo, proof.windows[0].hi), (0, 6));
         let w = &proof.windows[0];
@@ -357,14 +580,14 @@ mod tests {
             step: w.step,
         };
         optalloc_sat::check_proof(&proof.log, &[claim]).expect("claim proved at its anchor");
-        assert!(prober.take_proof().is_none(), "take_proof drains");
+        assert!(prober.take_proofs().is_empty(), "take_proofs drains");
     }
 
     #[test]
     fn take_proof_twice_returns_none_and_keeps_probing_sound() {
-        // Edge semantics pin: take_proof is draining — the second call is
-        // None even after further probes, because new certified windows
-        // would pair with a trace whose prefix was already taken.
+        // Edge semantics pin: take_proofs is draining — the second call is
+        // empty, and later refutations pair with a new trace rather than
+        // one whose prefix was already taken.
         let (p, x) = geq7();
         let opts = MinimizeOptions {
             certify: true,
@@ -372,13 +595,15 @@ mod tests {
         };
         let mut prober = CostProber::new(&p, x, &opts);
         assert!(matches!(prober.probe(Some((0, 3))), Probe::Unsat));
-        assert!(prober.take_proof().is_some());
-        assert!(prober.take_proof().is_none(), "second take drains to None");
+        assert_eq!(prober.take_proofs().len(), 1);
+        assert!(prober.take_proofs().is_empty(), "second take drains");
         // Probing still works after the drain…
         assert!(matches!(prober.probe(Some((7, 100))), Probe::Sat { .. }));
         assert!(matches!(prober.probe(Some((4, 6))), Probe::Unsat));
         // …and the post-drain refutation pairs with the *new* trace.
-        let proof = prober.take_proof().expect("new trace accumulates");
+        let [proof] = &prober.take_proofs()[..] else {
+            panic!("a new trace accumulates");
+        };
         assert_eq!(proof.windows.len(), 1);
         assert_eq!((proof.windows[0].lo, proof.windows[0].hi), (4, 6));
     }
@@ -388,8 +613,8 @@ mod tests {
         let (p, x) = geq7();
         let mut prober = CostProber::new(&p, x, &MinimizeOptions::default());
         prober.probe(Some((0, 3)));
-        assert!(prober.take_proof().is_none());
-        assert!(prober.take_proof().is_none());
+        assert!(prober.take_proofs().is_empty());
+        assert!(prober.take_proofs().is_empty());
     }
 
     #[test]
@@ -438,7 +663,9 @@ mod tests {
         let mut prober = CostProber::new(&p, x, &opts);
         assert!(matches!(prober.probe(Some((9, 3))), Probe::Unsat));
         assert!(matches!(prober.probe(Some((0, 6))), Probe::Unsat));
-        let proof = prober.take_proof().expect("certify records a trace");
+        let [proof] = &prober.take_proofs()[..] else {
+            panic!("certify records one trace");
+        };
         assert_eq!(proof.windows.len(), 1, "only the real probe is certified");
         assert_eq!((proof.windows[0].lo, proof.windows[0].hi), (0, 6));
     }
@@ -456,6 +683,26 @@ mod tests {
             ref r => panic!("expected Sat, got {r:?}"),
         }
         assert_eq!(prober.problem().num_asserts(), 1);
+    }
+
+    #[test]
+    fn fresh_probes_count_every_encoding_and_keep_the_first_size() {
+        let (p, x) = geq7();
+        let opts = MinimizeOptions::default();
+        let mut prober = CostProber::fresh(&p, x, &opts);
+        assert!(!prober.trivially_unsat(), "nothing is encoded up front");
+        assert_eq!(prober.encode().bool_vars, 0);
+        assert!(matches!(prober.probe(None), Probe::Sat { .. }));
+        let first = prober.encode();
+        assert!(first.bool_vars > 0);
+        // The hard-asserted window [0, 6] contradicts x ≥ 7; however the
+        // re-encoding refutes it, the probe is a SOLVE call.
+        assert!(matches!(prober.probe(Some((0, 6))), Probe::Unsat));
+        assert!(matches!(prober.probe(Some((7, 9))), Probe::Sat { .. }));
+        assert_eq!(prober.solve_calls(), 3);
+        assert_eq!(prober.encode().bool_vars, first.bool_vars);
+        assert!(prober.encode().encode_ms >= first.encode_ms);
+        assert_eq!(prober.num_learned(), 0, "no solver outlives its probe");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The user-facing constraint problem: variable declarations, assertions,
 //! satisfiability checking and optimization.
 
-use crate::binsearch::{minimize, MinimizeOptions, MinimizeOutcome};
+use crate::binsearch::{bisect, BinSearchMode, MinimizeOptions, MinimizeOutcome};
 use crate::blast::{blast_with, Backend, EncoderOpt};
 use crate::expr::{bool_structural_eq, BoolExpr, BoolVar, IntVar, SeenPairs};
+use crate::prober::CostProber;
 use crate::triplet::TripletForm;
 use optalloc_sat::{PbOp, SolveResult, Solver, SolverConfig};
 
@@ -259,16 +260,21 @@ impl IntProblem {
     }
 
     /// Minimizes `cost` subject to the assertions via binary search
-    /// (paper §5.2). See [`MinimizeOptions`] for backend/mode selection.
+    /// (paper §5.2), with [`MinimizeOptions::initial_upper`] as the hint.
+    /// See [`MinimizeOptions`] for backend/mode selection.
     pub fn minimize(&self, cost: IntVar, opts: &MinimizeOptions) -> MinimizeOutcome {
-        minimize(self, cost, opts)
+        let mut prober = match opts.mode {
+            BinSearchMode::Incremental => CostProber::new(self, cost, opts),
+            BinSearchMode::Fresh => CostProber::fresh(self, cost, opts),
+        };
+        bisect(&mut prober, None, opts.initial_upper)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binsearch::{BinSearchMode, MinimizeStatus};
+    use crate::binsearch::MinimizeStatus;
     use crate::expr::IntExpr;
 
     fn both_backends() -> [Backend; 2] {

@@ -2,10 +2,10 @@
 //! extended *across* optimization requests.
 //!
 //! A [`WarmEngine`] is a long-lived minimizer. Each call to
-//! [`WarmEngine::solve`] runs the `BIN_SEARCH` scheme of
-//! [`crate::binsearch`] over a [`CostProber`], but unlike the one-shot
-//! entry points it retains state between calls and picks the cheapest
-//! sound reuse level for the next request:
+//! [`WarmEngine::solve`] runs the one `BIN_SEARCH` loop of
+//! [`crate::binsearch`] over an incremental [`CostProber`], but unlike the
+//! one-shot [`IntProblem::minimize`] it retains the prober between calls
+//! and picks the cheapest sound reuse level for the next request:
 //!
 //! * [`WarmMode::Reused`] — the request's problem is **structurally
 //!   identical** to the retained prober's (see
@@ -16,18 +16,18 @@
 //!   consequences of the encoded formula, so any change to the formula —
 //!   a WCET constant, a deadline, an added task — invalidates them.
 //! * [`WarmMode::Seeded`] — the problem changed, so the engine re-encodes
-//!   from scratch, but it still carries over *validated hints* from the
-//!   previous optimum: the first probe is bounded by the old optimum
-//!   (falling back to an unbounded probe if the hint is infeasible, exactly
-//!   like [`MinimizeOptions::initial_upper`]), and the first bisection
-//!   probes `[lo, incumbent − 1]` to confirm an unchanged optimum in a
-//!   single refutation. Both hints are *probed, never assumed*, so a wrong
-//!   hint can cost time but never an incorrect optimum.
+//!   from scratch, but it still carries over the previous optimum as the
+//!   search's hint — the same hint [`MinimizeOptions::initial_upper`]
+//!   feeds: the first probe is bounded by it (falling back to an unbounded
+//!   probe if it is infeasible), and the first bisection probes
+//!   `[lo, incumbent − 1]` to confirm an unchanged optimum in a single
+//!   refutation. The hint is *probed, never assumed*, so a wrong one can
+//!   cost time but never an incorrect optimum.
 //! * [`WarmMode::Cold`] — no previous state; plain `BIN_SEARCH`.
 //!
 //! Certification composes with warm starts, with one restriction: a
 //! retained prober's proof trace was drained by the previous certificate
-//! assembly ([`CostProber::take_proof`] is draining), so a second search on
+//! assembly ([`CostProber::take_proofs`] is draining), so a second search on
 //! the same prober could not produce a self-contained DRAT certificate.
 //! Under [`MinimizeOptions::certify`] the engine therefore *never* retains
 //! a prober — every request is re-encoded fresh and only the seed hints
@@ -36,9 +36,8 @@
 //! reuse level degrades; the warm == cold property tests exercise exactly
 //! this path.
 
-use crate::binsearch::{MinimizeOptions, MinimizeOutcome, MinimizeStatus};
-use crate::certificate::Certificate;
-use crate::prober::{CostProber, Probe};
+use crate::binsearch::{bisect, MinimizeOptions, MinimizeOutcome, MinimizeStatus};
+use crate::prober::CostProber;
 use crate::problem::IntProblem;
 use crate::IntVar;
 
@@ -195,12 +194,11 @@ impl WarmEngine {
             (prober, mode)
         };
 
-        let outcome = search(&mut prober, &self.opts, hint, window);
+        let outcome = bisect(&mut prober, window, hint);
 
         if !self.opts.certify {
             let last_optimum = match &outcome.status {
                 MinimizeStatus::Optimal { value, .. } => Some(*value),
-                MinimizeStatus::ExternalOptimal { value } => Some(*value),
                 _ => hint,
             };
             self.state = Some(WarmState {
@@ -210,146 +208,6 @@ impl WarmEngine {
         }
         (outcome, mode)
     }
-}
-
-/// One `BIN_SEARCH` run over an already-encoded prober, with optional
-/// hint-guided first probes and an optional hard cost window. Mirrors
-/// `minimize_incremental` (same lattice folds, same `L := M + 1` fix) but
-/// reports per-run statistics — a reused prober's counters are cumulative,
-/// so the outcome is the delta against the entry snapshot.
-fn search(
-    prober: &mut CostProber<'static>,
-    opts: &MinimizeOptions,
-    hint: Option<i64>,
-    window: Option<(i64, i64)>,
-) -> MinimizeOutcome {
-    let cost = prober.cost();
-    let (base_lo, base_hi) = match window {
-        Some((lo, hi)) => (lo.max(cost.lo), hi.min(cost.hi)),
-        None => (cost.lo, cost.hi),
-    };
-    let stats_base = prober.stats().clone();
-    let calls_base = prober.solve_calls();
-    let encode_ms_base = prober.encode().encode_ms;
-
-    let mut outcome = MinimizeOutcome {
-        status: MinimizeStatus::Infeasible,
-        solve_calls: 0,
-        encode: prober.encode(),
-        stats: optalloc_sat::SolverStats::default(),
-        proofs: Vec::new(),
-        certificate: None,
-    };
-    let finish = |mut o: MinimizeOutcome, prober: &mut CostProber<'static>| {
-        o.solve_calls = prober.solve_calls() - calls_base;
-        o.stats = prober.stats().delta_since(&stats_base);
-        o.encode = prober.encode();
-        o.encode.encode_ms -= encode_ms_base;
-        if let Some(proof) = prober.take_proof() {
-            o.proofs.push(proof);
-        }
-        if opts.certify {
-            if let MinimizeStatus::Optimal { value, model } = &o.status {
-                o.certificate = Some(Certificate {
-                    optimum: *value,
-                    cost_lo: base_lo,
-                    witness: model.clone(),
-                    proofs: o.proofs.clone(),
-                });
-            }
-        }
-        o
-    };
-
-    if prober.trivially_unsat() || base_lo > base_hi {
-        return finish(outcome, prober);
-    }
-
-    // First probe: bounded by the validated hint when one is available and
-    // it intersects the window; infeasible hints fall back to the full
-    // range (probing the whole window, or the unbounded problem when no
-    // window was requested — windowed UNSAT means infeasible-in-window).
-    let full_probe = |prober: &mut CostProber<'static>| match window {
-        Some(_) => prober.probe(Some((base_lo, base_hi))),
-        None => prober.probe(None),
-    };
-    let first = match hint.filter(|&h| h >= base_lo) {
-        Some(h) => match prober.probe(Some((base_lo, h.min(base_hi)))) {
-            Probe::Unsat if h < base_hi => full_probe(prober),
-            r => r,
-        },
-        None => full_probe(prober),
-    };
-    let (mut best_value, mut best_model) = match first {
-        Probe::Unsat => return finish(outcome, prober),
-        Probe::Unknown => {
-            outcome.status = MinimizeStatus::Unknown { incumbent: None };
-            return finish(outcome, prober);
-        }
-        Probe::Interrupted => {
-            outcome.status = MinimizeStatus::Interrupted { incumbent: None };
-            return finish(outcome, prober);
-        }
-        Probe::Sat { value, model } => (value, model),
-    };
-    opts.publish(best_value, &best_model);
-    let mut lower = base_lo;
-    let mut upper = best_value;
-    // With a hint, spend the first bisection confirming the incumbent:
-    // probe [L, incumbent − 1], whose UNSAT closes an unchanged optimum in
-    // one step instead of log₂(range) halvings.
-    let mut confirm_first = hint.is_some();
-
-    let external = loop {
-        let external = opts.external_upper();
-        let proven_hi = upper.min(external);
-        lower = lower.max(opts.external_lower());
-        if lower >= proven_hi {
-            break external;
-        }
-        let mid = if std::mem::take(&mut confirm_first) {
-            proven_hi - 1
-        } else {
-            lower + (proven_hi - lower) / 2
-        };
-        match prober.probe(Some((lower, mid))) {
-            Probe::Sat { value: k, model } => {
-                debug_assert!(k >= lower && k <= mid);
-                best_value = k;
-                best_model = model;
-                opts.publish(best_value, &best_model);
-                upper = k;
-            }
-            Probe::Unsat => {
-                // UNSAT over [L, M] proves the optimum exceeds M (the
-                // paper's misprinted `L := M` never terminates).
-                lower = mid + 1;
-                opts.publish_lower(lower);
-            }
-            Probe::Unknown => {
-                outcome.status = MinimizeStatus::Unknown {
-                    incumbent: Some((best_value, best_model)),
-                };
-                return finish(outcome, prober);
-            }
-            Probe::Interrupted => {
-                outcome.status = MinimizeStatus::Interrupted {
-                    incumbent: Some((best_value, best_model)),
-                };
-                return finish(outcome, prober);
-            }
-        }
-    };
-
-    outcome.status = if upper <= external {
-        MinimizeStatus::Optimal {
-            value: best_value,
-            model: best_model,
-        }
-    } else {
-        MinimizeStatus::ExternalOptimal { value: external }
-    };
-    finish(outcome, prober)
 }
 
 #[cfg(test)]
@@ -427,6 +285,32 @@ mod tests {
                 optimum(&cold),
                 "warm diverged from cold at floor={floor} xmin={xmin}"
             );
+        }
+    }
+
+    /// A cold engine and the one-shot entry point run the same loop over
+    /// the same encoding, so they agree probe for probe, not just on the
+    /// optimum.
+    #[test]
+    fn cold_engine_and_minimize_run_the_same_search() {
+        let (nonlinear, nonlinear_cost) = {
+            let mut p = IntProblem::new();
+            let x = p.int_var(0, 20);
+            let y = p.int_var(0, 20);
+            let cost = p.int_var(0, 400);
+            p.assert((x.expr() + y.expr()).ge(10));
+            p.assert(cost.expr().eq(x.expr() * y.expr() + x.expr()));
+            (p, cost)
+        };
+        let mut cases = vec![(nonlinear, nonlinear_cost)];
+        cases.extend([(9, 2), (12, 7), (3, 0)].map(|(f, x)| floor_problem(f, x)));
+        for (p, cost) in cases {
+            let (warm, mode) = WarmEngine::new(MinimizeOptions::default()).solve(&p, cost);
+            assert_eq!(mode, WarmMode::Cold);
+            let cold = p.minimize(cost, &MinimizeOptions::default());
+            assert_eq!(optimum(&warm), optimum(&cold));
+            assert_eq!(warm.solve_calls, cold.solve_calls);
+            assert_eq!(warm.stats.conflicts, cold.stats.conflicts);
         }
     }
 

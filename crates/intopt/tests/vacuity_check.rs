@@ -27,7 +27,9 @@ fn fabricated_sat_window_claim_is_rejected() {
     // [0, 6] is refuted and certified; [7, 50] is satisfiable.
     assert!(matches!(prober.probe(Some((0, 6))), Probe::Unsat));
     assert!(matches!(prober.probe(Some((7, 50))), Probe::Sat { .. }));
-    let proof = prober.take_proof().expect("trace");
+    let [proof] = &prober.take_proofs()[..] else {
+        panic!("one trace");
+    };
     assert_eq!(proof.windows.len(), 1, "only the UNSAT probe is certified");
 
     // The last step closes the SAT probe's guard: an input unit ¬g. The

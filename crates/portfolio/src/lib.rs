@@ -1,88 +1,67 @@
 //! # optalloc-portfolio
 //!
-//! Parallel **portfolio optimization** in two flavours over the *same*
-//! encoded [`IntProblem`]:
+//! Parallel **window search** over one encoded [`IntProblem`]
+//! ([`minimize_window_search`]): N identical workers split the remaining
+//! cost interval into **disjoint sub-windows**, so the terminal UNSAT
+//! certification — which dominates the paper's Table-3 instances — is
+//! solved once, divided across workers (see the [`window`] module docs).
 //!
-//! * [`minimize_portfolio`] — N diversified `BIN_SEARCH` workers race full
-//!   binary searches; the first to prove an optimum wins. Exploits the
-//!   run-to-run variance of CDCL search (decision phases, restart
-//!   schedules, encoding backends, probe-sharing modes).
-//! * [`minimize_window_search`] — N identical workers split the remaining
-//!   cost interval into **disjoint sub-windows**, so the terminal UNSAT
-//!   certification — which racing repeats N times — is solved once,
-//!   divided across workers (see the [`window`] module docs).
-//!
-//! Three cooperation channels make the workers more than the sum of their
+//! Two cooperation channels make the workers more than the sum of their
 //! parts:
 //!
-//! * **Two-sided bound sharing** — a [`BoundLattice`] carries the best
-//!   *witnessed* upper bound (a worker that finds a model of cost `c`
-//!   publishes it with `fetch_min`) and the best *certified* lower bound
-//!   (an UNSAT probe over `[L, M]` publishes `M + 1` with `fetch_max`).
-//!   Every worker folds both sides in between `SOLVE` calls, so any
-//!   worker's refutation shrinks everyone's window. A worker that bottoms
-//!   out against a foreign bound returns
-//!   [`MinimizeStatus::ExternalOptimal`] and the portfolio supplies the
-//!   witnessing model from its shared incumbent registry.
-//! * **Learned-clause sharing** — workers that solve the *same base
-//!   encoding* (incremental mode, same backend) exchange short, low-glue
-//!   learned clauses over a lock-free [`ClauseExchange`] ring — the
-//!   multi-thread analogue of the paper's §7 incremental clause reuse.
-//! * **Cooperative cancellation** — the first worker reaching a decisive
-//!   verdict (optimal / infeasible) raises a shared [`AtomicBool`]; the
-//!   CDCL search loops of the others observe it at the next conflict or
-//!   decision boundary and abort with
-//!   [`optalloc_sat::SolveResult::Interrupted`].
+//! * **Shared knowledge** — every probe result is folded into one record of
+//!   the remaining range: a SAT window lowers the incumbent, an UNSAT
+//!   window refutes its range, and refuted ranges touching the certified
+//!   lower bound raise it. Workers whose window went stale are interrupted
+//!   and reassigned.
+//! * **Learned-clause sharing** — workers solve the *same base encoding*
+//!   incrementally and exchange short, low-glue learned clauses over a
+//!   lock-free [`ClauseExchange`] ring — the multi-thread analogue of the
+//!   paper's §7 incremental clause reuse.
 //!
 //! ## Determinism contract
 //!
-//! * `deterministic: false` (racing) — minimal wall-clock: the result is
-//!   the first *proven* optimum. The optimal **cost** is always the same,
-//!   but which equal-cost model witnesses it (and which worker wins, and
-//!   how many solve calls are reported) depends on thread timing.
-//! * `deterministic: true` — no bound sharing, no clause sharing, no
-//!   cancellation; all workers run to completion and the lowest-index
-//!   decisive worker is the winner. Output is bit-stable across runs at
-//!   the price of racing speedups. (For the window-search variant's
-//!   deterministic protocol — barrier rounds with an index-ordered fold —
-//!   see the [`window`] module docs.)
+//! * `deterministic: false` — minimal wall-clock: workers are reassigned
+//!   as soon as they finish. The optimal **cost** is always the same, but
+//!   which equal-cost model witnesses it (and which worker closes the
+//!   search, and how many solve calls are reported) depends on thread
+//!   timing.
+//! * `deterministic: true` — barrier-synchronised rounds with an
+//!   index-ordered fold, no interrupts and no clause sharing. Output is
+//!   bit-stable across runs (see the [`window`] module docs).
+//!
+//! [`ClauseExchange`]: optalloc_sat::ClauseExchange
+//! [`IntProblem`]: optalloc_intopt::IntProblem
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use optalloc_intopt::{
-    Backend, BinSearchMode, BoundLattice, Certificate, EncodeStats, IncumbentCallback, IntProblem,
-    IntVar, MinimizeOptions, MinimizeOutcome, MinimizeStatus, Model,
-};
-use optalloc_sat::{ClauseExchange, RestartPolicy, SolverStats};
+use optalloc_intopt::{Certificate, EncodeStats, MinimizeOptions, MinimizeStatus};
+use optalloc_sat::SolverStats;
 
 pub mod window;
 
 pub use window::minimize_window_search;
 
-/// Options for [`minimize_portfolio`].
+/// Options for [`minimize_window_search`].
 #[derive(Clone, Debug)]
 pub struct PortfolioOptions {
-    /// Number of workers. Worker 0 always runs the base configuration, so a
-    /// 1-worker portfolio degenerates to a plain [`IntProblem::minimize`].
+    /// Number of workers; a 1-worker search degenerates to sequential
+    /// interval bisection.
     pub workers: usize,
-    /// `true` runs every worker to completion without cross-talk and picks
-    /// the lowest-index decisive worker — bit-stable output. `false` races:
-    /// first proven optimum wins, the rest are cancelled.
+    /// `true` runs barrier-synchronised rounds with an index-ordered fold —
+    /// bit-stable output. `false` reassigns each worker as soon as it
+    /// finishes — minimal wall-clock.
     pub deterministic: bool,
-    /// Base minimization options diversified per worker by
-    /// [`worker_options`]. Its own `bounds` / `on_incumbent` /
-    /// `solver_config.exchange` fields are overwritten by the portfolio.
+    /// Minimization options every worker's solver is configured from. Its
+    /// `solver_config.exchange` field is overwritten by the scheduler, and
+    /// `mode` is ignored (workers are incremental).
     /// `solver_config.interrupt` is honoured as the **job-scoped** cancel
     /// flag: raising it aborts every worker cooperatively (the hook a
-    /// service timeout or shutdown uses). In racing mode it doubles as the
-    /// internal first-decisive-worker cancel signal, so the portfolio may
-    /// *raise* it on completion — reset it between jobs when reusing one
-    /// flag.
+    /// service timeout or shutdown uses). The search never raises it
+    /// itself.
     pub base: MinimizeOptions,
     /// Print one stats line per worker to stderr after the run.
     pub verbose: bool,
@@ -99,27 +78,27 @@ impl Default for PortfolioOptions {
     }
 }
 
-/// What one worker's minimization ended as (model-free summary).
+/// What one worker's share of the search ended as (model-free summary).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum WorkerVerdict {
-    /// Proved the optimum with its own witnessing model.
+    /// Closed the search on an optimum.
     Optimal,
-    /// Proved the constraints infeasible.
+    /// Closed the search by refuting the last of the cost range.
     Infeasible,
-    /// Proved the optimum equals a cost another worker published.
+    /// Helped prove an optimum that another worker's result closed.
     ExternalOptimal,
-    /// Conflict budget ran out first.
+    /// The conflict budget ran out, or the search was cancelled, first.
     Unknown,
-    /// Cancelled after another worker won the race.
+    /// Stopped by another worker's result that proved infeasibility.
     Interrupted,
 }
 
 /// Per-worker execution record, for stats lines and ablation tables.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
-    /// Worker index (0 = base configuration).
+    /// Worker index.
     pub index: usize,
-    /// Human-readable configuration descriptor, e.g. `incr/pb/seed42`.
+    /// Human-readable configuration descriptor, e.g. `win/pb/w0`.
     pub config: String,
     /// How the worker's search ended.
     pub verdict: WorkerVerdict,
@@ -131,11 +110,9 @@ pub struct WorkerReport {
     pub stats: SolverStats,
     /// Wall-clock time of the worker's search.
     pub wall: Duration,
-    /// Whether this worker decided the portfolio's result.
+    /// Whether this worker's result closed the search.
     pub winner: bool,
-    /// Cost windows this worker probed, in order (window-search mode only;
-    /// empty for racing workers, whose probes follow their own binary
-    /// search).
+    /// Cost windows this worker probed, in order.
     pub windows: Vec<(i64, i64)>,
 }
 
@@ -167,533 +144,27 @@ impl fmt::Display for WorkerReport {
     }
 }
 
-/// Result of a portfolio run.
+/// Result of a window search.
 #[derive(Clone, Debug)]
 pub struct PortfolioOutcome {
-    /// The combined verdict. An [`MinimizeStatus::ExternalOptimal`] from
-    /// the winning worker is resolved to [`MinimizeStatus::Optimal`] using
-    /// the shared incumbent registry, so callers see external optima and
-    /// locally proven ones uniformly.
+    /// The combined verdict.
     pub status: MinimizeStatus,
     /// Total `SOLVE` calls across all workers.
     pub solve_calls: u32,
-    /// Encoding size reported by the winning worker (worker 0 if no winner).
+    /// Encoding size reported by worker 0 (every worker encodes the same
+    /// problem).
     pub encode: EncodeStats,
     /// Solver counters summed over all workers.
     pub stats: SolverStats,
-    /// Index of the deciding worker, if any.
+    /// Index of the worker whose result closed the search, if any.
     pub winner: Option<usize>,
     /// Per-worker execution records, indexed by worker.
     pub workers: Vec<WorkerReport>,
     /// Optimality certificate stitched from *every* worker's proof traces
     /// — present when [`MinimizeOptions::certify`] was set on the base
-    /// options and the run ended [`MinimizeStatus::Optimal`]. The winner
-    /// alone may not cover the whole range (it folds lower bounds other
-    /// workers refuted), so the merged set of certified windows is what
-    /// [`Certificate::verify`] checks for gap-free coverage.
+    /// options and the run ended [`MinimizeStatus::Optimal`]. No single
+    /// worker covers the whole range, so the merged set of certified
+    /// windows is what [`Certificate::verify`] checks for gap-free
+    /// coverage.
     pub certificate: Option<Certificate>,
-}
-
-/// Diversifies `base` for worker `index`; returns the options and a short
-/// descriptor. The table cycles in blocks of four:
-///
-/// | `index % 4` | mode        | backend  | solver tweaks                      |
-/// |-------------|-------------|----------|------------------------------------|
-/// | 0           | base        | base     | none (baseline, incl. warm start)  |
-/// | 1           | Fresh       | base     | no warm start (paper baseline)     |
-/// | 2           | Incremental | base     | random phases, Luby restarts ×½, decay 0.90 |
-/// | 3           | Incremental | flipped  | random phases, restarts ×2         |
-///
-/// Worker 2 forces [`RestartPolicy::Luby`] so its halved restart unit is
-/// effective (the default adaptive EMA policy ignores `restart_unit`) and
-/// the portfolio always mixes both restart disciplines.
-///
-/// Workers ≥ 4 additionally get a distinct phase seed so no two workers are
-/// identical.
-pub fn worker_options(base: &MinimizeOptions, index: usize) -> (MinimizeOptions, String) {
-    let mut o = base.clone();
-    let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1);
-    match index % 4 {
-        0 => {}
-        1 => {
-            o.mode = BinSearchMode::Fresh;
-            o.initial_upper = None;
-        }
-        2 => {
-            o.mode = BinSearchMode::Incremental;
-            o.solver_config.phase_seed = Some(seed);
-            o.solver_config.restart_policy = RestartPolicy::Luby;
-            o.solver_config.restart_unit = (base.solver_config.restart_unit / 2).max(1);
-            o.solver_config.var_decay = 0.90;
-        }
-        _ => {
-            o.mode = BinSearchMode::Incremental;
-            o.backend = match base.backend {
-                Backend::PseudoBoolean => Backend::Cnf,
-                Backend::Cnf => Backend::PseudoBoolean,
-            };
-            o.solver_config.phase_seed = Some(seed);
-            o.solver_config.restart_unit = base.solver_config.restart_unit * 2;
-        }
-    }
-    if index >= 4 {
-        o.solver_config.phase_seed = Some(seed);
-    }
-    let mode = match o.mode {
-        BinSearchMode::Incremental => "incr",
-        BinSearchMode::Fresh => "fresh",
-    };
-    let backend = match o.backend {
-        Backend::PseudoBoolean => "pb",
-        Backend::Cnf => "cnf",
-    };
-    let restart = match o.solver_config.restart_policy {
-        RestartPolicy::Luby => format!("r{}", o.solver_config.restart_unit),
-        RestartPolicy::Ema => "ema".to_string(),
-    };
-    let mut desc = format!("{mode}/{backend}/{restart}");
-    if o.solver_config.phase_seed.is_some() {
-        desc.push_str("/rnd");
-    }
-    if o.initial_upper.is_some() {
-        desc.push_str("/warm");
-    }
-    (o, desc)
-}
-
-fn verdict_of(status: &MinimizeStatus) -> (WorkerVerdict, Option<i64>) {
-    match status {
-        MinimizeStatus::Optimal { value, .. } => (WorkerVerdict::Optimal, Some(*value)),
-        MinimizeStatus::Infeasible => (WorkerVerdict::Infeasible, None),
-        MinimizeStatus::ExternalOptimal { value } => (WorkerVerdict::ExternalOptimal, Some(*value)),
-        MinimizeStatus::Unknown { incumbent } => {
-            (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v))
-        }
-        MinimizeStatus::Interrupted { incumbent } => (
-            WorkerVerdict::Interrupted,
-            incumbent.as_ref().map(|(v, _)| *v),
-        ),
-    }
-}
-
-fn decisive(status: &MinimizeStatus) -> bool {
-    matches!(
-        status,
-        MinimizeStatus::Optimal { .. }
-            | MinimizeStatus::Infeasible
-            | MinimizeStatus::ExternalOptimal { .. }
-    )
-}
-
-/// Minimizes `cost` over `problem` with a portfolio of diversified
-/// `BIN_SEARCH` workers (see the module docs for the protocol and the
-/// determinism contract).
-pub fn minimize_portfolio(
-    problem: &IntProblem,
-    cost: IntVar,
-    opts: &PortfolioOptions,
-) -> PortfolioOutcome {
-    let n = opts.workers.max(1);
-    // The shared cancel flag *is* the caller's job-scoped interrupt flag
-    // when one is configured, so an external raise (timeout, shutdown)
-    // reaches every racing worker through the same channel the internal
-    // first-decisive-worker cancellation uses. Deterministic mode never
-    // overwrites per-worker interrupts, so the caller's flag propagates
-    // through `worker_options` cloning instead.
-    let cancel = opts
-        .base
-        .solver_config
-        .interrupt
-        .clone()
-        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    // Two-sided bound lattice: witnessed upper bounds and certified lower
-    // bounds, folded by every worker between SOLVE calls. Models for every
-    // published upper bound live in the registry, so an `ExternalOptimal`
-    // verdict can always be resolved to a concrete model after the join.
-    let lattice = Arc::new(BoundLattice::new());
-    let registry: Arc<Mutex<Option<(i64, Model)>>> = Arc::new(Mutex::new(None));
-    // usize::MAX = no winner yet; first decisive worker claims the slot.
-    let race_winner = Arc::new(AtomicUsize::new(usize::MAX));
-    // Learned-clause ring shared by the workers that solve the same base
-    // encoding (incremental mode, base backend — fresh-mode and
-    // flipped-backend workers number their variables differently and must
-    // not participate). Disabled in deterministic mode: import order is
-    // timing-dependent.
-    let exchange = (!opts.deterministic && n >= 2)
-        .then(ClauseExchange::new)
-        .map(Arc::new);
-
-    let results: Vec<(MinimizeOutcome, Duration, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let (mut wopts, desc) = worker_options(&opts.base, i);
-                // Each worker's progress events and spans carry its index,
-                // so merged streams stay attributable.
-                wopts.solver_config.progress_worker = Some(i);
-                let keep_model: IncumbentCallback = {
-                    let registry = Arc::clone(&registry);
-                    Arc::new(move |value, model: &Model| {
-                        let mut best = registry.lock().unwrap();
-                        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-                            *best = Some((value, model.clone()));
-                        }
-                    })
-                };
-                wopts.on_incumbent = Some(keep_model);
-                if !opts.deterministic {
-                    wopts.bounds = Some(Arc::clone(&lattice));
-                    wopts.solver_config.interrupt = Some(Arc::clone(&cancel));
-                }
-                if wopts.mode == BinSearchMode::Incremental && wopts.backend == opts.base.backend {
-                    if let Some(ex) = &exchange {
-                        wopts.solver_config.exchange = Some(Arc::clone(ex));
-                        wopts.solver_config.share_writer = i as u32;
-                    }
-                }
-                let cancel = Arc::clone(&cancel);
-                let race_winner = Arc::clone(&race_winner);
-                let deterministic = opts.deterministic;
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let out = problem.minimize(cost, &wopts);
-                    if !deterministic && decisive(&out.status) {
-                        let _ = race_winner.compare_exchange(
-                            usize::MAX,
-                            i,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                    (out, start.elapsed(), desc)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Winner: racing mode recorded the first decisive worker; deterministic
-    // mode picks the lowest decisive index, independent of thread timing.
-    let winner = if opts.deterministic {
-        results.iter().position(|(o, _, _)| decisive(&o.status))
-    } else {
-        Some(race_winner.load(Ordering::Acquire)).filter(|&w| w != usize::MAX)
-    };
-
-    let mut stats = SolverStats::default();
-    let mut solve_calls = 0u32;
-    let mut workers = Vec::with_capacity(n);
-    for (i, (out, wall, desc)) in results.iter().enumerate() {
-        stats.absorb(&out.stats);
-        solve_calls += out.solve_calls;
-        let (verdict, value) = verdict_of(&out.status);
-        workers.push(WorkerReport {
-            index: i,
-            config: desc.clone(),
-            verdict,
-            value,
-            solve_calls: out.solve_calls,
-            stats: out.stats.clone(),
-            wall: *wall,
-            winner: winner == Some(i),
-            windows: Vec::new(),
-        });
-    }
-
-    let status = match winner {
-        Some(w) => match results[w].0.status.clone() {
-            MinimizeStatus::ExternalOptimal { value } => {
-                // The winner proved optimality of a bound somebody else
-                // witnessed; the registry holds that worker's model.
-                let best = registry.lock().unwrap().clone();
-                match best {
-                    Some((v, model)) if v == value => MinimizeStatus::Optimal { value, model },
-                    // Registry raced past the proof (should not happen, the
-                    // bound is monotone); degrade soundly.
-                    _ => MinimizeStatus::Unknown {
-                        incumbent: best.filter(|(v, _)| *v <= value),
-                    },
-                }
-            }
-            decisive_status => decisive_status,
-        },
-        None => {
-            // Nobody finished: surface the best incumbent seen anywhere. In
-            // deterministic mode it is recomputed from the joined results so
-            // ties resolve by worker index, not callback timing.
-            let best = if opts.deterministic {
-                let mut best: Option<(i64, Model)> = None;
-                for (out, _, _) in &results {
-                    if let MinimizeStatus::Unknown {
-                        incumbent: Some((v, m)),
-                    }
-                    | MinimizeStatus::Interrupted {
-                        incumbent: Some((v, m)),
-                    } = &out.status
-                    {
-                        if best.as_ref().is_none_or(|(b, _)| *v < *b) {
-                            best = Some((*v, m.clone()));
-                        }
-                    }
-                }
-                best
-            } else {
-                registry.lock().unwrap().clone()
-            };
-            MinimizeStatus::Unknown { incumbent: best }
-        }
-    };
-
-    let encode = results[winner.unwrap_or(0)].0.encode;
-    let certificate = match &status {
-        MinimizeStatus::Optimal { value, model } if opts.base.certify => Some(Certificate {
-            optimum: *value,
-            cost_lo: cost.lo,
-            witness: model.clone(),
-            proofs: results
-                .iter()
-                .flat_map(|(o, _, _)| o.proofs.iter().cloned())
-                .collect(),
-        }),
-        _ => None,
-    };
-    let outcome = PortfolioOutcome {
-        status,
-        solve_calls,
-        encode,
-        stats,
-        winner,
-        workers,
-        certificate,
-    };
-    if opts.verbose {
-        for w in &outcome.workers {
-            eprintln!("{w}");
-        }
-    }
-    outcome
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A small nonlinear instance with a known optimum (see the
-    /// `optalloc-intopt` crate docs): min x·y + x s.t. x + y ≥ 10.
-    fn instance() -> (IntProblem, IntVar) {
-        let mut p = IntProblem::new();
-        let x = p.int_var(0, 20);
-        let y = p.int_var(0, 20);
-        let cost = p.int_var(0, 400);
-        p.assert((x.expr() + y.expr()).ge(10));
-        p.assert(cost.expr().eq(x.expr() * y.expr() + x.expr()));
-        (p, cost)
-    }
-
-    #[test]
-    fn racing_portfolio_finds_optimum() {
-        let (p, cost) = instance();
-        let out = minimize_portfolio(&p, cost, &PortfolioOptions::default());
-        match out.status {
-            MinimizeStatus::Optimal { value, ref model } => {
-                assert_eq!(value, 0);
-                assert_eq!(model.int(cost), 0);
-            }
-            ref s => panic!("expected Optimal, got {s:?}"),
-        }
-        assert!(out.winner.is_some());
-        assert_eq!(out.workers.len(), 4);
-        assert!(out.workers[out.winner.unwrap()].winner);
-    }
-
-    #[test]
-    fn pre_raised_job_flag_cancels_a_racing_portfolio() {
-        let (p, cost) = instance();
-        let mut opts = PortfolioOptions::default();
-        opts.base.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
-        let out = minimize_portfolio(&p, cost, &opts);
-        // Every worker aborts cooperatively before a decisive verdict; the
-        // job ends with no winner instead of hanging or claiming optimality.
-        assert!(out.winner.is_none());
-        assert!(matches!(out.status, MinimizeStatus::Unknown { .. }));
-    }
-
-    #[test]
-    fn pre_raised_job_flag_cancels_a_deterministic_portfolio() {
-        let (p, cost) = instance();
-        let mut opts = PortfolioOptions {
-            deterministic: true,
-            ..PortfolioOptions::default()
-        };
-        opts.base.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
-        let out = minimize_portfolio(&p, cost, &opts);
-        assert!(out.winner.is_none());
-        assert!(matches!(out.status, MinimizeStatus::Unknown { .. }));
-        assert!(out
-            .workers
-            .iter()
-            .all(|w| w.verdict == WorkerVerdict::Interrupted));
-    }
-
-    #[test]
-    fn racing_completion_raises_the_job_flag() {
-        // The job-scoped flag doubles as the internal cancel signal in
-        // racing mode, so a completed job leaves it raised — callers that
-        // reuse one flag across jobs must reset it in between (the service
-        // does exactly that).
-        let (p, cost) = instance();
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut opts = PortfolioOptions::default();
-        opts.base.solver_config.interrupt = Some(Arc::clone(&flag));
-        let out = minimize_portfolio(&p, cost, &opts);
-        assert!(matches!(
-            out.status,
-            MinimizeStatus::Optimal { value: 0, .. }
-        ));
-        assert!(flag.load(Ordering::Relaxed));
-        flag.store(false, Ordering::Relaxed);
-        let again = minimize_portfolio(&p, cost, &opts);
-        assert!(matches!(
-            again.status,
-            MinimizeStatus::Optimal { value: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn deterministic_portfolio_is_bit_stable() {
-        let (p, cost) = instance();
-        let opts = PortfolioOptions {
-            deterministic: true,
-            ..PortfolioOptions::default()
-        };
-        let a = minimize_portfolio(&p, cost, &opts);
-        let b = minimize_portfolio(&p, cost, &opts);
-        assert_eq!(a.winner, b.winner);
-        assert_eq!(a.solve_calls, b.solve_calls);
-        assert_eq!(a.stats.conflicts, b.stats.conflicts);
-        assert_eq!(a.stats.decisions, b.stats.decisions);
-        match (&a.status, &b.status) {
-            (
-                MinimizeStatus::Optimal {
-                    value: va,
-                    model: ma,
-                },
-                MinimizeStatus::Optimal {
-                    value: vb,
-                    model: mb,
-                },
-            ) => {
-                assert_eq!(va, vb);
-                assert_eq!(*va, 0);
-                assert_eq!(ma.int(cost), mb.int(cost));
-            }
-            (s, t) => panic!("expected Optimal twice, got {s:?} / {t:?}"),
-        }
-    }
-
-    #[test]
-    fn infeasible_instances_are_reported() {
-        let mut p = IntProblem::new();
-        let x = p.int_var(0, 5);
-        p.assert(x.expr().ge(3));
-        p.assert(x.expr().le(2));
-        for deterministic in [false, true] {
-            let out = minimize_portfolio(
-                &p,
-                x,
-                &PortfolioOptions {
-                    deterministic,
-                    workers: 3,
-                    ..PortfolioOptions::default()
-                },
-            );
-            assert!(
-                matches!(out.status, MinimizeStatus::Infeasible),
-                "deterministic={deterministic}: got {:?}",
-                out.status
-            );
-        }
-    }
-
-    #[test]
-    fn single_worker_degenerates_to_plain_minimize() {
-        let (p, cost) = instance();
-        let solo = minimize_portfolio(
-            &p,
-            cost,
-            &PortfolioOptions {
-                workers: 1,
-                deterministic: true,
-                ..PortfolioOptions::default()
-            },
-        );
-        let plain = p.minimize(cost, &MinimizeOptions::default());
-        match (&solo.status, &plain.status) {
-            (
-                MinimizeStatus::Optimal { value: a, .. },
-                MinimizeStatus::Optimal { value: b, .. },
-            ) => assert_eq!(a, b),
-            (s, t) => panic!("got {s:?} / {t:?}"),
-        }
-        assert_eq!(solo.solve_calls, plain.solve_calls);
-    }
-
-    /// Certified racing and deterministic portfolios: the stitched
-    /// certificate (winner's witness + every worker's refutations) passes
-    /// verification, covering all costs below the optimum.
-    #[test]
-    fn certified_portfolio_verifies() {
-        let mut p = IntProblem::new();
-        let x = p.int_var(0, 100);
-        p.assert(x.expr().ge(7));
-        for deterministic in [false, true] {
-            let opts = PortfolioOptions {
-                deterministic,
-                base: MinimizeOptions {
-                    certify: true,
-                    ..MinimizeOptions::default()
-                },
-                ..PortfolioOptions::default()
-            };
-            let out = minimize_portfolio(&p, x, &opts);
-            match out.status {
-                MinimizeStatus::Optimal { value, .. } => {
-                    assert_eq!(value, 7, "det={deterministic}")
-                }
-                ref s => panic!("det={deterministic}: expected Optimal, got {s:?}"),
-            }
-            let cert = out.certificate.as_ref().expect("certificate stitched");
-            assert_eq!(cert.optimum, 7);
-            assert_eq!(cert.cost_lo, 0);
-            let summary = cert
-                .verify()
-                .unwrap_or_else(|e| panic!("det={deterministic}: {e}"));
-            assert!(summary.windows > 0, "det={deterministic}");
-        }
-        // Without certify: no certificate even on Optimal.
-        let out = minimize_portfolio(&p, x, &PortfolioOptions::default());
-        assert!(matches!(out.status, MinimizeStatus::Optimal { .. }));
-        assert!(out.certificate.is_none());
-    }
-
-    #[test]
-    fn worker_options_cycle_is_diverse() {
-        let base = MinimizeOptions::default();
-        let descs: Vec<String> = (0..6).map(|i| worker_options(&base, i).1).collect();
-        // Worker 0 is the baseline; 1 is fresh-mode; 3 flips the backend.
-        assert!(descs[0].starts_with("incr/pb"));
-        assert!(descs[1].starts_with("fresh/pb"));
-        assert!(descs[3].starts_with("incr/cnf"));
-        // Worker 2 switches to Luby restarts (descriptor shows the unit);
-        // the others inherit the default adaptive EMA policy.
-        assert!(descs[2].contains("/r"), "{}", descs[2]);
-        assert!(descs[0].contains("/ema"), "{}", descs[0]);
-        let (o2, _) = worker_options(&base, 2);
-        assert_eq!(o2.solver_config.restart_policy, RestartPolicy::Luby);
-        // Workers ≥ 4 repeat the cycle but with their own phase seeds.
-        let (o4, _) = worker_options(&base, 4);
-        let (o0, _) = worker_options(&base, 0);
-        assert!(o4.solver_config.phase_seed.is_some());
-        assert!(o0.solver_config.phase_seed.is_none());
-    }
 }

@@ -1,22 +1,20 @@
 //! Parallel window search: disjoint sub-window scheduling.
 //!
-//! [`crate::minimize_portfolio`] races N *complete* binary searches, so the
-//! terminal UNSAT certification — proving that nothing cheaper than the
-//! incumbent exists, which dominates on the paper's Table-3 instances and
-//! is configuration-insensitive — is repeated N times. This module solves
-//! it **once, divided**: the remaining cost interval `[L, ceiling]` is
-//! split into disjoint sub-windows, one per worker, and every probe result
-//! shrinks the interval for everyone:
+//! Racing N *complete* binary searches would repeat the terminal UNSAT
+//! certification — proving that nothing cheaper than the incumbent
+//! exists, which dominates on the paper's Table-3 instances and is
+//! configuration-insensitive — N times. This module solves it **once,
+//! divided**: the remaining cost interval `[L, ceiling]` is split into
+//! disjoint sub-windows, one per worker, and every probe result shrinks the
+//! interval for everyone:
 //!
-//! * `SAT` in a window yields a model of cost `k`; the incumbent (and the
-//!   shared [`BoundLattice`] upper bound) drops to `k` and the ceiling to
-//!   `k − 1`.
+//! * `SAT` in a window yields a model of cost `k`; the incumbent drops to
+//!   `k` and the ceiling to `k − 1`.
 //! * `UNSAT` of a window `[a, b]` is an exhaustive refutation of that
 //!   range. It is retained as a *fragment*; fragments touching the
-//!   certified lower bound coalesce into it (`fetch_max` on the lattice),
-//!   so the lower bound only ever advances over *contiguously refuted*
-//!   ground — a window refuted above a still-unknown gap does not move `L`
-//!   until the gap closes.
+//!   certified lower bound coalesce into it, so the lower bound only ever
+//!   advances over *contiguously refuted* ground — a window refuted above a
+//!   still-unknown gap does not move `L` until the gap closes.
 //!
 //! The search terminates when `L > ceiling`: with an incumbent that proves
 //! it optimal (every cheaper cost refuted), without one it proves the
@@ -24,6 +22,10 @@
 //! `initial_upper` warm-start hint bounds the first ceiling and is
 //! naturally skipped past when it turns out infeasible: once `L` crosses
 //! the hint the ceiling reopens to the top of the cost range.
+//!
+//! Both schedulers below keep this state in one `Knowledge` record and
+//! fold every probe result into it the same way; they differ only in how
+//! workers synchronise.
 //!
 //! Workers whose in-flight window no longer intersects `[L, ceiling]` are
 //! interrupted cooperatively and immediately reassigned. Workers solve the
@@ -48,12 +50,12 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use optalloc_intopt::{
-    BinSearchMode, BoundLattice, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
-    MinimizeOptions, MinimizeStatus, Model, Probe, WindowProof,
+    Backend, Certificate, CostProber, EncodeStats, IntProblem, IntVar, MinimizeOptions,
+    MinimizeStatus, Model, Probe, WindowProof,
 };
 use optalloc_sat::{ClauseExchange, SolverStats};
 
-use crate::{Backend, PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
+use crate::{PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
 
 // ----------------------------------------------------------------------
 // Interval arithmetic over the remaining cost range
@@ -140,24 +142,89 @@ fn ceiling_of(lower: i64, incumbent: Option<i64>, hint: &mut Option<i64>, cost_h
 }
 
 // ----------------------------------------------------------------------
-// Racing scheduler
+// What the probes so far have established
 // ----------------------------------------------------------------------
 
-struct SchedState {
+/// The remaining cost range as both schedulers track it.
+struct Knowledge {
+    /// Certified lower bound: every cheaper cost is refuted.
+    lower: i64,
     /// Highest cost still worth probing (see [`ceiling_of`]).
     ceiling: i64,
     /// Warm-start ceiling hint, until exhausted or superseded.
     hint: Option<i64>,
-    /// Best witnessed (cost, model), mirrored into the lattice upper bound.
+    /// Best witnessed (cost, model).
     incumbent: Option<(i64, Model)>,
     /// Refuted intervals above the certified lower bound, sorted, disjoint.
     fragments: Vec<(i64, i64)>,
+    cost_hi: i64,
+}
+
+impl Knowledge {
+    fn new(cost: IntVar, hint: Option<i64>) -> Knowledge {
+        let hint = hint.filter(|&h| h >= cost.lo).map(|h| h.min(cost.hi));
+        Knowledge {
+            lower: cost.lo,
+            ceiling: hint.unwrap_or(cost.hi),
+            hint,
+            incumbent: None,
+            fragments: Vec::new(),
+            cost_hi: cost.hi,
+        }
+    }
+
+    /// Folds the result of probing `window` in, then re-derives the lower
+    /// bound and the ceiling. Returns whether the probe added knowledge (a
+    /// better incumbent or a refuted window).
+    fn fold(&mut self, window: (i64, i64), probe: Probe) -> bool {
+        let learned = match probe {
+            Probe::Sat { value, model } => {
+                let better = self.incumbent.as_ref().is_none_or(|(b, _)| value < *b);
+                if better {
+                    self.incumbent = Some((value, model));
+                }
+                better
+            }
+            Probe::Unsat => {
+                self.fragments.push(window);
+                true
+            }
+            // A budget-exhausted or stale-window abort carries no knowledge.
+            Probe::Unknown | Probe::Interrupted => false,
+        };
+        self.lower = coalesce(self.lower, &mut self.fragments);
+        let incumbent = self.incumbent.as_ref().map(|(v, _)| *v);
+        self.ceiling = ceiling_of(self.lower, incumbent, &mut self.hint, self.cost_hi);
+        learned
+    }
+
+    /// True once every cost up to the ceiling is refuted: the incumbent, if
+    /// any, is optimal; without one the problem is infeasible.
+    fn closed(&self) -> bool {
+        self.lower > self.ceiling
+    }
+
+    /// The verdict of a search that `closed` (or stopped short).
+    fn status(self, closed: bool) -> MinimizeStatus {
+        match (closed, self.incumbent) {
+            (false, incumbent) => MinimizeStatus::Unknown { incumbent },
+            (true, None) => MinimizeStatus::Infeasible,
+            (true, Some((value, model))) => MinimizeStatus::Optimal { value, model },
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Racing scheduler
+// ----------------------------------------------------------------------
+
+struct SchedState {
+    known: Knowledge,
     /// Window each worker is currently probing.
     inflight: Vec<Option<(i64, i64)>>,
     /// Workers that gave up after a budget-exhausted probe.
     retired: usize,
     done: bool,
-    infeasible: bool,
     /// Worker whose report closed the window.
     winner: Option<usize>,
 }
@@ -165,40 +232,27 @@ struct SchedState {
 struct Scheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
-    /// Two-sided shared bound: `lower` is the certified bound the
-    /// coalesced fragments reach, `upper` the incumbent cost.
-    lattice: BoundLattice,
     /// Per-worker cooperative interrupt flags, raised when a worker's
     /// window goes stale or the search completes.
     flags: Vec<Arc<AtomicBool>>,
     /// Number of windows the remaining interval is cut into (`max(2, n)`,
     /// so a 1-worker search still halves the interval per probe).
     parts: usize,
-    cost_hi: i64,
 }
 
 impl Scheduler {
     fn new(n: usize, cost: IntVar, hint: Option<i64>) -> Scheduler {
-        let hint = hint.filter(|&h| h >= cost.lo).map(|h| h.min(cost.hi));
-        let lattice = BoundLattice::new();
-        lattice.publish_lower(cost.lo);
         Scheduler {
             state: Mutex::new(SchedState {
-                ceiling: hint.unwrap_or(cost.hi),
-                hint,
-                incumbent: None,
-                fragments: Vec::new(),
+                known: Knowledge::new(cost, hint),
                 inflight: vec![None; n],
                 retired: 0,
                 done: false,
-                infeasible: false,
                 winner: None,
             }),
             cv: Condvar::new(),
-            lattice,
             flags: (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect(),
             parts: n.max(2),
-            cost_hi: cost.hi,
         }
     }
 
@@ -211,10 +265,9 @@ impl Scheduler {
             if st.done {
                 return None;
             }
-            let lower = self.lattice.lower();
-            let mut blocked = st.fragments.clone();
+            let mut blocked = st.known.fragments.clone();
             blocked.extend(st.inflight.iter().flatten().copied());
-            let unknown = subtract(lower, st.ceiling, &mut blocked);
+            let unknown = subtract(st.known.lower, st.known.ceiling, &mut blocked);
             if let Some(&(a, b)) = unknown.first() {
                 let mass: i64 = unknown.iter().map(|(x, y)| y - x + 1).sum();
                 let chunk = ((mass + self.parts as i64 - 1) / self.parts as i64).max(1);
@@ -227,57 +280,36 @@ impl Scheduler {
         }
     }
 
-    /// Folds one probe result into the shared knowledge and re-derives the
-    /// ceiling, termination, and staleness interrupts.
+    /// Folds one probe result into the shared knowledge and re-derives
+    /// termination and staleness interrupts.
     fn report(&self, i: usize, window: (i64, i64), probe: Probe) {
         let mut st = self.state.lock().unwrap();
         st.inflight[i] = None;
-        match probe {
-            Probe::Sat { value, model } => {
-                self.lattice.publish_upper(value);
-                if st.incumbent.as_ref().is_none_or(|(b, _)| value < *b) {
-                    st.incumbent = Some((value, model));
-                }
+        if matches!(probe, Probe::Unknown) {
+            st.retired += 1;
+            if st.retired >= self.flags.len() {
+                st.done = true;
             }
-            Probe::Unsat => st.fragments.push(window),
-            Probe::Unknown => {
-                st.retired += 1;
-                if st.retired >= self.flags.len() {
-                    st.done = true;
-                }
-            }
-            // A stale-window abort carries no knowledge.
-            Probe::Interrupted => {}
         }
-        self.refresh(&mut st, i);
-        self.cv.notify_all();
-    }
-
-    fn refresh(&self, st: &mut SchedState, reporter: usize) {
+        st.known.fold(window, probe);
         if st.done {
             self.raise_all();
-            return;
-        }
-        let lower = coalesce(self.lattice.lower(), &mut st.fragments);
-        let lower = self.lattice.publish_lower(lower);
-        let incumbent = st.incumbent.as_ref().map(|(v, _)| *v);
-        st.ceiling = ceiling_of(lower, incumbent, &mut st.hint, self.cost_hi);
-        if lower > st.ceiling {
+        } else if st.known.closed() {
             st.done = true;
-            st.infeasible = st.incumbent.is_none();
-            st.winner = Some(reporter);
+            st.winner = Some(i);
             self.raise_all();
         } else {
             // Interrupt workers whose window fell outside the remaining
             // range (entirely refuted below, or above the new ceiling).
             for (j, w) in st.inflight.iter().enumerate() {
                 if let Some((a, b)) = w {
-                    if *b < lower || *a > st.ceiling {
+                    if *b < st.known.lower || *a > st.known.ceiling {
                         self.flags[j].store(true, Ordering::Relaxed);
                     }
                 }
             }
         }
+        self.cv.notify_all();
     }
 
     fn raise_all(&self) {
@@ -308,50 +340,28 @@ impl Scheduler {
 // ----------------------------------------------------------------------
 
 struct DetState {
-    lower: i64,
-    ceiling: i64,
-    hint: Option<i64>,
-    incumbent: Option<(i64, Model)>,
-    fragments: Vec<(i64, i64)>,
+    known: Knowledge,
     /// The current round's window plan; worker `i` probes `windows[i]`.
     windows: Vec<(i64, i64)>,
     /// The current round's probe results, indexed by worker.
     results: Vec<Option<Probe>>,
     done: bool,
-    infeasible: bool,
     winner: Option<usize>,
 }
 
 /// One deterministic step, run by worker 0 between barriers: fold the
 /// previous round's results in worker-index order, then plan the next
 /// round's windows.
-fn det_step(st: &mut DetState, n: usize, cost_hi: i64) {
+fn det_step(st: &mut DetState, n: usize) {
     let results = std::mem::take(&mut st.results);
     let mut progress = false;
     for (j, r) in results.into_iter().enumerate() {
         let Some(r) = r else { continue };
-        let window = st.windows[j];
-        match r {
-            Probe::Sat { value, model } => {
-                if st.incumbent.as_ref().is_none_or(|(b, _)| value < *b) {
-                    st.incumbent = Some((value, model));
-                    progress = true;
-                }
-            }
-            Probe::Unsat => {
-                st.fragments.push(window);
-                progress = true;
-            }
-            Probe::Unknown | Probe::Interrupted => {}
-        }
-        // Re-derive bounds after every fold step so the winner — the
-        // worker whose result closes the window — is index-deterministic.
-        st.lower = coalesce(st.lower, &mut st.fragments);
-        let incumbent = st.incumbent.as_ref().map(|(v, _)| *v);
-        st.ceiling = ceiling_of(st.lower, incumbent, &mut st.hint, cost_hi);
-        if st.lower > st.ceiling {
+        progress |= st.known.fold(st.windows[j], r);
+        // Checking after every fold step makes the winner — the worker
+        // whose result closes the window — index-deterministic.
+        if st.known.closed() {
             st.done = true;
-            st.infeasible = st.incumbent.is_none();
             st.winner = Some(j);
             return;
         }
@@ -363,7 +373,8 @@ fn det_step(st: &mut DetState, n: usize, cost_hi: i64) {
         st.done = true;
         return;
     }
-    let unknown = subtract(st.lower, st.ceiling, &mut st.fragments.clone());
+    let known = &st.known;
+    let unknown = subtract(known.lower, known.ceiling, &mut known.fragments.clone());
     st.windows = split(&unknown, n.max(2));
     st.windows.truncate(n);
     st.results = vec![None; n];
@@ -381,16 +392,29 @@ struct WorkerRun {
     wall: Duration,
     encode: EncodeStats,
     /// The worker's proof trace and certified windows (certify mode only).
-    proof: Option<WindowProof>,
+    proofs: Vec<WindowProof>,
+}
+
+impl WorkerRun {
+    fn of(mut prober: CostProber<'_>, windows: Vec<(i64, i64)>, start: Instant) -> WorkerRun {
+        WorkerRun {
+            windows,
+            solve_calls: prober.solve_calls(),
+            stats: prober.stats().clone(),
+            wall: start.elapsed(),
+            encode: prober.encode(),
+            proofs: prober.take_proofs(),
+        }
+    }
 }
 
 /// Minimizes `cost` over `problem` with a parallel window search (see the
 /// module docs for the protocol and the determinism contract). The
 /// [`PortfolioOptions::base`] options configure every worker's solver; its
-/// coordination fields (`bounds`, `on_incumbent`, `solver_config.exchange`)
-/// are overwritten by the scheduler. `solver_config.interrupt` is honoured
-/// as the job-scoped cancel flag: raising it ends the search cooperatively
-/// with an `Unknown` outcome carrying the best incumbent.
+/// `solver_config.exchange` field is overwritten by the scheduler.
+/// `solver_config.interrupt` is honoured as the job-scoped cancel flag:
+/// raising it ends the search cooperatively with an `Unknown` outcome
+/// carrying the best incumbent.
 pub fn minimize_window_search(
     problem: &IntProblem,
     cost: IntVar,
@@ -401,18 +425,12 @@ pub fn minimize_window_search(
         .then(ClauseExchange::new)
         .map(Arc::new);
     let worker_opts = |i: usize| {
+        // The clone keeps the caller's job-scoped interrupt flag, which
+        // deterministic workers poll directly (an externally-aborted round
+        // makes no progress, which terminates the barrier loop). Racing
+        // workers get a per-worker staleness flag instead, and a monitor
+        // thread bridges the caller's flag to the scheduler.
         let mut w = opts.base.clone();
-        // The prober is incremental by construction; window disjointness
-        // replaces configuration diversity.
-        w.mode = BinSearchMode::Incremental;
-        w.bounds = None;
-        w.on_incumbent = None;
-        // Deterministic workers poll the caller's job-scoped interrupt flag
-        // directly (an externally-aborted round makes no progress, which
-        // terminates the barrier loop). Racing workers get a per-worker
-        // staleness flag instead, and a monitor thread bridges the caller's
-        // flag to the scheduler.
-        w.solver_config.interrupt = opts.base.solver_config.interrupt.clone();
         // Progress events from a window worker carry its index; the solver
         // stamps the per-probe window itself.
         w.solver_config.progress_worker = Some(i);
@@ -478,7 +496,7 @@ pub fn minimize_window_search(
             optimum: *value,
             cost_lo: cost.lo,
             witness: model.clone(),
-            proofs: runs.iter().filter_map(|r| r.proof.clone()).collect(),
+            proofs: runs.iter().flat_map(|r| r.proofs.iter().cloned()).collect(),
         }),
         _ => None,
     };
@@ -543,14 +561,7 @@ fn run_racing(
                             break;
                         }
                     }
-                    WorkerRun {
-                        windows,
-                        solve_calls: prober.solve_calls(),
-                        stats: prober.stats().clone(),
-                        wall: start.elapsed(),
-                        encode: prober.encode(),
-                        proof: prober.take_proof(),
-                    }
+                    WorkerRun::of(prober, windows, start)
                 })
             })
             .collect();
@@ -558,17 +569,7 @@ fn run_racing(
     });
 
     let st = sched.state.into_inner().unwrap();
-    let status = if !st.done || st.winner.is_none() {
-        MinimizeStatus::Unknown {
-            incumbent: st.incumbent,
-        }
-    } else if st.infeasible {
-        MinimizeStatus::Infeasible
-    } else {
-        let (value, model) = st.incumbent.expect("closed window without incumbent");
-        MinimizeStatus::Optimal { value, model }
-    };
-    (status, st.winner, runs)
+    (st.known.status(st.winner.is_some()), st.winner, runs)
 }
 
 #[allow(clippy::type_complexity)]
@@ -579,21 +580,11 @@ fn run_deterministic(
     n: usize,
     worker_opts: &dyn Fn(usize) -> MinimizeOptions,
 ) -> (MinimizeStatus, Option<usize>, Vec<WorkerRun>) {
-    let hint = opts
-        .base
-        .initial_upper
-        .filter(|&h| h >= cost.lo)
-        .map(|h| h.min(cost.hi));
     let state = Mutex::new(DetState {
-        lower: cost.lo,
-        ceiling: hint.unwrap_or(cost.hi),
-        hint,
-        incumbent: None,
-        fragments: Vec::new(),
+        known: Knowledge::new(cost, opts.base.initial_upper),
         windows: Vec::new(),
         results: Vec::new(),
         done: false,
-        infeasible: false,
         winner: None,
     });
     let barrier = Barrier::new(n);
@@ -613,7 +604,7 @@ fn run_deterministic(
                         // no-op on the first pass) and plans the next one.
                         barrier.wait();
                         if i == 0 {
-                            det_step(&mut state.lock().unwrap(), n, cost.hi);
+                            det_step(&mut state.lock().unwrap(), n);
                         }
                         barrier.wait();
                         // Phase B: probe the assigned window, if any.
@@ -630,14 +621,7 @@ fn run_deterministic(
                             state.lock().unwrap().results[i] = Some(probe);
                         }
                     }
-                    WorkerRun {
-                        windows,
-                        solve_calls: prober.solve_calls(),
-                        stats: prober.stats().clone(),
-                        wall: start.elapsed(),
-                        encode: prober.encode(),
-                        proof: prober.take_proof(),
-                    }
+                    WorkerRun::of(prober, windows, start)
                 })
             })
             .collect();
@@ -645,17 +629,7 @@ fn run_deterministic(
     });
 
     let st = state.into_inner().unwrap();
-    let status = if st.winner.is_none() {
-        MinimizeStatus::Unknown {
-            incumbent: st.incumbent,
-        }
-    } else if st.infeasible {
-        MinimizeStatus::Infeasible
-    } else {
-        let (value, model) = st.incumbent.expect("closed window without incumbent");
-        MinimizeStatus::Optimal { value, model }
-    };
-    (status, st.winner, runs)
+    (st.known.status(st.winner.is_some()), st.winner, runs)
 }
 
 #[cfg(test)]

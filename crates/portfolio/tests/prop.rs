@@ -1,16 +1,16 @@
 //! Agreement property: on random optimization instances, the paper's two
 //! `BIN_SEARCH` modes (each with the encoder optimization layer on and
-//! off), the portfolio (deterministic and racing), the parallel window
-//! search (deterministic and racing), and every point of the search-engine
-//! grid (restart policy × tiered DB × vivification) all prove the same
-//! optimal cost — neither parallel flavour, the optimized encoder, nor any
-//! search-core axis trades correctness for speed.
+//! off), the parallel window search (deterministic and racing), and every
+//! point of the search-engine grid (restart policy × tiered DB ×
+//! vivification) all prove the same optimal cost — neither parallel
+//! flavour, the optimized encoder, nor any search-core axis trades
+//! correctness for speed.
 
 use optalloc_intopt::{
     BinSearchMode, BoolExpr, EncoderOpt, IntExpr, IntProblem, IntVar, MinimizeOptions,
     MinimizeStatus, RestartPolicy, SearchEngine,
 };
-use optalloc_portfolio::{minimize_portfolio, minimize_window_search, PortfolioOptions};
+use optalloc_portfolio::{minimize_window_search, PortfolioOptions};
 use proptest::prelude::*;
 
 /// Recipe for a random affine-ish expression over 3 variables.
@@ -84,31 +84,6 @@ fn optimum_engine(p: &IntProblem, cost: IntVar, engine: SearchEngine) -> Option<
     }
 }
 
-fn optimum_portfolio(p: &IntProblem, cost: IntVar, deterministic: bool) -> Option<i64> {
-    let out = minimize_portfolio(
-        p,
-        cost,
-        &PortfolioOptions {
-            workers: 4,
-            deterministic,
-            ..PortfolioOptions::default()
-        },
-    );
-    match out.status {
-        MinimizeStatus::Optimal { value, ref model } => {
-            // The witnessing model must attain the claimed cost.
-            assert_eq!(
-                model.int(cost),
-                value,
-                "witness does not attain the optimum"
-            );
-            Some(value)
-        }
-        MinimizeStatus::Infeasible => None,
-        ref s => panic!("portfolio(det={deterministic}): unexpected {s:?}"),
-    }
-}
-
 fn optimum_window(p: &IntProblem, cost: IntVar, deterministic: bool) -> Option<i64> {
     let out = minimize_window_search(
         p,
@@ -161,8 +136,6 @@ proptest! {
         let fresh_unopt = optimum_single(&p, cost, BinSearchMode::Fresh, EncoderOpt::none());
         let incremental_unopt =
             optimum_single(&p, cost, BinSearchMode::Incremental, EncoderOpt::none());
-        let det = optimum_portfolio(&p, cost, true);
-        let racing = optimum_portfolio(&p, cost, false);
         let window_det = optimum_window(&p, cost, true);
         let window_racing = optimum_window(&p, cost, false);
 
@@ -172,9 +145,7 @@ proptest! {
             fresh_unopt, incremental_unopt,
             "unoptimized fresh vs unoptimized incremental"
         );
-        prop_assert_eq!(incremental_unopt, det, "incremental vs deterministic portfolio");
-        prop_assert_eq!(det, racing, "deterministic vs racing portfolio");
-        prop_assert_eq!(racing, window_det, "racing portfolio vs deterministic window search");
+        prop_assert_eq!(incremental_unopt, window_det, "incremental vs deterministic window search");
         prop_assert_eq!(window_det, window_racing, "deterministic vs racing window search");
 
         // The search-engine grid: restart policy × tiered DB × vivification

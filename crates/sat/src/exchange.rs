@@ -3,7 +3,7 @@
 //! A bounded, lock-free broadcast ring for sharing *short* learned clauses
 //! between cooperating solvers that work on the **same base encoding** —
 //! the multi-thread analogue of the paper's §7 incremental learned-clause
-//! reuse. Portfolio / window-search workers solve near-identical formulas
+//! reuse. Window-search workers solve near-identical formulas
 //! (one shared encoding plus per-probe bound assumptions), so a clause one
 //! worker learns prunes the others' searches too.
 //!

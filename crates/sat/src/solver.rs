@@ -292,8 +292,8 @@ pub struct SolverConfig {
     /// Default phase for unassigned decision variables.
     pub default_phase: bool,
     /// If set, fresh variables get a pseudo-random initial phase derived
-    /// from this seed (instead of `default_phase`). Used by the portfolio
-    /// runner to diversify otherwise-identical workers.
+    /// from this seed (instead of `default_phase`), which diversifies
+    /// otherwise-identical solvers.
     pub phase_seed: Option<u64>,
     /// Cooperative cancellation: when the flag becomes true, `solve`
     /// returns [`SolveResult::Interrupted`] at the next conflict or
@@ -376,8 +376,8 @@ pub struct SolverConfig {
     pub progress_every_conflicts: u64,
     /// Minimum wall-clock milliseconds between emitted progress events.
     pub progress_interval_ms: u64,
-    /// Worker index stamped on emitted progress events (portfolio/window
-    /// searches tag each worker's stream before merging).
+    /// Worker index stamped on emitted progress events (window searches
+    /// tag each worker's stream before merging).
     pub progress_worker: Option<usize>,
     /// Cost window `[lo, hi]` stamped on emitted progress events; the
     /// bisection loop updates it before each probe.

@@ -643,9 +643,9 @@ fn run_job(
 
     let optimizer = Optimizer::new(&payload.instance.arch, &payload.instance.tasks)
         .with_options(solve_opts.clone());
-    // Portfolio/window strategies solve cold (a retained solver cannot be
-    // raced); the single-search default goes through the warm engine, as
-    // does any job with a cost window (the portfolio API has none).
+    // Window search solves cold (a retained solver serves one search at a
+    // time); the single-search default goes through the warm engine, as
+    // does any job with a cost window (the window-search API has none).
     let use_engine = matches!(solve_opts.strategy, Strategy::Single) || payload.window.is_some();
     let solved = if use_engine {
         optimizer.minimize_warm(&payload.objective, engine, payload.window)

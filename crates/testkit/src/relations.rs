@@ -471,16 +471,6 @@ fn check_engine_grid(spec: &InstanceSpec, opts: &SolveOptions) -> Result<bool, S
             },
         ),
         (
-            "portfolio",
-            SolveOptions {
-                strategy: Strategy::Portfolio {
-                    workers: 2,
-                    deterministic: true,
-                },
-                ..opts.clone()
-            },
-        ),
-        (
             "window",
             SolveOptions {
                 strategy: Strategy::WindowSearch {
