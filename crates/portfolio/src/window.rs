@@ -533,6 +533,11 @@ fn run_racing(
         // into the scheduler: workers poll per-worker staleness flags, so
         // an external raise must be translated to a full cancellation.
         if let Some(parent) = &parent_interrupt {
+            // A flag raised before the search starts cancels it here: a
+            // small search can finish before the monitor's first look.
+            if parent.load(Ordering::Relaxed) {
+                sched.cancel();
+            }
             let parent = Arc::clone(parent);
             scope.spawn(move || {
                 while !sched.finished() {

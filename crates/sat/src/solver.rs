@@ -552,6 +552,12 @@ define_solver_stats! {
     [counter] elim_clauses: u64 =
         "Input clauses moved onto the reconstruction stack by elimination.";
     [counter] elim_resolvents: u64 = "Resolvents added by clause distribution during elimination.";
+    [counter] elim_attempts: u64 =
+        "Clause distributions attempted by elimination (a candidate whose clauses are unchanged \
+         since its last aborted attempt is not attempted again).";
+    [counter] elim_pairs: u64 = "Resolvent pairs examined by elimination's dry-run counting.";
+    [counter] subsume_checks: u64 =
+        "Subsumption / self-subsumption checks run by the simplification pass.";
     [counter] elim_restored: u64 =
         "Eliminated variables restored because a later constraint, assumption or freeze \
          referenced them (the melt-on-reuse protocol).";
@@ -629,6 +635,7 @@ pub struct Solver {
     // Conflict-analysis scratch space.
     seen: Vec<bool>,
     reason_buf: Vec<Lit>,
+    lbd_stamps: LevelStamps,
 
     /// False once an unconditional (level-0) contradiction was derived.
     ok: bool,
@@ -712,6 +719,7 @@ impl Solver {
             learned_since_vivify: 0,
             seen: Vec::new(),
             reason_buf: Vec::new(),
+            lbd_stamps: LevelStamps::default(),
             ok: true,
             model: Vec::new(),
             input_literals: 0,
@@ -1370,13 +1378,6 @@ impl Solver {
         }
     }
 
-    fn lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
     fn bump_var(&mut self, v: Var) {
         self.activity[v.index()] += self.var_inc;
         if self.activity[v.index()] > 1e100 {
@@ -1409,7 +1410,7 @@ impl Solver {
         if self.config.tiered_db {
             let old = self.db.lbd(cref);
             if old > CORE_LBD {
-                let new = self.lbd(self.db.lits(cref));
+                let new = self.lbd_stamps.distinct(&self.level, self.db.lits(cref));
                 if new < old {
                     self.db.set_lbd(cref, new);
                     if new <= CORE_LBD {
@@ -1802,29 +1803,36 @@ impl Solver {
     }
 
     fn garbage_collect(&mut self) {
+        // `collect` lists the relocations in arena order, i.e. sorted by
+        // old ref, so a binary search maps each surviving clause.
         let relocs = self.db.collect();
-        let map: std::collections::HashMap<ClauseRef, ClauseRef> = relocs.into_iter().collect();
+        let map = |c: ClauseRef| -> ClauseRef {
+            let i = relocs
+                .binary_search_by_key(&c, |&(old, _)| old)
+                .expect("reference to a collected clause");
+            relocs[i].1
+        };
         let mut reclaimed = 0usize;
         for ws in &mut self.watches {
             for w in ws.iter_mut() {
-                w.cref = map[&w.cref];
+                w.cref = map(w.cref);
             }
             reclaimed += shrink_excess(ws) * std::mem::size_of::<Watcher>();
         }
         for ws in &mut self.bin_watches {
             for w in ws.iter_mut() {
-                w.cref = map[&w.cref];
+                w.cref = map(w.cref);
             }
             reclaimed += shrink_excess(ws) * std::mem::size_of::<BinWatch>();
         }
         self.stats.watch_bytes_reclaimed += reclaimed as u64;
         for r in &mut self.reason {
             if let Reason::Clause(c) = r {
-                *r = Reason::Clause(map[c]);
+                *r = Reason::Clause(map(*c));
             }
         }
         for c in &mut self.learnts {
-            *c = map[c];
+            *c = map(*c);
         }
     }
 
@@ -2271,7 +2279,7 @@ impl Solver {
             }
             _ => {
                 let cref = self.db.alloc(learnt, true);
-                let lbd = self.lbd(learnt);
+                let lbd = self.lbd_stamps.distinct(&self.level, learnt);
                 self.db.set_lbd(cref, lbd);
                 self.db.set_activity(cref, self.cla_inc);
                 if self.config.tiered_db {
@@ -2498,10 +2506,6 @@ fn log_of(proof: &mut Option<ProofLog>) -> &mut ProofLog {
     proof.get_or_insert_with(ProofLog::new)
 }
 
-/// Releases the excess capacity of a grossly over-allocated list, returning
-/// the number of surplus elements freed. Lists near their high-water mark
-/// are left alone: `shrink_to_fit` on a hot watch list that immediately
-/// regrows would thrash the allocator.
 /// Initial tier of a learned clause by LBD.
 fn tier_for_lbd(lbd: u32) -> Tier {
     if lbd <= CORE_LBD {
@@ -2513,6 +2517,42 @@ fn tier_for_lbd(lbd: u32) -> Tier {
     }
 }
 
+/// Counts the distinct decision levels of a clause (its LBD) without
+/// allocating: `stamp[level]` holds the epoch of the last count that met
+/// the level.
+#[derive(Default)]
+struct LevelStamps {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl LevelStamps {
+    /// Number of distinct values of `level[l.var()]` over `lits`.
+    fn distinct(&mut self, level: &[u32], lits: &[Lit]) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let mut n = 0;
+        for l in lits {
+            let lv = level[l.var().index()] as usize;
+            if lv >= self.stamp.len() {
+                self.stamp.resize(lv + 1, 0);
+            }
+            if self.stamp[lv] != self.epoch {
+                self.stamp[lv] = self.epoch;
+                n += 1;
+            }
+        }
+        n
+    }
+}
+
+/// Releases the excess capacity of a grossly over-allocated list, returning
+/// the number of surplus elements freed. Lists near their high-water mark
+/// are left alone: `shrink_to_fit` on a hot watch list that immediately
+/// regrows would thrash the allocator.
 fn shrink_excess<T>(v: &mut Vec<T>) -> usize {
     if v.capacity() <= 16 || v.capacity() < 4 * v.len().max(1) {
         return 0;
@@ -2588,21 +2628,52 @@ mod tests {
         s.elim_vars = base + 12;
         s.elim_clauses = base + 13;
         s.elim_resolvents = base + 14;
-        s.elim_restored = base + 15;
-        s.elim_stack_depth = base + 16;
-        s.restarts_luby = base + 17;
-        s.restarts_ema = base + 18;
-        s.restarts_blocked = base + 19;
-        s.vivified = base + 20;
-        s.vivify_lits_removed = base + 21;
-        s.tier_core = base + 22;
-        s.tier_mid = base + 23;
-        s.tier_local = base + 24;
-        s.peak_learnts = base + 25;
-        s.watch_bytes_reclaimed = base + 26;
-        s.solve_ms = base as f64 + 27.5;
-        assert_eq!(names.len(), 28, "synthetic_stats must cover every field");
+        s.elim_attempts = base + 15;
+        s.elim_pairs = base + 16;
+        s.subsume_checks = base + 17;
+        s.elim_restored = base + 18;
+        s.elim_stack_depth = base + 19;
+        s.restarts_luby = base + 20;
+        s.restarts_ema = base + 21;
+        s.restarts_blocked = base + 22;
+        s.vivified = base + 23;
+        s.vivify_lits_removed = base + 24;
+        s.tier_core = base + 25;
+        s.tier_mid = base + 26;
+        s.tier_local = base + 27;
+        s.peak_learnts = base + 28;
+        s.watch_bytes_reclaimed = base + 29;
+        s.solve_ms = base as f64 + 30.5;
+        assert_eq!(names.len(), 31, "synthetic_stats must cover every field");
         s
+    }
+
+    #[test]
+    fn level_stamps_count_distinct_levels_like_sort_and_dedup() {
+        let lits: Vec<Lit> = (0..40).map(|i| Var::from_index(i).positive()).collect();
+        let mut stamps = LevelStamps::default();
+        let mut z = 7u64;
+        for round in 0..500 {
+            z = splitmix64(z);
+            let n = 1 + (z % 40) as usize;
+            let max_level = 1 + (z >> 8) % 30;
+            let level: Vec<u32> = (0..40)
+                .map(|i| (splitmix64(z ^ i) % max_level) as u32)
+                .collect();
+            let mut sorted: Vec<u32> = level[..n].to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(
+                stamps.distinct(&level, &lits[..n]),
+                sorted.len() as u32,
+                "round {round}"
+            );
+        }
+        // The epoch wraps to 1 without meeting the stamps of epoch 1.
+        let mut stamps = LevelStamps::default();
+        assert_eq!(stamps.distinct(&[3, 3, 5], &lits[..3]), 2);
+        stamps.epoch = u32::MAX;
+        assert_eq!(stamps.distinct(&[3, 3, 5], &lits[..3]), 2);
     }
 
     #[test]
@@ -2611,12 +2682,12 @@ mod tests {
         let b = synthetic_stats(1000);
         a.absorb(&b);
         assert_eq!(a.decisions, 1100);
-        assert_eq!(a.solve_ms, 127.5 + 1027.5);
+        assert_eq!(a.solve_ms, 130.5 + 1030.5);
         // Gauges sum to the fleet total.
-        assert_eq!(a.tier_core, 122 + 1022);
-        assert_eq!(a.elim_stack_depth, 116 + 1016);
+        assert_eq!(a.tier_core, 125 + 1025);
+        assert_eq!(a.elim_stack_depth, 119 + 1019);
         // Peak takes the worst single solver.
-        assert_eq!(a.peak_learnts, 1025);
+        assert_eq!(a.peak_learnts, 1028);
     }
 
     #[test]
@@ -2660,12 +2731,12 @@ mod tests {
         s.for_each_metric(&mut |name, kind, value| {
             seen.insert(name, (kind, value));
         });
-        assert_eq!(seen.len(), 28);
+        assert_eq!(seen.len(), 31);
         assert_eq!(seen["decisions"], ("counter", 7.0));
         assert_eq!(seen["elim_stack_depth"].0, "gauge");
         assert_eq!(seen["peak_learnts"].0, "max");
         assert_eq!(seen["watch_bytes_reclaimed"].0, "counter_sat");
-        assert_eq!(seen["solve_ms"], ("counter", 34.5));
+        assert_eq!(seen["solve_ms"], ("counter", 37.5));
     }
 
     #[test]

@@ -126,17 +126,88 @@ fn sub_check(a: &[Lit], b: &[Lit]) -> Option<Option<Lit>> {
     Some(flipped)
 }
 
-/// The indices in `occ[l]` whose clause is live and still contains `l`
-/// (strengthening leaves stale entries behind).
-fn live_occs(pcs: &[Pc], occ: &[Vec<u32>], l: Lit) -> Vec<u32> {
-    occ[l.index()]
-        .iter()
-        .copied()
-        .filter(|&i| {
-            let p = &pcs[i as usize];
-            !p.dead && p.lits.binary_search(&l).is_ok()
-        })
-        .collect()
+/// Fills `out` with the indices in `occ[l]` whose clause is live and still
+/// contains `l` (strengthening leaves stale entries behind).
+fn live_occs(pcs: &[Pc], occ: &[Vec<u32>], l: Lit, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(occ[l.index()].iter().copied().filter(|&i| {
+        let p = &pcs[i as usize];
+        !p.dead && p.lits.binary_search(&l).is_ok()
+    }));
+}
+
+/// A clause over `lits` is subsumed, strengthened, eliminated or added:
+/// every variable in it must be attempted again.
+fn touch(memo: &mut [u64], lits: &[Lit]) {
+    for l in lits {
+        memo[l.var().index()] = 0;
+    }
+}
+
+/// Per-pass scratch of the elimination schedule, O(variables).
+struct ElimScratch {
+    /// `memo[v]`: the budget charge (`|P|·|N| + 1`) of `v`'s last aborted
+    /// distribution attempt, or 0 once a clause containing `v` changed
+    /// since (see [`touch`]). The abort is a function of the
+    /// live occurrence lists alone, so a live memo stands for the attempt.
+    memo: Vec<u64>,
+    /// Literal marks of the dry run: the positive clause of the current
+    /// pair; all clear between attempts.
+    mark: Vec<bool>,
+    pos: Vec<u32>,
+    neg: Vec<u32>,
+}
+
+impl ElimScratch {
+    fn new(num_vars: usize) -> ElimScratch {
+        ElimScratch {
+            memo: vec![0; num_vars],
+            mark: vec![false; 2 * num_vars],
+            pos: Vec::new(),
+            neg: Vec::new(),
+        }
+    }
+
+    /// Dry run of distributing `v`: whether every non-tautological
+    /// resolvent of `self.pos × self.neg` has at most `ELIM_MAX_RES_LEN`
+    /// literals and there are at most `limit` of them, i.e. whether
+    /// building them with [`resolve`] would not abort. Working copies are
+    /// sorted, duplicate-free and non-tautological, so with `C` marked a
+    /// resolvent is `|C| − 1` literals plus those of `D ∖ {¬v}` not in `C`.
+    /// Adds the pairs examined to `pairs`.
+    fn distribution_fits(&mut self, pcs: &[Pc], v: Var, limit: usize, pairs: &mut u64) -> bool {
+        let mark = &mut self.mark;
+        let mut kept = 0usize;
+        for &ci in &self.pos {
+            let c = &pcs[ci as usize].lits;
+            for &l in c {
+                mark[l.index()] = true;
+            }
+            let mut fits = true;
+            'neg: for &dj in &self.neg {
+                *pairs += 1;
+                let mut len = c.len() - 1;
+                for &l in pcs[dj as usize].lits.iter().filter(|l| l.var() != v) {
+                    if mark[(!l).index()] {
+                        continue 'neg; // tautology
+                    }
+                    len += usize::from(!mark[l.index()]);
+                }
+                if len > ELIM_MAX_RES_LEN || kept == limit {
+                    fits = false;
+                    break;
+                }
+                kept += 1;
+            }
+            for &l in c {
+                mark[l.index()] = false;
+            }
+            if !fits {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// The resolvent of sorted clauses `c` (containing `v`) and `d` (containing
@@ -457,17 +528,21 @@ impl Solver {
         let mut order: Vec<u32> = (0..pcs.len() as u32).collect();
         order.sort_by_key(|&i| (pcs[i as usize].lits.len(), i));
         let mut worklist: std::collections::VecDeque<u32> = order.into();
+        let mut scratch = ElimScratch::new(self.num_vars());
+        let mut c_lits: Vec<Lit> = Vec::with_capacity(SUBSUMER_MAX_LEN);
         loop {
             while let Some(ci) = worklist.pop_front() {
                 if budget == 0 {
                     break;
                 }
-                let (c_lits, c_sig) = {
+                let c_sig = {
                     let c = &pcs[ci as usize];
                     if c.dead || c.lits.len() > SUBSUMER_MAX_LEN {
                         continue;
                     }
-                    (c.lits.clone(), c.sig)
+                    c_lits.clear();
+                    c_lits.extend_from_slice(&c.lits);
+                    c.sig
                 };
                 // Candidates must contain the subsumer's least-occurring
                 // literal in either polarity.
@@ -486,13 +561,16 @@ impl Solver {
                             continue;
                         }
                         budget = budget.saturating_sub(d.lits.len() as u64);
+                        self.stats.subsume_checks += 1;
                         match sub_check(&c_lits, &d.lits) {
                             None => {}
                             Some(None) => {
+                                touch(&mut scratch.memo, &d.lits);
                                 pcs[dj as usize].dead = true;
                                 self.stats.pp_removed += 1;
                             }
                             Some(Some(l)) => {
+                                touch(&mut scratch.memo, &d.lits);
                                 {
                                     let d = &mut pcs[dj as usize];
                                     d.lits.retain(|&x| x != !l);
@@ -547,6 +625,7 @@ impl Solver {
                 &mut worklist,
                 &assumed,
                 &mut elim_budget,
+                &mut scratch,
             );
             if !self.ok {
                 return;
@@ -669,6 +748,11 @@ impl Solver {
     /// One bounded-variable-elimination sweep over the working copies.
     /// Returns the number of variables eliminated; resolvents are appended
     /// to `pcs`/`occ` and queued on the subsumption worklist.
+    ///
+    /// A candidate whose last attempt aborted and none of whose clauses
+    /// changed since is not attempted again: it is charged the remembered
+    /// cost, so the budget, and with it every decision, is the same as if
+    /// the attempt had run.
     fn elim_sweep(
         &mut self,
         pcs: &mut Vec<Pc>,
@@ -676,6 +760,7 @@ impl Solver {
         worklist: &mut std::collections::VecDeque<u32>,
         assumed: &[bool],
         elim_budget: &mut u64,
+        scratch: &mut ElimScratch,
     ) -> usize {
         // Shared-base variables stay, so exchanged clauses (which the share
         // filter confines below the limit) never meet an eliminated var.
@@ -720,31 +805,32 @@ impl Solver {
             if self.value_var(v) != LBool::Undef || self.eliminated[vi] {
                 continue;
             }
-            let pos = live_occs(pcs, occ, v.positive());
-            let neg = live_occs(pcs, occ, v.negative());
-            let total = pos.len() + neg.len();
+            if scratch.memo[vi] != 0 {
+                *elim_budget = elim_budget.saturating_sub(scratch.memo[vi]);
+                continue;
+            }
+            live_occs(pcs, occ, v.positive(), &mut scratch.pos);
+            live_occs(pcs, occ, v.negative(), &mut scratch.neg);
+            let total = scratch.pos.len() + scratch.neg.len();
             if total == 0 || total > ELIM_MAX_OCC {
                 continue;
             }
-            *elim_budget = elim_budget.saturating_sub((pos.len() * neg.len()) as u64 + 1);
+            let cost = (scratch.pos.len() * scratch.neg.len()) as u64 + 1;
+            *elim_budget = elim_budget.saturating_sub(cost);
+            self.stats.elim_attempts += 1;
             // Distribute: all non-tautological resolvents, under the growth
-            // cutoff. An empty polarity (pure literal) yields none.
+            // cutoff. An empty polarity (pure literal) yields none. The dry
+            // run decides; resolvents are built only for a commit.
             let limit = total + ELIM_GROW;
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut aborted = false;
-            'pairs: for &ci in &pos {
-                for &dj in &neg {
-                    if let Some(r) = resolve(&pcs[ci as usize].lits, &pcs[dj as usize].lits, v) {
-                        if r.len() > ELIM_MAX_RES_LEN || resolvents.len() == limit {
-                            aborted = true;
-                            break 'pairs;
-                        }
-                        resolvents.push(r);
-                    }
-                }
-            }
-            if aborted {
+            if !scratch.distribution_fits(pcs, v, limit, &mut self.stats.elim_pairs) {
+                scratch.memo[vi] = cost;
                 continue;
+            }
+            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
+            for &ci in &scratch.pos {
+                for &dj in &scratch.neg {
+                    resolvents.extend(resolve(&pcs[ci as usize].lits, &pcs[dj as usize].lits, v));
+                }
             }
             // Commit: clauses move to the reconstruction stack, resolvents
             // join the working set.
@@ -752,11 +838,14 @@ impl Solver {
                 var: v,
                 clauses: Vec::with_capacity(total),
             };
-            for &i in pos.iter().chain(neg.iter()) {
+            for &i in scratch.pos.iter().chain(scratch.neg.iter()) {
                 let pc = &mut pcs[i as usize];
                 pc.dead = true;
                 pc.elim_dead = true;
-                group.clauses.push(pc.lits.clone());
+                // A dead copy is never read again.
+                let lits = std::mem::take(&mut pc.lits);
+                touch(&mut scratch.memo, &lits);
+                group.clauses.push(lits);
                 self.stats.elim_clauses += 1;
             }
             self.stats.elim_vars += 1;
@@ -767,6 +856,7 @@ impl Solver {
             eliminated_now += 1;
             for r in resolvents {
                 self.stats.elim_resolvents += 1;
+                touch(&mut scratch.memo, &r);
                 // Proof: RUP while both parents are in the trace — assert
                 // the negation, one parent becomes unit on the pivot, the
                 // other conflicts.
@@ -788,12 +878,12 @@ impl Solver {
                 worklist.push_back(idx);
                 pcs.push(Pc {
                     cref: None,
-                    lits: r.clone(),
+                    logged: self.config.proof.then(|| r.clone()),
+                    lits: r,
                     sig,
                     dead: false,
                     elim_dead: false,
                     changed: false,
-                    logged: Some(r),
                 });
             }
         }

@@ -330,3 +330,159 @@ fn eliminated_assumptions_are_restored_at_solve_entry() {
     );
     assert!(!s.is_eliminated(x));
 }
+
+/// A seeded structured formula: a chain of Tseitin gates (AND, OR, XOR) over
+/// random earlier signals, plus random 3-clauses over all signals. Gate
+/// variables resolve away cheaply once their neighbours are gone, while the
+/// signals the random clauses hit abort on the growth cutoff and are
+/// retried in later sweeps.
+fn structured_instance(seed: u64, inputs: usize, gates: usize, randoms: usize) -> Solver {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |n: usize| -> usize {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut s = Solver::new();
+    // One conflict at most: the pinned counts are the pass's, not the search's.
+    s.config.max_conflicts = Some(1);
+    let mut sig: Vec<Var> = (0..inputs).map(|_| s.new_var()).collect();
+    for _ in 0..gates {
+        let a = sig[next(sig.len())].lit(next(2) == 0);
+        let b = sig[next(sig.len())].lit(next(2) == 0);
+        if a.var() == b.var() {
+            continue;
+        }
+        let g = s.new_var();
+        let (gp, gn) = (g.positive(), g.negative());
+        match next(3) {
+            0 => {
+                s.add_clause(&[gn, a]);
+                s.add_clause(&[gn, b]);
+                s.add_clause(&[gp, !a, !b]);
+            }
+            1 => {
+                s.add_clause(&[gp, !a]);
+                s.add_clause(&[gp, !b]);
+                s.add_clause(&[gn, a, b]);
+            }
+            _ => {
+                s.add_clause(&[gn, a, b]);
+                s.add_clause(&[gn, !a, !b]);
+                s.add_clause(&[gp, !a, b]);
+                s.add_clause(&[gp, a, !b]);
+            }
+        }
+        sig.push(g);
+    }
+    for _ in 0..randoms {
+        let c: Vec<_> = (0..3)
+            .map(|_| sig[next(sig.len())].lit(next(2) == 0))
+            .collect();
+        s.add_clause(&c);
+    }
+    s
+}
+
+/// The simplification pass's output on fixed formulas is pinned: the
+/// elimination schedule may skip work, but it must eliminate the same
+/// variables in the same order, so every preprocessing counter and the
+/// proof length stay exactly equal. Each formula takes three or more
+/// elimination sweeps, and in each some variables abort on the growth
+/// cutoff and are retried.
+#[test]
+fn elimination_result_is_pinned() {
+    // (seed, inputs, gates, random clauses) →
+    // [elim_vars, elim_clauses, elim_resolvents, pp_removed, pp_strengthened, pp_fixed],
+    // and the number of steps logged under `proof` (the pass, then a search
+    // of at most one conflict).
+    let cases = [
+        ((1, 40, 160, 60), [125, 582, 291, 14, 10, 1], 338),
+        ((2, 60, 240, 120), [147, 703, 389, 9, 8, 0], 414),
+        ((3, 30, 300, 40), [226, 983, 378, 10, 11, 0], 408),
+        ((4, 80, 200, 200), [97, 492, 325, 6, 4, 0], 339),
+    ];
+    for ((seed, inputs, gates, randoms), expected, proof_steps) in cases {
+        for proof in [false, true] {
+            let mut s = structured_instance(seed, inputs, gates, randoms);
+            s.config.proof = proof;
+            s.solve(&[]);
+            let st = &s.stats;
+            let got = [
+                st.elim_vars,
+                st.elim_clauses,
+                st.elim_resolvents,
+                st.pp_removed,
+                st.pp_strengthened,
+                st.pp_fixed,
+            ];
+            assert_eq!(got, expected, "seed {seed}, proof {proof}");
+            if proof {
+                let steps = s.take_proof().map_or(0, |log| log.len());
+                assert_eq!(steps, proof_steps, "seed {seed}: proof steps");
+            }
+        }
+    }
+}
+
+/// The invalidation rule of the elimination schedule: `v` aborts on the
+/// growth cutoff (3 × 2 resolvents for 5 clauses) in the first sweep;
+/// eliminating `w` then yields `a ∨ b`, which subsumes `v ∨ a ∨ b`, and in
+/// the second sweep `v` distributes into 2 × 2 resolvents for 4 clauses.
+/// A schedule that remembered `v`'s abort past that subsumption would
+/// never retry it.
+#[test]
+fn a_subsumption_reopens_an_aborted_candidate() {
+    let mut s = Solver::new();
+    let [v, w, a, b, c1, c2, d1, d2] = [(); 8].map(|_| s.new_var());
+    for x in [a, b, c1, c2, d1, d2] {
+        s.freeze_var(x);
+    }
+    s.add_clause(&[w.positive(), a.positive()]);
+    s.add_clause(&[w.negative(), b.positive()]);
+    s.add_clause(&[v.positive(), a.positive(), b.positive()]);
+    s.add_clause(&[v.positive(), c1.positive()]);
+    s.add_clause(&[v.positive(), c2.positive()]);
+    s.add_clause(&[v.negative(), d1.positive()]);
+    s.add_clause(&[v.negative(), d2.positive()]);
+    assert_eq!(s.solve(&[]), SolveResult::Sat);
+    assert!(s.is_eliminated(w));
+    assert!(
+        s.is_eliminated(v),
+        "v must be retried after the subsumption"
+    );
+    assert_eq!(s.stats.elim_vars, 2);
+    assert_eq!(s.stats.pp_removed, 1);
+    assert_eq!(s.stats.elim_resolvents, 1 + 4);
+}
+
+/// The same rule for self-subsuming resolution: `v`'s only resolvent has 33
+/// literals and aborts the first sweep; eliminating `w` then yields
+/// `x₁ ∨ ¬x₃₂`, which strengthens `v`'s long clause by `x₃₂`, and in the
+/// second sweep the resolvent fits.
+#[test]
+fn a_strengthening_reopens_an_aborted_candidate() {
+    let mut s = Solver::new();
+    let v = s.new_var();
+    let w = s.new_var();
+    let y = s.new_var();
+    let xs: Vec<Var> = (0..32).map(|_| s.new_var()).collect();
+    for &x in xs.iter().chain([&y]) {
+        s.freeze_var(x);
+    }
+    let mut long = vec![v.positive()];
+    long.extend(xs.iter().map(|x| x.positive()));
+    s.add_clause(&long);
+    s.add_clause(&[v.negative(), y.positive()]);
+    s.add_clause(&[w.positive(), xs[0].positive()]);
+    s.add_clause(&[w.negative(), xs[31].negative()]);
+    assert_eq!(s.solve(&[]), SolveResult::Sat);
+    assert!(s.is_eliminated(w));
+    assert!(
+        s.is_eliminated(v),
+        "v must be retried after the strengthening"
+    );
+    assert_eq!(s.stats.elim_vars, 2);
+    assert_eq!(s.stats.pp_strengthened, 1);
+}

@@ -151,6 +151,15 @@ pub struct SearchSummary {
     /// Eliminated variables restored by melt-on-reuse.
     #[serde(default)]
     pub elim_restored: u64,
+    /// Clause distributions the simplification pass attempted.
+    #[serde(default)]
+    pub elim_attempts: u64,
+    /// Resolvent pairs the simplification pass examined.
+    #[serde(default)]
+    pub elim_pairs: u64,
+    /// Subsumption checks the simplification pass ran.
+    #[serde(default)]
+    pub subsume_checks: u64,
     /// Reconstruction-stack depth (live elimination groups) when the job
     /// finished — the extension work a model extraction pays.
     #[serde(default)]
@@ -177,6 +186,9 @@ impl SearchSummary {
             elim_vars: stats.elim_vars,
             elim_resolvents: stats.elim_resolvents,
             elim_restored: stats.elim_restored,
+            elim_attempts: stats.elim_attempts,
+            elim_pairs: stats.elim_pairs,
+            subsume_checks: stats.subsume_checks,
             elim_stack_depth: stats.elim_stack_depth,
             tier_core: stats.tier_core,
             tier_mid: stats.tier_mid,
@@ -197,6 +209,9 @@ impl SearchSummary {
         self.elim_vars += other.elim_vars;
         self.elim_resolvents += other.elim_resolvents;
         self.elim_restored += other.elim_restored;
+        self.elim_attempts += other.elim_attempts;
+        self.elim_pairs += other.elim_pairs;
+        self.subsume_checks += other.subsume_checks;
         self.elim_stack_depth += other.elim_stack_depth;
         self.tier_core += other.tier_core;
         self.tier_mid += other.tier_mid;
