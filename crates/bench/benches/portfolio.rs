@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the parallel strategy: plain single search vs
-//! racing and deterministic window search on a small end-to-end instance.
+//! a 4-worker window search on a small end-to-end instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optalloc::{Objective, Optimizer, SolveOptions, Strategy};
@@ -30,14 +30,7 @@ fn bench_portfolio(c: &mut Criterion) {
     let configs = [
         ("single", Strategy::Single),
         (
-            "racing",
-            Strategy::WindowSearch {
-                workers: 4,
-                deterministic: false,
-            },
-        ),
-        (
-            "deterministic",
+            "window",
             Strategy::WindowSearch {
                 workers: 4,
                 deterministic: true,

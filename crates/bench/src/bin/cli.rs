@@ -19,9 +19,8 @@
 //!                           (the service protocol's JobResult) instead of
 //!                           the human report
 //!   --window <n|auto>       parallel window search: n workers over disjoint
-//!                           cost sub-windows (auto = one per host core)
-//!   --deterministic         bit-stable window search (barrier rounds with
-//!                           an index-ordered fold)
+//!                           cost sub-windows in bit-stable barrier rounds
+//!                           (auto = one per host core)
 //!   --no-encoder-opt        disable the encoder optimization layer (gate
 //!                           hash-consing, interval narrowing, SAT
 //!                           preprocessing) — the pre-optimization baseline;
@@ -56,7 +55,7 @@
 //!   --cache <n>             result-cache capacity (default 64)
 //!   --timeout-ms <n>        default per-job timeout
 //!   plus the solve options --max-conflicts / --certify / --search /
-//!   --window / --deterministic, applied to every job
+//!   --window, applied to every job
 //!
 //! submit requests (all take --addr <host:port> and --json):
 //!   solve <workload.json> [--objective o] [--medium k] [--timeout-ms n]
@@ -98,12 +97,12 @@ fn usage() -> ExitCode {
         "usage:\n  optalloc-cli generate <name> <out.json>\n  \
          optalloc-cli solve <workload.json> [--objective o] [--medium k] \
          [--max-conflicts n] [--timeout-ms n] [--json] \
-         [--window n|auto] [--deterministic] [--no-encoder-opt] \
+         [--window n|auto] [--no-encoder-opt] \
          [--search engine] [--certify] [--proof file] [--max-slot n] \
          [--out alloc.json] [--trace file] [--metrics] [--progress]\n  \
          optalloc-cli serve [--addr host:port] [--workers n] [--queue n] \
          [--cache n] [--timeout-ms n] [--max-conflicts n] [--certify] \
-         [--search engine] [--window n|auto] [--deterministic]\n  \
+         [--search engine] [--window n|auto]\n  \
          optalloc-cli submit solve <workload.json> | delta <ops.json> \
          [--base fp] | status | metrics | shutdown  [--addr host:port] [--json]"
     );
@@ -120,11 +119,11 @@ fn parse_workers(arg: Option<&String>) -> Option<usize> {
 }
 
 /// Window search over `window` workers, or the single search without one.
-fn strategy(window: Option<usize>, deterministic: bool) -> Strategy {
+fn strategy(window: Option<usize>) -> Strategy {
     match window {
         Some(workers) => Strategy::WindowSearch {
             workers,
-            deterministic,
+            deterministic: true,
         },
         None => Strategy::Single,
     }
@@ -263,7 +262,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let mut max_conflicts = None;
     let mut out_path: Option<String> = None;
     let mut window: Option<usize> = None;
-    let mut deterministic = false;
     let mut certify = false;
     let mut json = false;
     let mut timeout_ms: Option<u64> = None;
@@ -287,7 +285,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             "--timeout-ms" => timeout_ms = it.next().and_then(|s| s.parse().ok()),
             "--json" => json = true,
             "--window" => window = parse_workers(it.next()),
-            "--deterministic" => deterministic = true,
             "--certify" => certify = true,
             "--proof" => {
                 proof_path = it.next().cloned();
@@ -328,7 +325,7 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 
     let mut opts = SolveOptions {
         max_conflicts,
-        strategy: strategy(window, deterministic),
+        strategy: strategy(window),
         encoder_opt,
         search,
         certify,
@@ -559,7 +556,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut config = ServiceConfig::default();
     let mut window: Option<usize> = None;
-    let mut deterministic = false;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -595,14 +591,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 }
             },
             "--window" => window = parse_workers(it.next()),
-            "--deterministic" => deterministic = true,
             other => {
                 eprintln!("unknown option {other}");
                 return ExitCode::from(2);
             }
         }
     }
-    config.solve.strategy = strategy(window, deterministic);
+    config.solve.strategy = strategy(window);
     let mut server = match serve(Service::new(config), &addr) {
         Ok(s) => s,
         Err(e) => {

@@ -7,22 +7,21 @@
 //!
 //! - `single` — plain incremental binary search ([`Strategy::Single`]),
 //!   the baseline every speedup column divides by;
-//! - `window` — N workers over **disjoint** sub-windows
-//!   ([`Strategy::WindowSearch`]): the certification region is partitioned,
-//!   so its conflicts split across workers instead of repeating.
+//! - `window` — N ≥ 2 workers over **disjoint** sub-windows
+//!   ([`Strategy::WindowSearch`], barrier rounds): the certification
+//!   region is partitioned, so its conflicts split across workers instead
+//!   of repeating. (One worker would run the `single` search itself.)
 //!
 //! The per-worker conflict column (`worker_conflicts`) makes that split
-//! visible: under `window` the counts sum to roughly the single search.
-//! The harness asserts both modes return the identical proven optimum.
-//!
-//! On a single-core host parallel workers time-slice one CPU, so the
-//! *measured* `speedup_vs_single` stays near (or below) 1× and only
-//! reflects algorithmic effects. `projected_parallel_speedup` normalizes
-//! to one core per worker (`single / (wall / workers)`): with fair
-//! time-slicing, `wall / workers` approximates a worker's solo wall time
-//! when it owns a core. `host_cores` (via
-//! `std::thread::available_parallelism()`) records how much of the
-//! projection the measuring host could actually deliver.
+//! visible. The result is stated as **critical-path work**:
+//! `critical_path_conflicts` is the largest per-worker conflict count (the
+//! whole count for `single`), and `critical_path_vs_single` divides the
+//! single search's conflicts by it. Conflict counts are deterministic, so
+//! unlike wall time they do not depend on how many cores the host has
+//! (`host_cores`, via `std::thread::available_parallelism()`): on a
+//! single-core host the workers time-slice one CPU and the measured
+//! `speedup_vs_single` stays near (or below) 1×. The harness asserts both
+//! modes return the identical proven optimum.
 //!
 //! The peak worker count defaults to `--workers auto` (one per host core);
 //! pass `--workers <n>` to pin it — e.g. `--workers 2` for a CI smoke run.
@@ -53,16 +52,16 @@ struct WindowRow {
     solve_calls: u32,
     /// Total conflicts summed over all workers.
     conflicts: u64,
-    /// Conflicts per worker, by worker index (empty for `single`). These
-    /// sum to roughly the single-search count.
+    /// Conflicts per worker, by worker index (empty for `single`).
     worker_conflicts: Vec<u64>,
     /// Cost windows probed per worker (empty for `single`).
     worker_windows: Vec<usize>,
+    /// The largest per-worker conflict count (`conflicts` for `single`).
+    critical_path_conflicts: u64,
+    /// `conflicts(single) / critical_path_conflicts`.
+    critical_path_vs_single: f64,
     /// `time_s(single) / time_s(this row)` — measured wall clock.
     speedup_vs_single: f64,
-    /// `time_s(single) / (time_s(this row) / workers)` — expected speedup
-    /// with one core per worker (see module docs).
-    projected_parallel_speedup: f64,
 }
 
 fn main() {
@@ -79,10 +78,9 @@ fn main() {
     counts.retain(|&w| w <= peak);
     counts.sort_unstable();
     counts.dedup();
-    // Grid: the single baseline, and window search from 1 worker
-    // (sequential interval bisection — isolates the scheduler overhead) up
-    // to the peak.
-    let mut grid: Vec<(&'static str, usize)> = vec![("single", 1), ("window", 1)];
+    // Grid: the single baseline, and window search from 2 workers up to
+    // the peak.
+    let mut grid: Vec<(&'static str, usize)> = vec![("single", 1)];
     grid.extend(counts.iter().map(|&w| ("window", w)));
 
     let mut rows: Vec<WindowRow> = Vec::new();
@@ -91,6 +89,7 @@ fn main() {
         let base_opts = solve_options(cli.full);
         let mut single_time = f64::NAN;
         let mut single_cost = 0i64;
+        let mut single_conflicts = 0u64;
 
         for &(mode, workers) in &grid {
             let opts = SolveOptions {
@@ -98,7 +97,7 @@ fn main() {
                     "single" => Strategy::Single,
                     _ => Strategy::WindowSearch {
                         workers,
-                        deterministic: false,
+                        deterministic: true,
                     },
                 },
                 ..base_opts.clone()
@@ -112,16 +111,23 @@ fn main() {
             if mode == "single" {
                 single_time = total;
                 single_cost = r.cost;
+                single_conflicts = r.stats.conflicts;
             }
             assert_eq!(
                 r.cost, single_cost,
                 "{n} tasks: {mode}/{workers} optimum diverged from the single search"
             );
-            let projected = single_time / (total / workers as f64);
+            let worker_conflicts: Vec<u64> = r.workers.iter().map(|w| w.stats.conflicts).collect();
+            let critical_path = worker_conflicts
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(r.stats.conflicts);
+            let critical_vs_single = single_conflicts as f64 / critical_path as f64;
             eprintln!(
                 "{n} tasks, {mode}/{workers}: TRT = {} in {total:.2}s — \
-                 speedup {:.2}x measured, {projected:.2}x projected at one \
-                 core/worker",
+                 critical path {critical_path} conflicts ({critical_vs_single:.2}x \
+                 vs single), wall speedup {:.2}x measured",
                 r.cost,
                 single_time / total,
             );
@@ -138,10 +144,11 @@ fn main() {
                 time_s: total,
                 solve_calls: r.solve_calls,
                 conflicts: r.stats.conflicts,
-                worker_conflicts: r.workers.iter().map(|w| w.stats.conflicts).collect(),
+                worker_conflicts,
                 worker_windows: r.workers.iter().map(|w| w.windows.len()).collect(),
+                critical_path_conflicts: critical_path,
+                critical_path_vs_single: critical_vs_single,
                 speedup_vs_single: single_time / total,
-                projected_parallel_speedup: projected,
             });
         }
     }

@@ -320,15 +320,10 @@ impl<'a> Optimizer<'a> {
                     outcome.certificate,
                 )
             }
-            Strategy::WindowSearch {
-                workers,
-                deterministic,
-            } => {
+            Strategy::WindowSearch { workers, .. } => {
                 let popts = PortfolioOptions {
                     workers,
-                    deterministic,
                     base: min_opts,
-                    verbose: false,
                 };
                 let outcome = minimize_window_search(&enc.problem, cost, &popts);
                 (

@@ -37,16 +37,16 @@ pub enum Strategy {
     /// setup).
     Single,
     /// A parallel window search: workers probe **disjoint** sub-windows of
-    /// the remaining cost interval, so the terminal UNSAT certification is
-    /// divided across workers instead of repeated per worker (see the
+    /// the remaining cost interval in barrier-synchronised rounds, so the
+    /// terminal UNSAT certification is divided across workers instead of
+    /// repeated per worker, and the output is bit-stable (see the
     /// `optalloc-portfolio` crate's `window` module).
     WindowSearch {
-        /// Number of workers (a 1-worker search degenerates to sequential
-        /// interval bisection).
+        /// Number of workers (one worker runs the same search as
+        /// [`Strategy::Single`] in incremental mode).
         workers: usize,
-        /// `true`: barrier-synchronised rounds with an index-ordered fold —
-        /// bit-stable output. `false`: racing reassignment, minimal
-        /// wall-clock.
+        /// Has no effect: the window search always runs barrier rounds.
+        /// Kept only until its last caller stops setting it.
         deterministic: bool,
     },
 }

@@ -66,8 +66,8 @@ pub struct MinimizeOptions {
     /// hint costs one probe, never the optimum.
     pub initial_upper: Option<i64>,
     /// Base solver tunables applied to every solver the search creates —
-    /// including the cooperative [`SolverConfig::interrupt`] flag and the
-    /// diversification knobs (`phase_seed`, `restart_unit`, decays).
+    /// including the cooperative [`SolverConfig::interrupt`] flag, the
+    /// restart unit and the activity decays.
     /// `max_conflicts` above, when set, overrides
     /// `solver_config.max_conflicts`.
     pub solver_config: SolverConfig,
@@ -78,11 +78,8 @@ pub struct MinimizeOptions {
     pub encoder_opt: EncoderOpt,
     /// Record DRAT proof traces in every solver and assemble an optimality
     /// [`Certificate`] on [`MinimizeStatus::Optimal`] (witness model plus
-    /// refutations of every cheaper cost window; see
-    /// [`crate::certificate`]). Implies [`SolverConfig::proof`], which
-    /// disables importing foreign shared clauses — exporting still works —
-    /// so cooperating certified workers trade some sharing for
-    /// checkability.
+    /// refutations of every cheaper cost window). Implies
+    /// [`SolverConfig::proof`].
     pub certify: bool,
 }
 

@@ -11,11 +11,7 @@
 //! (the paper's §7 reuse). Each bounded probe allocates a fresh guard
 //! literal, attaches the window bounds guarded by it, assumes the guard for
 //! the solve, and closes the guard afterwards so the dead bound clauses
-//! simplify away. Guards are therefore always allocated *above* the base
-//! encoding, which is what makes cross-worker clause sharing sound (see
-//! [`optalloc_sat::ClauseExchange`]): when the solver configuration carries
-//! an exchange, the prober pins `share_var_limit` to the base encoding size
-//! so no guard-dependent clause can leak out.
+//! simplify away.
 //!
 //! A *fresh* prober ([`CostProber::fresh`]) re-encodes the problem into a
 //! new solver for every probe, with the window bounds asserted hard — the
@@ -158,11 +154,6 @@ impl<'p> CostProber<'p> {
             sw.attr("constraints", solver.num_constraints().to_string());
         }
         let encode_ms = sw.finish();
-        // Clause sharing may only cover the base encoding: guard variables
-        // for window bounds are allocated from here on up.
-        if solver.config.share_var_limit == 0 {
-            solver.config.share_var_limit = solver.num_vars();
-        }
         // The cost bits are re-referenced by every bounded probe's guard
         // clauses; keep them out of variable elimination.
         bl.freeze_int_var(&mut solver, cost);

@@ -5,32 +5,17 @@
 //! cost interval into **disjoint sub-windows**, so the terminal UNSAT
 //! certification — which dominates the paper's Table-3 instances — is
 //! solved once, divided across workers (see the [`window`] module docs).
-//!
-//! Two cooperation channels make the workers more than the sum of their
-//! parts:
-//!
-//! * **Shared knowledge** — every probe result is folded into one record of
-//!   the remaining range: a SAT window lowers the incumbent, an UNSAT
-//!   window refutes its range, and refuted ranges touching the certified
-//!   lower bound raise it. Workers whose window went stale are interrupted
-//!   and reassigned.
-//! * **Learned-clause sharing** — workers solve the *same base encoding*
-//!   incrementally and exchange short, low-glue learned clauses over a
-//!   lock-free [`ClauseExchange`] ring — the multi-thread analogue of the
-//!   paper's §7 incremental clause reuse.
+//! Every probe result is folded into one record of the remaining range: a
+//! SAT window lowers the incumbent, an UNSAT window refutes its range, and
+//! refuted ranges touching the certified lower bound raise it.
 //!
 //! ## Determinism contract
 //!
-//! * `deterministic: false` — minimal wall-clock: workers are reassigned
-//!   as soon as they finish. The optimal **cost** is always the same, but
-//!   which equal-cost model witnesses it (and which worker closes the
-//!   search, and how many solve calls are reported) depends on thread
-//!   timing.
-//! * `deterministic: true` — barrier-synchronised rounds with an
-//!   index-ordered fold, no interrupts and no clause sharing. Output is
-//!   bit-stable across runs (see the [`window`] module docs).
+//! Workers run barrier-synchronised rounds with an index-ordered fold, so
+//! the output — optimum, witness, winning worker, window assignment, solve
+//! calls and solver counters — is bit-stable across runs. The proven
+//! optimum is also the same for every worker count.
 //!
-//! [`ClauseExchange`]: optalloc_sat::ClauseExchange
 //! [`IntProblem`]: optalloc_intopt::IntProblem
 
 #![warn(missing_docs)]
@@ -48,32 +33,23 @@ pub use window::minimize_window_search;
 /// Options for [`minimize_window_search`].
 #[derive(Clone, Debug)]
 pub struct PortfolioOptions {
-    /// Number of workers; a 1-worker search degenerates to sequential
-    /// interval bisection.
+    /// Number of workers; one worker runs the paper's sequential
+    /// `BIN_SEARCH` loop.
     pub workers: usize,
-    /// `true` runs barrier-synchronised rounds with an index-ordered fold —
-    /// bit-stable output. `false` reassigns each worker as soon as it
-    /// finishes — minimal wall-clock.
-    pub deterministic: bool,
-    /// Minimization options every worker's solver is configured from. Its
-    /// `solver_config.exchange` field is overwritten by the scheduler, and
+    /// Minimization options every worker's solver is configured from;
     /// `mode` is ignored (workers are incremental).
     /// `solver_config.interrupt` is honoured as the **job-scoped** cancel
     /// flag: raising it aborts every worker cooperatively (the hook a
     /// service timeout or shutdown uses). The search never raises it
     /// itself.
     pub base: MinimizeOptions,
-    /// Print one stats line per worker to stderr after the run.
-    pub verbose: bool,
 }
 
 impl Default for PortfolioOptions {
     fn default() -> PortfolioOptions {
         PortfolioOptions {
             workers: 4,
-            deterministic: false,
             base: MinimizeOptions::default(),
-            verbose: false,
         }
     }
 }

@@ -23,37 +23,34 @@
 //! naturally skipped past when it turns out infeasible: once `L` crosses
 //! the hint the ceiling reopens to the top of the cost range.
 //!
-//! Both schedulers below keep this state in one `Knowledge` record and
-//! fold every probe result into it the same way; they differ only in how
-//! workers synchronise.
+//! ## Barrier rounds
 //!
-//! Workers whose in-flight window no longer intersects `[L, ceiling]` are
-//! interrupted cooperatively and immediately reassigned. Workers solve the
-//! same base encoding incrementally, so (in racing mode) they also exchange
-//! short learned clauses over a lock-free [`ClauseExchange`] ring.
+//! Workers run barrier-synchronised *rounds*: worker 0 cuts the unknown
+//! part of `[L, ceiling]` into one window per worker, every worker probes
+//! its window to completion on its own incremental prober, and worker 0
+//! folds the results **in worker-index order**. Window assignment, probe
+//! sequence, solver statistics and the winning worker are therefore
+//! bit-stable across runs; the proven optimum is additionally identical
+//! across worker counts (it is the true optimum, and every run certifies
+//! it exhaustively).
 //!
-//! ## Deterministic mode
+//! A round in which no probe adds knowledge — every window came back
+//! budget-exhausted or interrupted — ends the search with the incumbent.
+//! That is how the job-scoped cancel flag, which every worker's solver
+//! polls, stops a running search.
 //!
-//! With `deterministic: true` the scheduler runs barrier-synchronised
-//! *rounds*: worker 0 plans the round's window partition from the current
-//! knowledge, every worker probes its assigned window to completion (no
-//! interrupts, no clause sharing — import order would be timing-dependent),
-//! and worker 0 folds the results **in worker-index order**. Window
-//! assignment, probe sequence, solver statistics and the winning worker are
-//! all bit-stable across runs; the proven optimum is additionally identical
-//! across worker counts (it is the true optimum, and every mode certifies
-//! it exhaustively). A 1-worker deterministic window search degenerates to
-//! sequential interval bisection.
+//! A 1-worker search has nothing to divide: it runs the paper's sequential
+//! `BIN_SEARCH` loop on one incremental prober ([`IntProblem::minimize`]),
+//! the same search as a single-strategy solve.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use optalloc_intopt::{
-    Backend, Certificate, CostProber, EncodeStats, IntProblem, IntVar, MinimizeOptions,
-    MinimizeStatus, Model, Probe, WindowProof,
+    Backend, BinSearchMode, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
+    MinimizeOptions, MinimizeStatus, Model, Probe, WindowProof,
 };
-use optalloc_sat::{ClauseExchange, SolverStats};
+use optalloc_sat::SolverStats;
 
 use crate::{PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
 
@@ -145,7 +142,7 @@ fn ceiling_of(lower: i64, incumbent: Option<i64>, hint: &mut Option<i64>, cost_h
 // What the probes so far have established
 // ----------------------------------------------------------------------
 
-/// The remaining cost range as both schedulers track it.
+/// The remaining cost range as the probes so far have established it.
 struct Knowledge {
     /// Certified lower bound: every cheaper cost is refuted.
     lower: i64,
@@ -189,7 +186,7 @@ impl Knowledge {
                 self.fragments.push(window);
                 true
             }
-            // A budget-exhausted or stale-window abort carries no knowledge.
+            // A budget-exhausted or cancelled probe carries no knowledge.
             Probe::Unknown | Probe::Interrupted => false,
         };
         self.lower = coalesce(self.lower, &mut self.fragments);
@@ -215,131 +212,10 @@ impl Knowledge {
 }
 
 // ----------------------------------------------------------------------
-// Racing scheduler
+// Barrier-round driver
 // ----------------------------------------------------------------------
 
-struct SchedState {
-    known: Knowledge,
-    /// Window each worker is currently probing.
-    inflight: Vec<Option<(i64, i64)>>,
-    /// Workers that gave up after a budget-exhausted probe.
-    retired: usize,
-    done: bool,
-    /// Worker whose report closed the window.
-    winner: Option<usize>,
-}
-
-struct Scheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-    /// Per-worker cooperative interrupt flags, raised when a worker's
-    /// window goes stale or the search completes.
-    flags: Vec<Arc<AtomicBool>>,
-    /// Number of windows the remaining interval is cut into (`max(2, n)`,
-    /// so a 1-worker search still halves the interval per probe).
-    parts: usize,
-}
-
-impl Scheduler {
-    fn new(n: usize, cost: IntVar, hint: Option<i64>) -> Scheduler {
-        Scheduler {
-            state: Mutex::new(SchedState {
-                known: Knowledge::new(cost, hint),
-                inflight: vec![None; n],
-                retired: 0,
-                done: false,
-                winner: None,
-            }),
-            cv: Condvar::new(),
-            flags: (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect(),
-            parts: n.max(2),
-        }
-    }
-
-    /// Blocks until a window is available (or the search is over). The
-    /// returned window is disjoint from every fragment and every other
-    /// worker's in-flight window.
-    fn next(&self, i: usize) -> Option<(i64, i64)> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.done {
-                return None;
-            }
-            let mut blocked = st.known.fragments.clone();
-            blocked.extend(st.inflight.iter().flatten().copied());
-            let unknown = subtract(st.known.lower, st.known.ceiling, &mut blocked);
-            if let Some(&(a, b)) = unknown.first() {
-                let mass: i64 = unknown.iter().map(|(x, y)| y - x + 1).sum();
-                let chunk = ((mass + self.parts as i64 - 1) / self.parts as i64).max(1);
-                let w = (a, b.min(a + chunk - 1));
-                st.inflight[i] = Some(w);
-                self.flags[i].store(false, Ordering::Relaxed);
-                return Some(w);
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Folds one probe result into the shared knowledge and re-derives
-    /// termination and staleness interrupts.
-    fn report(&self, i: usize, window: (i64, i64), probe: Probe) {
-        let mut st = self.state.lock().unwrap();
-        st.inflight[i] = None;
-        if matches!(probe, Probe::Unknown) {
-            st.retired += 1;
-            if st.retired >= self.flags.len() {
-                st.done = true;
-            }
-        }
-        st.known.fold(window, probe);
-        if st.done {
-            self.raise_all();
-        } else if st.known.closed() {
-            st.done = true;
-            st.winner = Some(i);
-            self.raise_all();
-        } else {
-            // Interrupt workers whose window fell outside the remaining
-            // range (entirely refuted below, or above the new ceiling).
-            for (j, w) in st.inflight.iter().enumerate() {
-                if let Some((a, b)) = w {
-                    if *b < st.known.lower || *a > st.known.ceiling {
-                        self.flags[j].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    fn raise_all(&self) {
-        for f in &self.flags {
-            f.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// External cancellation: ends the search with whatever incumbent was
-    /// found (`winner` stays `None`, so the outcome reports `Unknown`),
-    /// aborts every in-flight probe and releases workers blocked in
-    /// [`Scheduler::next`].
-    fn cancel(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.done = true;
-        self.raise_all();
-        self.cv.notify_all();
-    }
-
-    /// `true` once the search is over (by any path).
-    fn finished(&self) -> bool {
-        self.state.lock().unwrap().done
-    }
-}
-
-// ----------------------------------------------------------------------
-// Deterministic barrier-round driver
-// ----------------------------------------------------------------------
-
-struct DetState {
+struct RoundState {
     known: Knowledge,
     /// The current round's window plan; worker `i` probes `windows[i]`.
     windows: Vec<(i64, i64)>,
@@ -349,10 +225,10 @@ struct DetState {
     winner: Option<usize>,
 }
 
-/// One deterministic step, run by worker 0 between barriers: fold the
+/// The step between two rounds, run by worker 0 between barriers: fold the
 /// previous round's results in worker-index order, then plan the next
 /// round's windows.
-fn det_step(st: &mut DetState, n: usize) {
+fn step(st: &mut RoundState, n: usize) {
     let results = std::mem::take(&mut st.results);
     let mut progress = false;
     for (j, r) in results.into_iter().enumerate() {
@@ -368,14 +244,14 @@ fn det_step(st: &mut DetState, n: usize) {
     }
     if !st.windows.is_empty() && !progress {
         // A full round with zero new knowledge: every probed window came
-        // back Unknown. Re-running the identical round would loop forever;
-        // give up with the incumbent.
+        // back Unknown or Interrupted. Re-running the identical round would
+        // loop forever; give up with the incumbent.
         st.done = true;
         return;
     }
     let known = &st.known;
     let unknown = subtract(known.lower, known.ceiling, &mut known.fragments.clone());
-    st.windows = split(&unknown, n.max(2));
+    st.windows = split(&unknown, n);
     st.windows.truncate(n);
     st.results = vec![None; n];
 }
@@ -395,6 +271,10 @@ struct WorkerRun {
     proofs: Vec<WindowProof>,
 }
 
+/// How a search ended: its verdict, the worker whose result closed it, and
+/// every worker's run record.
+type Finish = (MinimizeStatus, Option<usize>, Vec<WorkerRun>);
+
 impl WorkerRun {
     fn of(mut prober: CostProber<'_>, windows: Vec<(i64, i64)>, start: Instant) -> WorkerRun {
         WorkerRun {
@@ -410,34 +290,25 @@ impl WorkerRun {
 
 /// Minimizes `cost` over `problem` with a parallel window search (see the
 /// module docs for the protocol and the determinism contract). The
-/// [`PortfolioOptions::base`] options configure every worker's solver; its
-/// `solver_config.exchange` field is overwritten by the scheduler.
+/// [`PortfolioOptions::base`] options configure every worker's solver.
 /// `solver_config.interrupt` is honoured as the job-scoped cancel flag:
 /// raising it ends the search cooperatively with an `Unknown` outcome
-/// carrying the best incumbent.
+/// (`Interrupted` for one worker) carrying the best incumbent.
 pub fn minimize_window_search(
     problem: &IntProblem,
     cost: IntVar,
     opts: &PortfolioOptions,
 ) -> PortfolioOutcome {
     let n = opts.workers.max(1);
-    let exchange = (!opts.deterministic && n >= 2)
-        .then(ClauseExchange::new)
-        .map(Arc::new);
     let worker_opts = |i: usize| {
         // The clone keeps the caller's job-scoped interrupt flag, which
-        // deterministic workers poll directly (an externally-aborted round
-        // makes no progress, which terminates the barrier loop). Racing
-        // workers get a per-worker staleness flag instead, and a monitor
-        // thread bridges the caller's flag to the scheduler.
+        // every worker's solver polls directly.
         let mut w = opts.base.clone();
+        // Window workers keep one incremental solver across their probes.
+        w.mode = BinSearchMode::Incremental;
         // Progress events from a window worker carry its index; the solver
         // stamps the per-probe window itself.
         w.solver_config.progress_worker = Some(i);
-        if let Some(ex) = &exchange {
-            w.solver_config.exchange = Some(Arc::clone(ex));
-            w.solver_config.share_writer = i as u32;
-        }
         w
     };
     let desc = {
@@ -448,10 +319,10 @@ pub fn minimize_window_search(
         move |i: usize| format!("win/{backend}/w{i}")
     };
 
-    let (status, winner, runs) = if opts.deterministic {
-        run_deterministic(problem, cost, opts, n, &worker_opts)
+    let (status, winner, runs) = if n == 1 {
+        run_sequential(problem, cost, &worker_opts(0))
     } else {
-        run_racing(problem, cost, opts, n, &worker_opts)
+        run_rounds(problem, cost, opts, n, &worker_opts)
     };
 
     let optimum = match &status {
@@ -473,10 +344,10 @@ pub fn minimize_window_search(
             (MinimizeStatus::Optimal { .. }, _) => (WorkerVerdict::ExternalOptimal, optimum),
             (MinimizeStatus::Infeasible, Some(w)) if w == i => (WorkerVerdict::Infeasible, None),
             (MinimizeStatus::Infeasible, _) => (WorkerVerdict::Interrupted, None),
-            (MinimizeStatus::Unknown { incumbent }, _) => {
-                (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v))
-            }
-            _ => (WorkerVerdict::Unknown, None),
+            (
+                MinimizeStatus::Unknown { incumbent } | MinimizeStatus::Interrupted { incumbent },
+                _,
+            ) => (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v)),
         };
         workers.push(WorkerReport {
             index: i,
@@ -500,7 +371,7 @@ pub fn minimize_window_search(
         }),
         _ => None,
     };
-    let outcome = PortfolioOutcome {
+    PortfolioOutcome {
         status,
         solve_calls,
         encode: runs[0].encode,
@@ -508,84 +379,39 @@ pub fn minimize_window_search(
         winner,
         workers,
         certificate,
-    };
-    if opts.verbose {
-        for w in &outcome.workers {
-            eprintln!("{w}");
-        }
     }
-    outcome
 }
 
-#[allow(clippy::type_complexity)]
-fn run_racing(
+/// One worker: the paper's sequential `BIN_SEARCH` over one incremental
+/// prober, reported as the only window worker. Its first probe is the
+/// unbounded `SOLVE(φ)`, so it records no windows.
+fn run_sequential(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) -> Finish {
+    let start = Instant::now();
+    let out = problem.minimize(cost, opts);
+    let closed = matches!(
+        out.status,
+        MinimizeStatus::Optimal { .. } | MinimizeStatus::Infeasible
+    );
+    let run = WorkerRun {
+        windows: Vec::new(),
+        solve_calls: out.solve_calls,
+        stats: out.stats,
+        wall: start.elapsed(),
+        encode: out.encode,
+        proofs: out.proofs,
+    };
+    (out.status, closed.then_some(0), vec![run])
+}
+
+/// `n ≥ 2` workers in barrier rounds (see the module docs).
+fn run_rounds(
     problem: &IntProblem,
     cost: IntVar,
     opts: &PortfolioOptions,
     n: usize,
     worker_opts: &dyn Fn(usize) -> MinimizeOptions,
-) -> (MinimizeStatus, Option<usize>, Vec<WorkerRun>) {
-    let sched = Scheduler::new(n, cost, opts.base.initial_upper);
-    let parent_interrupt = opts.base.solver_config.interrupt.clone();
-    let runs: Vec<WorkerRun> = std::thread::scope(|scope| {
-        let sched = &sched;
-        // Bridge the caller's job-scoped interrupt flag (timeout, shutdown)
-        // into the scheduler: workers poll per-worker staleness flags, so
-        // an external raise must be translated to a full cancellation.
-        if let Some(parent) = &parent_interrupt {
-            // A flag raised before the search starts cancels it here: a
-            // small search can finish before the monitor's first look.
-            if parent.load(Ordering::Relaxed) {
-                sched.cancel();
-            }
-            let parent = Arc::clone(parent);
-            scope.spawn(move || {
-                while !sched.finished() {
-                    if parent.load(Ordering::Relaxed) {
-                        sched.cancel();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let mut wopts = worker_opts(i);
-                wopts.solver_config.interrupt = Some(Arc::clone(&sched.flags[i]));
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut prober = CostProber::new(problem, cost, &wopts);
-                    let mut windows = Vec::new();
-                    while let Some(w) = sched.next(i) {
-                        windows.push(w);
-                        let probe = prober.probe(Some(w));
-                        let retire = matches!(probe, Probe::Unknown);
-                        sched.report(i, w, probe);
-                        if retire {
-                            break;
-                        }
-                    }
-                    WorkerRun::of(prober, windows, start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let st = sched.state.into_inner().unwrap();
-    (st.known.status(st.winner.is_some()), st.winner, runs)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_deterministic(
-    problem: &IntProblem,
-    cost: IntVar,
-    opts: &PortfolioOptions,
-    n: usize,
-    worker_opts: &dyn Fn(usize) -> MinimizeOptions,
-) -> (MinimizeStatus, Option<usize>, Vec<WorkerRun>) {
-    let state = Mutex::new(DetState {
+) -> Finish {
+    let state = Mutex::new(RoundState {
         known: Knowledge::new(cost, opts.base.initial_upper),
         windows: Vec::new(),
         results: Vec::new(),
@@ -609,7 +435,7 @@ fn run_deterministic(
                         // no-op on the first pass) and plans the next one.
                         barrier.wait();
                         if i == 0 {
-                            det_step(&mut state.lock().unwrap(), n);
+                            step(&mut state.lock().unwrap(), n);
                         }
                         barrier.wait();
                         // Phase B: probe the assigned window, if any.
@@ -640,6 +466,11 @@ fn run_deterministic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+
+    use optalloc_intopt::IntExpr;
+    use optalloc_obs::ProgressHook;
 
     fn instance() -> (IntProblem, IntVar) {
         let mut p = IntProblem::new();
@@ -695,90 +526,138 @@ mod tests {
     #[test]
     fn window_search_finds_optimum() {
         let (p, cost) = instance();
-        for deterministic in [false, true] {
-            for workers in [1, 2, 4] {
-                let out = minimize_window_search(
-                    &p,
-                    cost,
-                    &PortfolioOptions {
-                        workers,
-                        deterministic,
-                        ..PortfolioOptions::default()
-                    },
-                );
-                match out.status {
-                    MinimizeStatus::Optimal { value, ref model } => {
-                        assert_eq!(value, 0, "det={deterministic} workers={workers}");
-                        assert_eq!(model.int(cost), 0);
-                    }
-                    ref s => panic!("det={deterministic} workers={workers}: got {s:?}"),
+        for workers in [1, 2, 4] {
+            let out = minimize_window_search(
+                &p,
+                cost,
+                &PortfolioOptions {
+                    workers,
+                    ..PortfolioOptions::default()
+                },
+            );
+            match out.status {
+                MinimizeStatus::Optimal { value, ref model } => {
+                    assert_eq!(value, 0, "workers={workers}");
+                    assert_eq!(model.int(cost), 0);
                 }
-                assert!(out.winner.is_some());
-                assert_eq!(out.workers.len(), workers);
-                // Every worker's probed windows are disjoint from every
-                // other worker's (the disjoint-partition invariant).
-                let mut all: Vec<(i64, i64)> = out
-                    .workers
-                    .iter()
-                    .flat_map(|w| w.windows.iter().copied())
-                    .collect();
-                all.sort_unstable();
-                assert!(!all.is_empty());
+                ref s => panic!("workers={workers}: got {s:?}"),
+            }
+            assert!(out.winner.is_some());
+            assert_eq!(out.workers.len(), workers);
+            if workers > 1 {
+                // Every round cuts the unknown range into disjoint windows.
+                let probed: usize = out.workers.iter().map(|w| w.windows.len()).sum();
+                assert!(probed > 0, "workers={workers}");
             }
         }
     }
 
+    /// One worker runs the sequential `BIN_SEARCH` loop: the same probes,
+    /// the same counters and the same optimum as `IntProblem::minimize`.
+    #[test]
+    fn one_worker_is_the_sequential_search() {
+        let (p, cost) = instance();
+        let single = p.minimize(cost, &MinimizeOptions::default());
+        let out = minimize_window_search(
+            &p,
+            cost,
+            &PortfolioOptions {
+                workers: 1,
+                ..PortfolioOptions::default()
+            },
+        );
+        match (&single.status, &out.status) {
+            (
+                MinimizeStatus::Optimal { value: a, .. },
+                MinimizeStatus::Optimal { value: b, .. },
+            ) => assert_eq!(a, b),
+            (s, t) => panic!("expected Optimal twice, got {s:?} / {t:?}"),
+        }
+        assert_eq!(out.solve_calls, single.solve_calls);
+        assert_eq!(out.stats.conflicts, single.stats.conflicts);
+        assert_eq!(out.stats.decisions, single.stats.decisions);
+        assert_eq!(out.winner, Some(0));
+        assert_eq!(out.workers.len(), 1);
+        assert_eq!(out.workers[0].verdict, WorkerVerdict::Optimal);
+    }
+
     #[test]
     fn pre_raised_job_flag_cancels_a_window_search() {
-        // Racing mode bridges the caller's flag through the monitor thread;
-        // deterministic mode polls it directly and terminates on the first
-        // no-progress round. Either way: no hang, no false optimum.
+        // Workers poll the caller's flag directly; the first round makes no
+        // progress and ends the search. No hang, no false optimum.
         let (p, cost) = instance();
-        for deterministic in [false, true] {
-            let mut opts = PortfolioOptions {
-                workers: 3,
-                deterministic,
-                ..PortfolioOptions::default()
-            };
-            opts.base.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
-            let out = minimize_window_search(&p, cost, &opts);
-            assert!(
-                matches!(out.status, MinimizeStatus::Unknown { .. }),
-                "det={deterministic}: got {:?}",
-                out.status
-            );
-            assert!(out.winner.is_none(), "det={deterministic}");
+        let mut opts = PortfolioOptions {
+            workers: 3,
+            ..PortfolioOptions::default()
+        };
+        opts.base.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
+        let out = minimize_window_search(&p, cost, &opts);
+        assert!(
+            matches!(out.status, MinimizeStatus::Unknown { .. }),
+            "got {:?}",
+            out.status
+        );
+        assert!(out.winner.is_none());
+    }
+
+    /// Nine pairwise-distinct values in `[0, 15]` with the smallest sum:
+    /// proving that no sum below 36 exists is a pigeonhole argument that
+    /// keeps three workers busy for over a minute, far longer than the
+    /// cancel takes to land.
+    fn distinct_sum_instance() -> (IntProblem, IntVar) {
+        let mut p = IntProblem::new();
+        let xs: Vec<IntVar> = (0..9).map(|_| p.int_var(0, 15)).collect();
+        for (i, a) in xs.iter().enumerate() {
+            for b in &xs[i + 1..] {
+                p.assert(a.expr().ne(b.expr()));
+            }
         }
+        let cost = p.int_var(0, 9 * 15);
+        let sum = xs.iter().fold(IntExpr::constant(0), |s, x| s + x.expr());
+        p.assert(cost.expr().eq(sum));
+        (p, cost)
     }
 
     #[test]
     fn mid_flight_cancellation_releases_blocked_workers() {
-        // Raise the flag from outside while the racing search runs; the
-        // monitor must cancel the scheduler and release every worker
-        // (including any blocked in `Scheduler::next`) promptly.
-        let (p, cost) = instance();
+        // Raise the job flag from another thread once a worker reports
+        // search progress, so it lands while the rounds are running. The
+        // interrupted probes make the round progress-free, which ends the
+        // search; workers waiting at the barrier are released with it.
+        let (p, cost) = distinct_sum_instance();
         let flag = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel::<()>();
         let mut opts = PortfolioOptions {
             workers: 3,
-            deterministic: false,
             ..PortfolioOptions::default()
         };
         opts.base.solver_config.interrupt = Some(Arc::clone(&flag));
+        opts.base.solver_config.progress_every_conflicts = 64;
+        opts.base.solver_config.progress_interval_ms = 0;
+        opts.base.solver_config.progress = Some(ProgressHook::new(move |_| {
+            let _ = tx.send(());
+        }));
         let raiser = {
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                flag.store(true, Ordering::Relaxed);
+                // The sender drops with the search's options, so a search
+                // that ends before reporting progress does not block this.
+                if rx.recv().is_ok() {
+                    flag.store(true, Ordering::Relaxed);
+                }
             })
         };
-        // Terminates either with the optimum (search won the race) or as
-        // cancelled — both are sound; hanging is the failure mode.
         let out = minimize_window_search(&p, cost, &opts);
+        drop(opts);
         raiser.join().unwrap();
-        assert!(matches!(
-            out.status,
-            MinimizeStatus::Optimal { .. } | MinimizeStatus::Unknown { .. }
-        ));
+        assert!(flag.load(Ordering::Relaxed), "the flag was never raised");
+        match out.status {
+            MinimizeStatus::Unknown { .. } => assert!(out.winner.is_none()),
+            MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 36),
+            ref s => panic!("got {s:?}"),
+        }
+        // Every worker was joined and reported.
+        assert_eq!(out.workers.len(), 3);
     }
 
     #[test]
@@ -787,19 +666,18 @@ mod tests {
         let x = p.int_var(0, 30);
         p.assert(x.expr().ge(10));
         p.assert(x.expr().le(9));
-        for deterministic in [false, true] {
+        for workers in [1, 3] {
             let out = minimize_window_search(
                 &p,
                 x,
                 &PortfolioOptions {
-                    workers: 3,
-                    deterministic,
+                    workers,
                     ..PortfolioOptions::default()
                 },
             );
             assert!(
                 matches!(out.status, MinimizeStatus::Infeasible),
-                "det={deterministic}: got {:?}",
+                "workers={workers}: got {:?}",
                 out.status
             );
         }
@@ -812,32 +690,23 @@ mod tests {
         let mut p = IntProblem::new();
         let x = p.int_var(0, 50);
         p.assert(x.expr().ge(12));
-        for deterministic in [false, true] {
+        for workers in [1, 2] {
             let base = MinimizeOptions {
                 initial_upper: Some(5),
                 ..MinimizeOptions::default()
             };
-            let out = minimize_window_search(
-                &p,
-                x,
-                &PortfolioOptions {
-                    workers: 2,
-                    deterministic,
-                    base,
-                    ..PortfolioOptions::default()
-                },
-            );
+            let out = minimize_window_search(&p, x, &PortfolioOptions { workers, base });
             match out.status {
                 MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 12),
-                ref s => panic!("det={deterministic}: got {s:?}"),
+                ref s => panic!("workers={workers}: got {s:?}"),
             }
         }
     }
 
     /// Certified window search: the UNSAT fragments the scheduler
     /// coalesced are exactly the certified windows, stitched across
-    /// workers into a gap-free covering certificate. Deterministic runs
-    /// produce bit-identical certificates.
+    /// workers into a gap-free covering certificate. Repeated runs produce
+    /// bit-identical certificates.
     #[test]
     fn certified_window_search_verifies() {
         let mut p = IntProblem::new();
@@ -847,36 +716,25 @@ mod tests {
             certify: true,
             ..MinimizeOptions::default()
         };
-        for deterministic in [false, true] {
-            for workers in [1, 3] {
-                let opts = PortfolioOptions {
-                    workers,
-                    deterministic,
-                    base: base.clone(),
-                    ..PortfolioOptions::default()
-                };
-                let out = minimize_window_search(&p, x, &opts);
-                match out.status {
-                    MinimizeStatus::Optimal { value, .. } => {
-                        assert_eq!(value, 7, "det={deterministic} workers={workers}")
-                    }
-                    ref s => panic!("det={deterministic} workers={workers}: got {s:?}"),
-                }
-                let cert = out.certificate.as_ref().expect("certificate stitched");
-                let summary = cert
-                    .verify()
-                    .unwrap_or_else(|e| panic!("det={deterministic} workers={workers}: {e}"));
-                assert!(summary.windows > 0);
+        for workers in [1, 3] {
+            let opts = PortfolioOptions {
+                workers,
+                base: base.clone(),
+            };
+            let out = minimize_window_search(&p, x, &opts);
+            match out.status {
+                MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 7, "workers={workers}"),
+                ref s => panic!("workers={workers}: got {s:?}"),
             }
+            let cert = out.certificate.as_ref().expect("certificate stitched");
+            let summary = cert
+                .verify()
+                .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+            assert!(summary.windows > 0);
         }
-        // Deterministic certificates are bit-stable: same windows, same
-        // proof steps, run to run.
-        let opts = PortfolioOptions {
-            workers: 3,
-            deterministic: true,
-            base,
-            ..PortfolioOptions::default()
-        };
+        // Certificates are bit-stable: same windows, same proof steps, run
+        // to run.
+        let opts = PortfolioOptions { workers: 3, base };
         let a = minimize_window_search(&p, x, &opts);
         let b = minimize_window_search(&p, x, &opts);
         let (sa, sb) = (
@@ -893,7 +751,6 @@ mod tests {
         let (p, cost) = instance();
         let opts = PortfolioOptions {
             workers: 3,
-            deterministic: true,
             ..PortfolioOptions::default()
         };
         let a = minimize_window_search(&p, cost, &opts);

@@ -1,10 +1,9 @@
 //! Agreement property: on random optimization instances, the paper's two
 //! `BIN_SEARCH` modes (each with the encoder optimization layer on and
-//! off), the parallel window search (deterministic and racing), and every
-//! point of the search-engine grid (restart policy × tiered DB ×
-//! vivification) all prove the same optimal cost — neither parallel
-//! flavour, the optimized encoder, nor any search-core axis trades
-//! correctness for speed.
+//! off), the parallel window search, and every point of the search-engine
+//! grid (restart policy × tiered DB × vivification) all prove the same
+//! optimal cost — neither the parallel search, the optimized encoder, nor
+//! any search-core axis trades correctness for speed.
 
 use optalloc_intopt::{
     BinSearchMode, BoolExpr, EncoderOpt, IntExpr, IntProblem, IntVar, MinimizeOptions,
@@ -84,13 +83,12 @@ fn optimum_engine(p: &IntProblem, cost: IntVar, engine: SearchEngine) -> Option<
     }
 }
 
-fn optimum_window(p: &IntProblem, cost: IntVar, deterministic: bool) -> Option<i64> {
+fn optimum_window(p: &IntProblem, cost: IntVar) -> Option<i64> {
     let out = minimize_window_search(
         p,
         cost,
         &PortfolioOptions {
             workers: 4,
-            deterministic,
             ..PortfolioOptions::default()
         },
     );
@@ -104,7 +102,7 @@ fn optimum_window(p: &IntProblem, cost: IntVar, deterministic: bool) -> Option<i
             Some(value)
         }
         MinimizeStatus::Infeasible => None,
-        ref s => panic!("window(det={deterministic}): unexpected {s:?}"),
+        ref s => panic!("window: unexpected {s:?}"),
     }
 }
 
@@ -136,8 +134,7 @@ proptest! {
         let fresh_unopt = optimum_single(&p, cost, BinSearchMode::Fresh, EncoderOpt::none());
         let incremental_unopt =
             optimum_single(&p, cost, BinSearchMode::Incremental, EncoderOpt::none());
-        let window_det = optimum_window(&p, cost, true);
-        let window_racing = optimum_window(&p, cost, false);
+        let window = optimum_window(&p, cost);
 
         prop_assert_eq!(fresh, incremental, "fresh vs incremental");
         prop_assert_eq!(incremental, fresh_unopt, "optimized vs unoptimized fresh encoder");
@@ -145,8 +142,7 @@ proptest! {
             fresh_unopt, incremental_unopt,
             "unoptimized fresh vs unoptimized incremental"
         );
-        prop_assert_eq!(incremental_unopt, window_det, "incremental vs deterministic window search");
-        prop_assert_eq!(window_det, window_racing, "deterministic vs racing window search");
+        prop_assert_eq!(incremental_unopt, window, "incremental vs window search");
 
         // The search-engine grid: restart policy × tiered DB × vivification
         // (binary watches on throughout — the legacy all-off point is

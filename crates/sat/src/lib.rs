@@ -46,7 +46,6 @@
 
 mod clause;
 mod drat;
-mod exchange;
 mod formula;
 mod heap;
 mod pb;
@@ -54,7 +53,6 @@ mod solver;
 mod types;
 
 pub use drat::{check_proof, CheckError, CheckedProof, Claim, ProofLog, ProofStep};
-pub use exchange::{ClauseExchange, EXCHANGE_SLOTS, MAX_SHARED_LITS};
 pub use formula::{Formula, ParseError};
 pub use pb::{normalize_ge, to_ge_constraints, Normalized, PbOp, PbTerm};
 pub use solver::{

@@ -42,7 +42,6 @@ use simp::ElimGroup;
 
 use crate::clause::{ClauseDb, ClauseRef, Tier};
 use crate::drat::ProofLog;
-use crate::exchange::{ClauseExchange, MAX_SHARED_LITS};
 use crate::heap::VarOrderHeap;
 use crate::pb::{normalize_ge, to_ge_constraints, Normalized, PbConstraint, PbOp, PbTerm};
 use crate::types::{LBool, Lit, Var};
@@ -291,36 +290,15 @@ pub struct SolverConfig {
     pub max_conflicts: Option<u64>,
     /// Default phase for unassigned decision variables.
     pub default_phase: bool,
-    /// If set, fresh variables get a pseudo-random initial phase derived
-    /// from this seed (instead of `default_phase`), which diversifies
-    /// otherwise-identical solvers.
-    pub phase_seed: Option<u64>,
     /// Cooperative cancellation: when the flag becomes true, `solve`
     /// returns [`SolveResult::Interrupted`] at the next conflict or
     /// decision boundary. The solver stays sound and reusable.
     pub interrupt: Option<Arc<AtomicBool>>,
-    /// Cross-solver learned-clause exchange. When set, short learned
-    /// clauses passing the share filters are published to the ring, and
-    /// foreign clauses are imported at every `solve` entry and restart.
-    /// All participating solvers **must** hold the same base encoding (see
-    /// the soundness contract in [`crate::ClauseExchange`]'s module docs).
-    pub exchange: Option<Arc<ClauseExchange>>,
-    /// This solver's id on the exchange; its own clauses are not re-imported.
-    pub share_writer: u32,
-    /// Only clauses whose variables all have `index <` this limit are
-    /// exported — set it to the variable count of the shared base encoding
-    /// so clauses involving solver-local guard/bound variables stay local.
-    /// The default `0` exports nothing.
-    pub share_var_limit: usize,
-    /// Maximum length of an exported clause (clamped to the slot capacity).
-    pub share_max_len: usize,
-    /// Maximum LBD (glue) of an exported clause.
-    pub share_max_lbd: u32,
     /// Run the level-0 occurrence-list simplification pass
     /// (duplicate/subsumed clause removal and self-subsuming resolution; plus
     /// bounded variable elimination when [`elim`](Self::elim) is on) at the
     /// first `solve` call. Equivalence-preserving, so sound under incremental
-    /// reuse, assumptions, and clause exchange.
+    /// reuse and assumptions.
     pub preprocess: bool,
     /// Bounded variable elimination (SatELite-style clause distribution
     /// under a growth cutoff) inside the simplification pass, plus bounded
@@ -332,9 +310,7 @@ pub struct SolverConfig {
     pub elim: bool,
     /// Record an extended DRAT trace ([`crate::ProofLog`]) of every input
     /// constraint and every derived clause, retrievable with
-    /// [`Solver::take_proof`]. Implies that foreign clauses from the
-    /// exchange are **not imported** (they have no local derivation, so
-    /// they could not be justified in the proof); exporting still works.
+    /// [`Solver::take_proof`].
     pub proof: bool,
     /// Route binary clauses through dedicated watch lists (other literal
     /// inline), propagated before long clauses. Must not be flipped after
@@ -406,13 +382,7 @@ impl Default for SolverConfig {
             reduce_grow: 1.2,
             max_conflicts: None,
             default_phase: false,
-            phase_seed: None,
             interrupt: None,
-            exchange: None,
-            share_writer: 0,
-            share_var_limit: 0,
-            share_max_len: MAX_SHARED_LITS,
-            share_max_lbd: 6,
             preprocess: true,
             elim: true,
             proof: false,
@@ -541,8 +511,6 @@ define_solver_stats! {
     [counter] learned: u64 = "Clauses learned (including units).";
     [counter] deleted: u64 = "Learned clauses deleted by DB reduction.";
     [counter] pb_propagations: u64 = "Propagations caused by PB constraints.";
-    [counter] exported: u64 = "Learned clauses published to the cross-solver exchange.";
-    [counter] imported: u64 = "Foreign clauses imported from the exchange.";
     [counter] pp_removed: u64 =
         "Input clauses removed by preprocessing (satisfied, duplicate or subsumed).";
     [counter] pp_strengthened: u64 =
@@ -647,9 +615,6 @@ pub struct Solver {
     input_literals: u64,
     input_clauses: u64,
 
-    /// Read position on the clause exchange, if one is configured.
-    exchange_cursor: u64,
-
     /// Whether the first-solve simplification pass has run.
     preprocessed: bool,
 
@@ -724,7 +689,6 @@ impl Solver {
             model: Vec::new(),
             input_literals: 0,
             input_clauses: 0,
-            exchange_cursor: 0,
             preprocessed: false,
             frozen: Vec::new(),
             eliminated: Vec::new(),
@@ -772,11 +736,7 @@ impl Solver {
         self.reason.push(Reason::None);
         self.trail_pos.push(0);
         self.activity.push(0.0);
-        let phase = match self.config.phase_seed {
-            Some(seed) => splitmix64(seed ^ v.index() as u64) & 1 == 1,
-            None => self.config.default_phase,
-        };
-        self.saved_phase.push(phase);
+        self.saved_phase.push(self.config.default_phase);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -1990,10 +1950,6 @@ impl Solver {
             self.set_unsat();
             return SolveResult::Unsat;
         }
-        self.import_shared();
-        if !self.ok {
-            return SolveResult::Unsat;
-        }
         // Assuming an eliminated variable would search the distributed
         // formula `F′ ∧ x` instead of `F ∧ x` — not equisatisfiable — so
         // melt it back first.
@@ -2046,13 +2002,6 @@ impl Solver {
                     match self.config.restart_policy {
                         RestartPolicy::Luby => self.stats.restarts_luby += 1,
                         RestartPolicy::Ema => self.stats.restarts_ema += 1,
-                    }
-                    // Restart boundaries are the one safe point inside a
-                    // solve call to pull in foreign clauses (level 0, no
-                    // pending conflict).
-                    self.import_shared();
-                    if !self.ok {
-                        break SolveResult::Unsat;
                     }
                     if self.config.vivify && self.learned_since_vivify >= VIVIFY_MIN_LEARNED {
                         self.learned_since_vivify = 0;
@@ -2274,7 +2223,6 @@ impl Solver {
             }
             1 => {
                 self.assign(learnt[0], Reason::None);
-                self.maybe_export(learnt, 1);
                 1
             }
             _ => {
@@ -2291,116 +2239,7 @@ impl Solver {
                 self.stats.peak_learnts = self.stats.peak_learnts.max(self.learnts.len() as u64);
                 self.learned_since_vivify += 1;
                 self.assign(learnt[0], Reason::Clause(cref));
-                self.maybe_export(learnt, lbd);
                 lbd
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Cross-solver clause exchange
-    // ------------------------------------------------------------------
-
-    /// Publishes a freshly learned clause to the exchange when it passes
-    /// the share filters: short, low-glue, and — critically for soundness —
-    /// confined to the shared base encoding (`share_var_limit`), so clauses
-    /// that depend on solver-local guarded bounds never leave this solver.
-    fn maybe_export(&mut self, lits: &[Lit], lbd: u32) {
-        let Some(ex) = &self.config.exchange else {
-            return;
-        };
-        if lits.len() > self.config.share_max_len || lbd > self.config.share_max_lbd {
-            return;
-        }
-        if lits
-            .iter()
-            .any(|l| l.var().index() >= self.config.share_var_limit)
-        {
-            return;
-        }
-        if ex.publish(self.config.share_writer, lits) {
-            self.stats.exported += 1;
-        }
-    }
-
-    /// Imports clauses other workers published since the last call. Must
-    /// run outside search or at a restart boundary; backtracks to level 0
-    /// (assumptions are re-decided by the next `pick_next` pass).
-    fn import_shared(&mut self) {
-        // A foreign clause has no local derivation, so it could never be
-        // justified in the DRAT trace: under proof logging this solver
-        // exports but does not import.
-        if self.config.proof {
-            return;
-        }
-        let Some(ex) = self.config.exchange.clone() else {
-            return;
-        };
-        self.backtrack_to(0);
-        let mut incoming: Vec<Vec<Lit>> = Vec::new();
-        self.exchange_cursor = ex.drain(self.config.share_writer, self.exchange_cursor, |c| {
-            incoming.push(c.to_vec());
-        });
-        for lits in incoming {
-            if !self.ok {
-                return;
-            }
-            self.import_clause(&lits);
-        }
-    }
-
-    /// Installs one foreign clause as a (deletable) learned clause,
-    /// simplifying against the level-0 assignment first.
-    fn import_clause(&mut self, lits: &[Lit]) {
-        // Defensive: a clause from a differently-sized encoding is dropped.
-        if lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-            return;
-        }
-        // Shared-base variables are automatically frozen, so a foreign
-        // clause should never mention an eliminated variable; drop it rather
-        // than restore (a learned clause is never worth the churn).
-        if lits.iter().any(|l| self.eliminated[l.var().index()]) {
-            return;
-        }
-        let mut cl: Vec<Lit> = lits.to_vec();
-        cl.sort_unstable();
-        cl.dedup();
-        let mut write = 0;
-        for i in 0..cl.len() {
-            let l = cl[i];
-            if i + 1 < cl.len() && cl[i + 1] == !l {
-                return; // tautology
-            }
-            match self.value_lit(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False => {}
-                LBool::Undef => {
-                    cl[write] = l;
-                    write += 1;
-                }
-            }
-        }
-        cl.truncate(write);
-        self.stats.imported += 1;
-        match cl.len() {
-            0 => self.ok = false,
-            1 => {
-                self.assign(cl[0], Reason::None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-            }
-            _ => {
-                let cref = self.db.alloc(&cl, true);
-                self.db.set_lbd(cref, cl.len() as u32);
-                self.db.set_activity(cref, self.cla_inc);
-                if self.config.tiered_db {
-                    self.db.set_tier(cref, tier_for_lbd(cl.len() as u32));
-                }
-                self.db.set_touch(cref, self.stats.conflicts);
-                self.attach(cref);
-                self.learnts.push(cref);
-                self.stats.peak_learnts = self.stats.peak_learnts.max(self.learnts.len() as u64);
             }
         }
     }
@@ -2562,16 +2401,6 @@ fn shrink_excess<T>(v: &mut Vec<T>) -> usize {
     before - v.capacity()
 }
 
-/// SplitMix64 finalizer; mixes a seed into a well-distributed word. Used for
-/// the per-variable pseudo-random initial phases under
-/// [`SolverConfig::phase_seed`].
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
 fn luby(mut i: u64) -> u64 {
     // Find the finite subsequence containing index i, then recurse.
@@ -2620,31 +2449,29 @@ mod tests {
         s.learned = base + 4;
         s.deleted = base + 5;
         s.pb_propagations = base + 6;
-        s.exported = base + 7;
-        s.imported = base + 8;
-        s.pp_removed = base + 9;
-        s.pp_strengthened = base + 10;
-        s.pp_fixed = base + 11;
-        s.elim_vars = base + 12;
-        s.elim_clauses = base + 13;
-        s.elim_resolvents = base + 14;
-        s.elim_attempts = base + 15;
-        s.elim_pairs = base + 16;
-        s.subsume_checks = base + 17;
-        s.elim_restored = base + 18;
-        s.elim_stack_depth = base + 19;
-        s.restarts_luby = base + 20;
-        s.restarts_ema = base + 21;
-        s.restarts_blocked = base + 22;
-        s.vivified = base + 23;
-        s.vivify_lits_removed = base + 24;
-        s.tier_core = base + 25;
-        s.tier_mid = base + 26;
-        s.tier_local = base + 27;
-        s.peak_learnts = base + 28;
-        s.watch_bytes_reclaimed = base + 29;
-        s.solve_ms = base as f64 + 30.5;
-        assert_eq!(names.len(), 31, "synthetic_stats must cover every field");
+        s.pp_removed = base + 7;
+        s.pp_strengthened = base + 8;
+        s.pp_fixed = base + 9;
+        s.elim_vars = base + 10;
+        s.elim_clauses = base + 11;
+        s.elim_resolvents = base + 12;
+        s.elim_attempts = base + 13;
+        s.elim_pairs = base + 14;
+        s.subsume_checks = base + 15;
+        s.elim_restored = base + 16;
+        s.elim_stack_depth = base + 17;
+        s.restarts_luby = base + 18;
+        s.restarts_ema = base + 19;
+        s.restarts_blocked = base + 20;
+        s.vivified = base + 21;
+        s.vivify_lits_removed = base + 22;
+        s.tier_core = base + 23;
+        s.tier_mid = base + 24;
+        s.tier_local = base + 25;
+        s.peak_learnts = base + 26;
+        s.watch_bytes_reclaimed = base + 27;
+        s.solve_ms = base as f64 + 28.5;
+        assert_eq!(names.len(), 29, "synthetic_stats must cover every field");
         s
     }
 
@@ -2652,14 +2479,19 @@ mod tests {
     fn level_stamps_count_distinct_levels_like_sort_and_dedup() {
         let lits: Vec<Lit> = (0..40).map(|i| Var::from_index(i).positive()).collect();
         let mut stamps = LevelStamps::default();
+        // xorshift64: any well-mixed stream will do.
         let mut z = 7u64;
+        let mut next = || {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            z
+        };
         for round in 0..500 {
-            z = splitmix64(z);
-            let n = 1 + (z % 40) as usize;
-            let max_level = 1 + (z >> 8) % 30;
-            let level: Vec<u32> = (0..40)
-                .map(|i| (splitmix64(z ^ i) % max_level) as u32)
-                .collect();
+            let r = next();
+            let n = 1 + (r % 40) as usize;
+            let max_level = 1 + (r >> 8) % 30;
+            let level: Vec<u32> = (0..40).map(|_| (next() % max_level) as u32).collect();
             let mut sorted: Vec<u32> = level[..n].to_vec();
             sorted.sort_unstable();
             sorted.dedup();
@@ -2682,12 +2514,12 @@ mod tests {
         let b = synthetic_stats(1000);
         a.absorb(&b);
         assert_eq!(a.decisions, 1100);
-        assert_eq!(a.solve_ms, 130.5 + 1030.5);
+        assert_eq!(a.solve_ms, 128.5 + 1028.5);
         // Gauges sum to the fleet total.
-        assert_eq!(a.tier_core, 125 + 1025);
-        assert_eq!(a.elim_stack_depth, 119 + 1019);
+        assert_eq!(a.tier_core, 123 + 1023);
+        assert_eq!(a.elim_stack_depth, 117 + 1017);
         // Peak takes the worst single solver.
-        assert_eq!(a.peak_learnts, 1028);
+        assert_eq!(a.peak_learnts, 1026);
     }
 
     #[test]
@@ -2731,12 +2563,12 @@ mod tests {
         s.for_each_metric(&mut |name, kind, value| {
             seen.insert(name, (kind, value));
         });
-        assert_eq!(seen.len(), 31);
+        assert_eq!(seen.len(), 29);
         assert_eq!(seen["decisions"], ("counter", 7.0));
         assert_eq!(seen["elim_stack_depth"].0, "gauge");
         assert_eq!(seen["peak_learnts"].0, "max");
         assert_eq!(seen["watch_bytes_reclaimed"].0, "counter_sat");
-        assert_eq!(seen["solve_ms"], ("counter", 37.5));
+        assert_eq!(seen["solve_ms"], ("counter", 35.5));
     }
 
     #[test]
@@ -3119,35 +2951,6 @@ mod tests {
         assert_eq!(s.clear_learned(), 0);
         assert_eq!(s.num_learned(), 0);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn phase_seed_diversifies_initial_phases() {
-        let mut seeded = Solver::new();
-        seeded.config.phase_seed = Some(0xDEAD_BEEF);
-        let mut plain = Solver::new();
-        let mut phases = Vec::new();
-        for _ in 0..64 {
-            let v = seeded.new_var();
-            plain.new_var();
-            // Before any solving, saved phase == initial phase; probe it via
-            // a trivially satisfiable instance below instead of private state.
-            phases.push(v);
-        }
-        // All-default phases are uniform `false`; a seeded solver must pick a
-        // mix. Solve an unconstrained instance so the model exposes phases.
-        assert_eq!(seeded.solve(&[]), SolveResult::Sat);
-        assert_eq!(plain.solve(&[]), SolveResult::Sat);
-        let seeded_trues = phases
-            .iter()
-            .filter(|v| seeded.model_value(v.positive()))
-            .count();
-        let plain_trues = phases
-            .iter()
-            .filter(|v| plain.model_value(v.positive()))
-            .count();
-        assert_eq!(plain_trues, 0);
-        assert!(seeded_trues > 8 && seeded_trues < 56);
     }
 
     #[test]

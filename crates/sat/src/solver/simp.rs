@@ -20,8 +20,7 @@
 //! original formula.
 //!
 //! **Freeze/melt**: frozen variables are never eliminated. Assumption
-//! variables are frozen transiently for the duration of a pass, shared-base
-//! variables (`share_var_limit` under an exchange) automatically, and upper
+//! variables are frozen transiently for the duration of a pass, and upper
 //! layers pin anything they will reference later (guard literals, cost-bound
 //! bits) via [`Solver::freeze_var`](super::Solver). Referencing an
 //! eliminated variable anyway — in a new constraint or an assumption — is
@@ -236,8 +235,7 @@ impl Solver {
     /// it is restored first (stored clauses re-attached, model extension no
     /// longer responsible for it). Upper layers freeze anything they will
     /// keep referencing: assumption variables are frozen automatically for
-    /// the duration of each pass, shared-base variables (under an exchange)
-    /// permanently.
+    /// the duration of each pass.
     pub fn freeze_var(&mut self, v: Var) {
         if self.eliminated[v.index()] {
             self.backtrack_to(0);
@@ -428,9 +426,8 @@ impl Solver {
     ///
     /// Every step is equivalence-preserving over the *live* formula w.r.t.
     /// the original one extended through the reconstruction stack, so
-    /// assumptions (frozen for the pass), guard literals added later,
-    /// incremental reuse, and the cross-solver clause exchange (shared-base
-    /// variables frozen) all stay sound. PB constraints are left untouched
+    /// assumptions (frozen for the pass), guard literals added later and
+    /// incremental reuse all stay sound. PB constraints are left untouched
     /// and any variable occurring in one is ineligible. Iteration follows
     /// arena/occurrence order, so the pass is deterministic.
     pub(crate) fn simplify(&mut self, assumptions: &[Lit], first: bool) {
@@ -762,19 +759,12 @@ impl Solver {
         elim_budget: &mut u64,
         scratch: &mut ElimScratch,
     ) -> usize {
-        // Shared-base variables stay, so exchanged clauses (which the share
-        // filter confines below the limit) never meet an eliminated var.
-        let shared_limit = if self.config.exchange.is_some() {
-            self.config.share_var_limit
-        } else {
-            0
-        };
         // Cheapest variables first (fewest occurrences — stale entries make
         // this an upper bound, good enough for ordering), ties by index.
         let mut cands: Vec<(usize, usize)> = Vec::new();
         for (vi, &asm) in assumed.iter().enumerate() {
             let v = Var::from_index(vi);
-            if self.frozen[vi] || self.eliminated[vi] || asm || vi < shared_limit {
+            if self.frozen[vi] || self.eliminated[vi] || asm {
                 continue;
             }
             if self.value_var(v) != LBool::Undef {
