@@ -26,9 +26,6 @@
 //!                           preprocessing) — the pre-optimization baseline;
 //!                           OPTALLOC_ENCODER_OPT=0 in the environment does
 //!                           the same
-//!   --search <engine>       CDCL search engine: `full` (default), `legacy`,
-//!                           or a +-joined subset of bin/tier/ema/viv/elim
-//!                           (see docs/SOLVER.md)
 //!   --certify               record DRAT proof traces, assemble an optimality
 //!                           certificate, and verify it (built-in backward
 //!                           checker + independent witness replay); exits
@@ -54,8 +51,8 @@
 //!   --queue <n>             bounded queue depth (default 16)
 //!   --cache <n>             result-cache capacity (default 64)
 //!   --timeout-ms <n>        default per-job timeout
-//!   plus the solve options --max-conflicts / --certify / --search /
-//!   --window, applied to every job
+//!   plus the solve options --max-conflicts / --certify / --window,
+//!   applied to every job
 //!
 //! submit requests (all take --addr <host:port> and --json):
 //!   solve <workload.json> [--objective o] [--medium k] [--timeout-ms n]
@@ -74,7 +71,7 @@
 //! `optalloc_workloads::Workload` (architecture + task set + a feasibility
 //! witness); the output is the optimal `optalloc_model::Allocation`.
 
-use optalloc::{EncoderOpt, Objective, OptError, Optimizer, SearchEngine, SolveOptions, Strategy};
+use optalloc::{EncoderOpt, Objective, OptError, Optimizer, SolveOptions, Strategy};
 use optalloc_model::{ticks_to_ms, MediumId};
 use optalloc_obs::{format_progress_line, Obs, PhaseTotals, ProgressHook};
 use optalloc_service::protocol::{
@@ -98,11 +95,11 @@ fn usage() -> ExitCode {
          optalloc-cli solve <workload.json> [--objective o] [--medium k] \
          [--max-conflicts n] [--timeout-ms n] [--json] \
          [--window n|auto] [--no-encoder-opt] \
-         [--search engine] [--certify] [--proof file] [--max-slot n] \
+         [--certify] [--proof file] [--max-slot n] \
          [--out alloc.json] [--trace file] [--metrics] [--progress]\n  \
          optalloc-cli serve [--addr host:port] [--workers n] [--queue n] \
          [--cache n] [--timeout-ms n] [--max-conflicts n] [--certify] \
-         [--search engine] [--window n|auto]\n  \
+         [--window n|auto]\n  \
          optalloc-cli submit solve <workload.json> | delta <ops.json> \
          [--base fp] | status | metrics | shutdown  [--addr host:port] [--json]"
     );
@@ -270,7 +267,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let mut trace_path: Option<String> = None;
     let mut metrics = false;
     let mut progress = false;
-    let mut search = SearchEngine::full();
     let mut encoder_opt = if optalloc_bench::encoder_opt_disabled() {
         EncoderOpt::none()
     } else {
@@ -295,17 +291,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             "--metrics" => metrics = true,
             "--progress" => progress = true,
             "--no-encoder-opt" => encoder_opt = EncoderOpt::none(),
-            "--search" => match it.next().map(|s| s.parse::<SearchEngine>()) {
-                Some(Ok(engine)) => search = engine,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--search needs an argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--out" => out_path = it.next().cloned(),
             other => {
                 eprintln!("unknown option {other}");
@@ -327,7 +312,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
         max_conflicts,
         strategy: strategy(window),
         encoder_opt,
-        search,
         certify,
         ..Default::default()
     };
@@ -488,14 +472,10 @@ fn cmd_solve(args: &[String]) -> ExitCode {
                 r.wall.as_secs_f64()
             );
             println!(
-                "search [{}]: {} conflicts, {} restarts ({} luby / {} ema, \
-                 {} blocked), {} vivified, {} eliminated (+{} resolvents), \
-                 tiers {}/{}/{}",
-                search.label(),
+                "search: {} conflicts, {} restarts ({} blocked), {} vivified, \
+                 {} eliminated (+{} resolvents), tiers {}/{}/{}",
                 r.stats.conflicts,
                 r.stats.restarts,
-                r.stats.restarts_luby,
-                r.stats.restarts_ema,
                 r.stats.restarts_blocked,
                 r.stats.vivified,
                 r.stats.elim_vars,
@@ -579,17 +559,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 config.solve.max_conflicts = it.next().and_then(|s| s.parse().ok());
             }
             "--certify" => config.solve.certify = true,
-            "--search" => match it.next().map(|s| s.parse::<SearchEngine>()) {
-                Some(Ok(engine)) => config.solve.search = engine,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--search needs an argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--window" => window = parse_workers(it.next()),
             other => {
                 eprintln!("unknown option {other}");
@@ -785,12 +754,10 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                     phases.encode_ms, phases.search_ms, phases.certify_ms,
                 );
                 println!(
-                    "search totals: {} propagations, {} luby + {} ema restarts \
-                     ({} blocked), {} vivified, {} eliminated, tiers {}/{}/{}, \
-                     peak {} learnts",
+                    "search totals: {} propagations, {} restarts ({} blocked), \
+                     {} vivified, {} eliminated, tiers {}/{}/{}, peak {} learnts",
                     search.propagations,
-                    search.restarts_luby,
-                    search.restarts_ema,
+                    search.restarts,
                     search.restarts_blocked,
                     search.vivified,
                     search.elim_vars,

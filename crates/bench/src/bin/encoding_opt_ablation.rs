@@ -28,9 +28,11 @@
 //!   only the wall clock is noisy). Default 3 quick, 1 with `--full`;
 //! - `OPTALLOC_ENCODER_OPT=0` — (other binaries) run everything unoptimized;
 //! - `OPTALLOC_CHECK_REF=<ref.json>` — regression mode: compare this run's
-//!   var/lit counts per (tasks, stage) against the committed reference rows
-//!   and exit non-zero if any count drifts by more than ±5%. Used by the CI
-//!   encoding-size smoke job.
+//!   counts per (tasks, stage) against the committed reference rows and
+//!   exit non-zero if the optimum moves, vars or lits drift by more than
+//!   ±5%, or conflicts or propagations drift by more than ±20%. The search
+//!   is deterministic, so search-count drift means the solver changed. Used
+//!   by the CI encoding-size job.
 
 use optalloc::{EncoderOpt, Objective, Optimizer, SolveOptions};
 use optalloc_bench::parse_cli;
@@ -52,6 +54,7 @@ struct OptRow {
     lits: u64,
     constraints: u64,
     conflicts: u64,
+    propagations: u64,
     /// Wall-clock ms spent encoding, summed over all `SOLVE` calls.
     encode_ms: f64,
     /// Wall-clock ms spent inside the SAT search, summed over all calls.
@@ -91,7 +94,7 @@ fn stages() -> [(&'static str, EncoderOpt); 4] {
 fn render(rows: &[OptRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:>14} {:>8} {:>9} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9} {:>8}\n",
+        "{:<10} {:>14} {:>8} {:>9} {:>10} {:>10} {:>10} {:>12} {:>10} {:>8} {:>9} {:>8}\n",
         "instance",
         "stage",
         "cost",
@@ -99,6 +102,7 @@ fn render(rows: &[OptRow]) -> String {
         "lits",
         "constr",
         "conflicts",
+        "props",
         "encode_ms",
         "solve_s",
         "lits_red%",
@@ -106,7 +110,7 @@ fn render(rows: &[OptRow]) -> String {
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:>14} {:>8} {:>9} {:>10} {:>10} {:>10} {:>10.1} {:>8.2} {:>9.1} {:>7.2}x\n",
+            "{:<10} {:>14} {:>8} {:>9} {:>10} {:>10} {:>10} {:>12} {:>10.1} {:>8.2} {:>9.1} {:>7.2}x\n",
             r.instance,
             r.stage,
             r.cost,
@@ -114,6 +118,7 @@ fn render(rows: &[OptRow]) -> String {
             r.lits,
             r.constraints,
             r.conflicts,
+            r.propagations,
             r.encode_ms,
             r.solve_ms / 1e3,
             r.lit_reduction_pct,
@@ -124,17 +129,13 @@ fn render(rows: &[OptRow]) -> String {
 }
 
 /// Regression mode: every (tasks, stage) row present in the reference must
-/// match this run's var/lit counts within ±5%.
+/// prove the same optimum, match this run's var/lit counts within ±5% and
+/// its conflict/propagation counts within ±20%.
 fn check_reference(rows: &[OptRow], ref_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(ref_path)
         .map_err(|e| format!("cannot read reference {ref_path}: {e}"))?;
     let reference: Vec<OptRow> =
         serde_json::from_str(&text).map_err(|e| format!("bad reference {ref_path}: {e}"))?;
-    let within = |now: u64, reference: u64| {
-        let lo = reference as f64 * 0.95;
-        let hi = reference as f64 * 1.05;
-        (lo..=hi).contains(&(now as f64))
-    };
     let mut failures = Vec::new();
     let mut checked = 0;
     for r in &reference {
@@ -146,24 +147,36 @@ fn check_reference(rows: &[OptRow], ref_path: &str) -> Result<(), String> {
             continue;
         };
         checked += 1;
-        if !within(now.vars, r.vars) {
+        if now.cost != r.cost {
             failures.push(format!(
-                "{} tasks, {}: vars {} vs reference {} (> ±5%)",
-                r.tasks, r.stage, now.vars, r.vars
+                "{} tasks, {}: cost {} vs reference {} (optimum must never move)",
+                r.tasks, r.stage, now.cost, r.cost
             ));
         }
-        if !within(now.lits, r.lits) {
-            failures.push(format!(
-                "{} tasks, {}: lits {} vs reference {} (> ±5%)",
-                r.tasks, r.stage, now.lits, r.lits
-            ));
+        for (name, now, reference, tol) in [
+            ("vars", now.vars, r.vars, 0.05),
+            ("lits", now.lits, r.lits, 0.05),
+            ("conflicts", now.conflicts, r.conflicts, 0.20),
+            ("propagations", now.propagations, r.propagations, 0.20),
+        ] {
+            if (now as f64 - reference as f64).abs() > tol * reference as f64 {
+                failures.push(format!(
+                    "{} tasks, {}: {name} {now} vs reference {reference} (> ±{:.0}%)",
+                    r.tasks,
+                    r.stage,
+                    tol * 100.0
+                ));
+            }
         }
     }
     if checked == 0 {
         failures.push(format!("no comparable rows in {ref_path}"));
     }
     if failures.is_empty() {
-        eprintln!("encoding-size check: {checked} rows within ±5% of {ref_path}");
+        eprintln!(
+            "reference check: {checked} rows within bounds of {ref_path} \
+             (vars/lits ±5%, conflicts/propagations ±20%)"
+        );
         Ok(())
     } else {
         Err(failures.join("\n"))
@@ -232,6 +245,7 @@ fn main() {
                 lits: r.encode.literals,
                 constraints: r.encode.constraints,
                 conflicts: r.stats.conflicts,
+                propagations: r.stats.propagations,
                 encode_ms: r.encode.encode_ms,
                 solve_ms: r.stats.solve_ms,
                 time_s,
@@ -239,12 +253,13 @@ fn main() {
                 speedup_vs_baseline: base_time / time_s,
             };
             eprintln!(
-                "{n} tasks, {stage}: TRT = {} | {} vars, {} lits, {} conflicts | \
+                "{n} tasks, {stage}: TRT = {} | {} vars, {} lits, {} conflicts, {} props | \
                  encode {:.1}ms, solve {:.2}s, total {:.2}s ({:.1}% fewer lits, {:.2}x)",
                 row.cost,
                 row.vars,
                 row.lits,
                 row.conflicts,
+                row.propagations,
                 row.encode_ms,
                 row.solve_ms / 1e3,
                 row.time_s,
@@ -271,7 +286,7 @@ fn main() {
 
     if let Ok(ref_path) = std::env::var("OPTALLOC_CHECK_REF") {
         if let Err(msg) = check_reference(&rows, &ref_path) {
-            eprintln!("encoding-size check FAILED:\n{msg}");
+            eprintln!("reference check FAILED:\n{msg}");
             std::process::exit(1);
         }
     }

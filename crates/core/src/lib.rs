@@ -72,10 +72,6 @@ pub use options::{Objective, SolveOptions, Strategy};
 // and driven through `Optimizer::minimize_warm`.
 pub use optalloc_intopt::{EncoderOpt, WarmEngine, WarmMode};
 
-// The CDCL search-engine switch (binary watches, tiered DB, restart policy,
-// vivification) also travels with `SolveOptions`.
-pub use optalloc_intopt::{RestartPolicy, SearchEngine};
-
 // Facade re-exports so downstream users need a single dependency.
 pub use optalloc_analysis as analysis;
 pub use optalloc_intopt as intopt;

@@ -264,7 +264,6 @@ impl<'a> Optimizer<'a> {
             interrupt: self.opts.interrupt.clone(),
             ..SolverConfig::default()
         };
-        self.opts.search.configure(&mut config);
         config.paranoid = self.opts.paranoid;
         match enc.problem.solve_with_solver_config(
             self.opts.backend,

@@ -1,6 +1,6 @@
 //! Configuration of the encoder and optimizer.
 
-use optalloc_intopt::{Backend, BinSearchMode, EncoderOpt, MinimizeOptions, SearchEngine};
+use optalloc_intopt::{Backend, BinSearchMode, EncoderOpt, MinimizeOptions};
 use optalloc_model::{MediumId, Time};
 use optalloc_obs::{Obs, ProgressHook};
 use std::sync::atomic::AtomicBool;
@@ -85,21 +85,12 @@ pub struct SolveOptions {
     /// SAT preprocessing). Default all-on; [`EncoderOpt::none`] reproduces
     /// the unoptimized baseline encoding for ablations.
     pub encoder_opt: EncoderOpt,
-    /// CDCL search-engine configuration (binary-implication watch lists,
-    /// tiered learned-clause database, restart policy, in-search
-    /// vivification, bounded variable elimination). Default all-on;
-    /// [`SearchEngine::legacy`] reproduces
-    /// the pre-engine solver for ablations. Search knobs change *how* the
-    /// solver explores, never *what* it concludes — optima are identical
-    /// across engines.
-    pub search: SearchEngine,
     /// Produce and check an optimality certificate: every solver records a
     /// DRAT proof trace, the optimum ships with refutations of all cheaper
     /// cost windows, and the optimizer verifies the proofs with the
     /// built-in backward checker plus an independent witness replay (the
     /// decoded allocation is re-analyzed and its objective value recomputed
-    /// without the encoder). Adds proof-logging overhead to the search and
-    /// disables cross-worker clause *imports* (exports still flow).
+    /// without the encoder). Adds proof-logging overhead to the search.
     pub certify: bool,
     /// Cooperative cancellation flag. When set, every solver the run
     /// creates polls it and aborts with an *interrupted* verdict once it is
@@ -146,7 +137,6 @@ impl SolveOptions {
             ..MinimizeOptions::default()
         };
         opts.solver_config.interrupt = self.interrupt.clone();
-        self.search.configure(&mut opts.solver_config);
         opts.solver_config.paranoid = self.paranoid;
         opts.solver_config.obs = self.obs.clone();
         opts.solver_config.progress = self.progress.clone();
@@ -167,7 +157,6 @@ impl Default for SolveOptions {
             task_jitter: false,
             strategy: Strategy::Single,
             encoder_opt: EncoderOpt::default(),
-            search: SearchEngine::full(),
             certify: false,
             interrupt: None,
             paranoid: cfg!(debug_assertions) && optalloc_sat::paranoid_env(),

@@ -64,6 +64,5 @@ pub use problem::{IntProblem, Model};
 pub use triplet::{ArithOp, BoolDef, BoolId, IntDef, IntDefKind, IntId, TripletForm};
 pub use warm::{WarmEngine, WarmMode};
 
-// Re-export the PB operator type used by `IntProblem::assert_pb`, plus the
-// search-engine knobs callers tune through `MinimizeOptions::solver_config`.
-pub use optalloc_sat::{PbOp, RestartPolicy, SearchEngine};
+// Re-export the PB operator type used by `IntProblem::assert_pb`.
+pub use optalloc_sat::PbOp;

@@ -1,13 +1,12 @@
 //! Agreement property: on random optimization instances, the paper's two
 //! `BIN_SEARCH` modes (each with the encoder optimization layer on and
-//! off), the parallel window search, and every point of the search-engine
-//! grid (restart policy × tiered DB × vivification) all prove the same
-//! optimal cost — neither the parallel search, the optimized encoder, nor
-//! any search-core axis trades correctness for speed.
+//! off) and the parallel window search all prove the same optimal cost —
+//! neither the parallel search nor the optimized encoder trades
+//! correctness for speed.
 
 use optalloc_intopt::{
     BinSearchMode, BoolExpr, EncoderOpt, IntExpr, IntProblem, IntVar, MinimizeOptions,
-    MinimizeStatus, RestartPolicy, SearchEngine,
+    MinimizeStatus,
 };
 use optalloc_portfolio::{minimize_window_search, PortfolioOptions};
 use proptest::prelude::*;
@@ -64,22 +63,6 @@ fn optimum_single(
         MinimizeStatus::Optimal { value, .. } => Some(value),
         MinimizeStatus::Infeasible => None,
         ref s => panic!("{mode:?} ({encoder_opt:?}): unexpected {s:?}"),
-    }
-}
-
-/// Optimal cost under one search-engine configuration (incremental mode,
-/// which exercises the engine across re-solves under assumptions).
-fn optimum_engine(p: &IntProblem, cost: IntVar, engine: SearchEngine) -> Option<i64> {
-    let mut opts = MinimizeOptions {
-        mode: BinSearchMode::Incremental,
-        ..MinimizeOptions::default()
-    };
-    engine.configure(&mut opts.solver_config);
-    let out = p.minimize(cost, &opts);
-    match out.status {
-        MinimizeStatus::Optimal { value, .. } => Some(value),
-        MinimizeStatus::Infeasible => None,
-        ref s => panic!("engine {}: unexpected {s:?}", engine.label()),
     }
 }
 
@@ -143,28 +126,5 @@ proptest! {
             "unoptimized fresh vs unoptimized incremental"
         );
         prop_assert_eq!(incremental_unopt, window, "incremental vs window search");
-
-        // The search-engine grid: restart policy × tiered DB × vivification
-        // (binary watches on throughout — the legacy all-off point is
-        // already covered, every default run above used the full engine).
-        for restart in [RestartPolicy::Luby, RestartPolicy::Ema] {
-            for tiered_db in [false, true] {
-                for vivify in [false, true] {
-                    let engine = SearchEngine {
-                        binary_watches: true,
-                        tiered_db,
-                        restart,
-                        vivify,
-                        elim: vivify,
-                    };
-                    prop_assert_eq!(
-                        optimum_engine(&p, cost, engine),
-                        incremental,
-                        "engine {} vs default incremental",
-                        engine.label()
-                    );
-                }
-            }
-        }
     }
 }

@@ -55,7 +55,5 @@ mod types;
 pub use drat::{check_proof, CheckError, CheckedProof, Claim, ProofLog, ProofStep};
 pub use formula::{Formula, ParseError};
 pub use pb::{normalize_ge, to_ge_constraints, Normalized, PbOp, PbTerm};
-pub use solver::{
-    paranoid_env, RestartPolicy, SearchEngine, SolveResult, Solver, SolverConfig, SolverStats,
-};
+pub use solver::{paranoid_env, SolveResult, Solver, SolverConfig, SolverStats};
 pub use types::{LBool, Lit, Var};

@@ -15,9 +15,9 @@
 //! - counter-based PB propagation with on-demand clause explanations,
 //! - first-UIP conflict analysis with learned-clause minimization,
 //! - EVSIDS variable activities with phase saving,
-//! - Luby or adaptive (Glucose-style LBD-EMA) restarts with trail blocking,
-//! - tiered learned-clause database (CORE/TIER2/LOCAL) or legacy
-//!   activity/LBD sort-and-halve deletion, with arena compaction,
+//! - adaptive (Glucose-style LBD-EMA) restarts with trail blocking,
+//! - tiered learned-clause database (CORE/TIER2/LOCAL) with arena
+//!   compaction,
 //! - in-search vivification of kept learned clauses at restart boundaries,
 //! - occurrence-list inprocessing: subsumption, self-subsuming resolution
 //!   and bounded variable elimination with a freeze/melt protocol and a
@@ -27,8 +27,7 @@
 //! - solving under assumptions; all clauses (input and learned) persist
 //!   across `solve` calls.
 //!
-//! The five search-core axes are individually switchable through
-//! [`SolverConfig`] (see [`SearchEngine`] and `docs/SOLVER.md`).
+//! `docs/SOLVER.md` describes each mechanism and its tuning constants.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,153 +94,6 @@ struct BinWatch {
     cref: ClauseRef,
 }
 
-/// Restart strategy for the CDCL loop.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Classic Luby-sequence restarts scaled by [`SolverConfig::restart_unit`].
-    Luby,
-    /// Glucose-style adaptive restarts: restart when the fast LBD EMA runs
-    /// above the slow one, blocked while the trail is unusually deep (a sign
-    /// the search is closing in on a model). Deterministic per seed.
-    Ema,
-}
-
-/// The five search-core performance axes bundled as one plumbable value.
-///
-/// Each axis maps onto one [`SolverConfig`] knob; the default is everything
-/// on (the modern engine), [`SearchEngine::legacy`] is everything off (the
-/// pre-engine solver). Both orderings of every axis combination reach the
-/// same verdicts and optima — the axes change only how fast the search gets
-/// there, which is what the `search_ablation` bench measures.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SearchEngine {
-    /// Dedicated binary-implication watch lists.
-    pub binary_watches: bool,
-    /// Tiered (CORE/TIER2/LOCAL) learned-clause database.
-    pub tiered_db: bool,
-    /// Restart strategy.
-    pub restart: RestartPolicy,
-    /// In-search vivification of kept learned clauses.
-    pub vivify: bool,
-    /// Bounded variable elimination during the occurrence-list
-    /// simplification pass, at first solve and as inprocessing between
-    /// incremental `solve` calls.
-    pub elim: bool,
-}
-
-impl Default for SearchEngine {
-    fn default() -> SearchEngine {
-        SearchEngine::full()
-    }
-}
-
-impl SearchEngine {
-    /// Every axis on: the modern search core.
-    pub fn full() -> SearchEngine {
-        SearchEngine {
-            binary_watches: true,
-            tiered_db: true,
-            restart: RestartPolicy::Ema,
-            vivify: true,
-            elim: true,
-        }
-    }
-
-    /// Every axis off: the solver as it behaved before the engine existed.
-    pub fn legacy() -> SearchEngine {
-        SearchEngine {
-            binary_watches: false,
-            tiered_db: false,
-            restart: RestartPolicy::Luby,
-            vivify: false,
-            elim: false,
-        }
-    }
-
-    /// Writes the axes into a [`SolverConfig`]. Must happen before
-    /// constraints are added: watch-list routing is decided at attach time.
-    pub fn configure(&self, cfg: &mut SolverConfig) {
-        cfg.binary_watches = self.binary_watches;
-        cfg.tiered_db = self.tiered_db;
-        cfg.restart_policy = self.restart;
-        cfg.vivify = self.vivify;
-        cfg.elim = self.elim;
-    }
-
-    /// Reads the axes back out of a [`SolverConfig`].
-    pub fn from_config(cfg: &SolverConfig) -> SearchEngine {
-        SearchEngine {
-            binary_watches: cfg.binary_watches,
-            tiered_db: cfg.tiered_db,
-            restart: cfg.restart_policy,
-            vivify: cfg.vivify,
-            elim: cfg.elim,
-        }
-    }
-
-    /// Compact human-readable label, e.g. `full`, `legacy` or `bin+ema`.
-    pub fn label(&self) -> String {
-        if *self == SearchEngine::full() {
-            return "full".to_string();
-        }
-        if *self == SearchEngine::legacy() {
-            return "legacy".to_string();
-        }
-        let mut parts = Vec::new();
-        if self.binary_watches {
-            parts.push("bin");
-        }
-        if self.tiered_db {
-            parts.push("tier");
-        }
-        if self.restart == RestartPolicy::Ema {
-            parts.push("ema");
-        }
-        if self.vivify {
-            parts.push("viv");
-        }
-        if self.elim {
-            parts.push("elim");
-        }
-        if parts.is_empty() {
-            "legacy".to_string()
-        } else {
-            parts.join("+")
-        }
-    }
-}
-
-impl std::str::FromStr for SearchEngine {
-    type Err = String;
-
-    /// Parses `full`, `legacy`, or a `+`-separated subset of
-    /// `bin`/`tier`/`ema`/`viv`/`elim` (e.g. `bin+tier`).
-    fn from_str(s: &str) -> Result<SearchEngine, String> {
-        match s {
-            "full" => return Ok(SearchEngine::full()),
-            "legacy" => return Ok(SearchEngine::legacy()),
-            _ => {}
-        }
-        let mut e = SearchEngine::legacy();
-        for part in s.split('+').filter(|p| !p.is_empty()) {
-            match part {
-                "bin" => e.binary_watches = true,
-                "tier" => e.tiered_db = true,
-                "ema" => e.restart = RestartPolicy::Ema,
-                "viv" => e.vivify = true,
-                "elim" => e.elim = true,
-                other => {
-                    return Err(format!(
-                        "unknown search axis '{other}' (expected full, legacy, \
-                         or a +-joined subset of bin/tier/ema/viv/elim)"
-                    ))
-                }
-            }
-        }
-        Ok(e)
-    }
-}
-
 // Search-engine tuning constants (see docs/SOLVER.md for the rationale).
 /// Learned clauses with LBD ≤ this are CORE: kept forever.
 const CORE_LBD: u32 = 2;
@@ -268,8 +120,6 @@ const EMA_MIN_RESTART_CONFLICTS: u64 = 50;
 const VIVIFY_MIN_LEARNED: u64 = 2_000;
 /// Propagation budget per vivification round.
 const VIVIFY_PROP_BUDGET: u64 = 200_000;
-/// Without the tiered DB, vivification candidates are capped at this LBD.
-const VIVIFY_MAX_LBD: u32 = 6;
 
 /// Tunable solver parameters.
 #[derive(Clone, Debug)]
@@ -278,12 +128,10 @@ pub struct SolverConfig {
     pub var_decay: f64,
     /// Clause activity decay.
     pub clause_decay: f64,
-    /// Conflicts in the first restart interval; later intervals follow the
-    /// Luby sequence scaled by this unit.
-    pub restart_unit: u64,
-    /// Initial cap on retained learned clauses before a reduction pass.
+    /// Twice the conflict interval before the first learned-clause
+    /// reduction.
     pub first_reduce: usize,
-    /// Growth of the learned-clause cap after each reduction.
+    /// Growth of the reduction interval after each reduction.
     pub reduce_grow: f64,
     /// Give up (return [`SolveResult::Unknown`]) after this many conflicts
     /// in one `solve` call, if set.
@@ -312,20 +160,6 @@ pub struct SolverConfig {
     /// constraint and every derived clause, retrievable with
     /// [`Solver::take_proof`].
     pub proof: bool,
-    /// Route binary clauses through dedicated watch lists (other literal
-    /// inline), propagated before long clauses. Must not be flipped after
-    /// the first constraint is added: attach routing is decided per clause.
-    pub binary_watches: bool,
-    /// Keep the learned-clause database in CORE/TIER2/LOCAL tiers with
-    /// recency-based demotion instead of the legacy sort-and-halve
-    /// reduction.
-    pub tiered_db: bool,
-    /// Restart strategy; [`RestartPolicy::Ema`] adapts to conflict quality,
-    /// [`RestartPolicy::Luby`] follows the fixed Luby sequence.
-    pub restart_policy: RestartPolicy,
-    /// Vivify kept learned clauses at restart boundaries (strengthenings
-    /// are DRAT-logged, so `proof` stays sound).
-    pub vivify: bool,
     /// Checked mode: walk deep solver invariants (watch-list coherence,
     /// trail/level consistency, PB counter sums, learned-DB integrity,
     /// elimination-stack state) at solve entry, every restart boundary and
@@ -377,7 +211,6 @@ impl Default for SolverConfig {
         SolverConfig {
             var_decay: 0.95,
             clause_decay: 0.999,
-            restart_unit: 100,
             first_reduce: 4000,
             reduce_grow: 1.2,
             max_conflicts: None,
@@ -386,10 +219,6 @@ impl Default for SolverConfig {
             preprocess: true,
             elim: true,
             proof: false,
-            binary_watches: true,
-            tiered_db: true,
-            restart_policy: RestartPolicy::Ema,
-            vivify: true,
             paranoid: cfg!(debug_assertions) && paranoid_env(),
             obs: Obs::disabled(),
             progress: None,
@@ -532,8 +361,6 @@ define_solver_stats! {
     [gauge] elim_stack_depth: u64 =
         "Variables currently eliminated, i.e. the live depth of the model-reconstruction \
          stack (gauge).";
-    [counter] restarts_luby: u64 = "Restarts taken under [`RestartPolicy::Luby`].";
-    [counter] restarts_ema: u64 = "Restarts taken under [`RestartPolicy::Ema`].";
     [counter] restarts_blocked: u64 = "EMA restarts suppressed by trail-size blocking.";
     [counter] vivified: u64 = "Learned clauses strengthened by in-search vivification.";
     [counter] vivify_lits_removed: u64 =
@@ -564,8 +391,7 @@ pub struct Solver {
     /// (i.e. clauses watching `¬lit`).
     watches: Vec<Vec<Watcher>>,
     /// Binary clauses, indexed like `watches` but with the implied literal
-    /// inline; walked before the long-clause lists. Only populated when
-    /// [`SolverConfig::binary_watches`] is on.
+    /// inline; walked before the long-clause lists.
     bin_watches: Vec<Vec<BinWatch>>,
 
     assigns: Vec<LBool>,
@@ -584,14 +410,13 @@ pub struct Solver {
 
     /// Learned clause refs, for DB reduction.
     learnts: Vec<ClauseRef>,
-    max_learnts: usize,
     /// Tiered-DB reduction schedule: next reduction fires at this conflict
     /// count, with the interval growing by `reduce_grow` each time.
     next_reduce: u64,
     reduce_interval: f64,
 
-    // Adaptive-restart state (RestartPolicy::Ema). The EMAs persist across
-    // `solve` calls so incremental re-solves keep their calibration.
+    // Adaptive-restart state. The EMAs persist across `solve` calls so
+    // incremental re-solves keep their calibration.
     lbd_fast: f64,
     lbd_slow: f64,
     trail_ema: f64,
@@ -674,7 +499,6 @@ impl Solver {
             order: VarOrderHeap::new(),
             saved_phase: Vec::new(),
             learnts: Vec::new(),
-            max_learnts: 0,
             next_reduce: 0,
             reduce_interval: 0.0,
             lbd_fast: 0.0,
@@ -982,7 +806,7 @@ impl Solver {
         };
         debug_assert_ne!(l0, l1, "duplicate watched literal in {:?}", cref);
         debug_assert_ne!(l0, !l1, "tautology reached attach: {:?}", cref);
-        if self.config.binary_watches && self.db.len(cref) == 2 {
+        if self.db.len(cref) == 2 {
             self.bin_watches[(!l0).index()].push(BinWatch { other: l1, cref });
             self.bin_watches[(!l1).index()].push(BinWatch { other: l0, cref });
         } else {
@@ -1041,11 +865,9 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            if self.config.binary_watches {
-                if let Some(confl) = self.propagate_bins(p) {
-                    self.qhead = self.trail.len();
-                    return Some(Conflict::Clause(confl));
-                }
+            if let Some(confl) = self.propagate_bins(p) {
+                self.qhead = self.trail.len();
+                return Some(Conflict::Clause(confl));
             }
             if let Some(confl) = self.propagate_clauses(p) {
                 self.qhead = self.trail.len();
@@ -1367,17 +1189,15 @@ impl Solver {
         // Glucose-style LBD refresh: a clause used in conflict analysis has
         // all literals assigned, so its LBD can be recomputed; improvements
         // promote the clause into a safer tier.
-        if self.config.tiered_db {
-            let old = self.db.lbd(cref);
-            if old > CORE_LBD {
-                let new = self.lbd_stamps.distinct(&self.level, self.db.lits(cref));
-                if new < old {
-                    self.db.set_lbd(cref, new);
-                    if new <= CORE_LBD {
-                        self.db.set_tier(cref, Tier::Core);
-                    } else if new <= MID_LBD && self.db.tier(cref) == Tier::Local {
-                        self.db.set_tier(cref, Tier::Mid);
-                    }
+        let old = self.db.lbd(cref);
+        if old > CORE_LBD {
+            let new = self.lbd_stamps.distinct(&self.level, self.db.lits(cref));
+            if new < old {
+                self.db.set_lbd(cref, new);
+                if new <= CORE_LBD {
+                    self.db.set_tier(cref, Tier::Core);
+                } else if new <= MID_LBD && self.db.tier(cref) == Tier::Local {
+                    self.db.set_tier(cref, Tier::Mid);
                 }
             }
         }
@@ -1427,17 +1247,9 @@ impl Solver {
             && self.value_lit(first) == LBool::True
     }
 
-    fn reduce_db(&mut self) {
-        if self.config.tiered_db {
-            self.reduce_db_tiered();
-        } else {
-            self.reduce_db_legacy();
-        }
-    }
-
     /// Tiered reduction: CORE is untouchable, idle TIER2 clauses are
     /// demoted, and the worst (least active) half of LOCAL is deleted.
-    fn reduce_db_tiered(&mut self) {
+    fn reduce_db(&mut self) {
         let now = self.stats.conflicts;
         for i in 0..self.learnts.len() {
             let c = self.learnts[i];
@@ -1475,40 +1287,6 @@ impl Solver {
         self.refresh_tier_stats();
         self.reduce_interval *= self.config.reduce_grow;
         self.next_reduce = now + (self.reduce_interval as u64).max(TIER_REDUCE_MIN_INTERVAL);
-
-        if self.db.wasted * 4 > self.db.arena_len() {
-            self.garbage_collect();
-        }
-    }
-
-    /// Legacy reduction: sort everything worst-first and delete half.
-    fn reduce_db_legacy(&mut self) {
-        // Sort worst-first: high LBD, then low activity.
-        let db = &self.db;
-        self.learnts.sort_by(|&a, &b| {
-            db.lbd(b)
-                .cmp(&db.lbd(a))
-                .then(db.activity(a).partial_cmp(&db.activity(b)).unwrap())
-        });
-        let mut removed = 0usize;
-        let target = self.learnts.len() / 2;
-        let mut kept = Vec::with_capacity(self.learnts.len() - target);
-        let learnts = std::mem::take(&mut self.learnts);
-        for (i, &c) in learnts.iter().enumerate() {
-            if i < target && !self.is_locked(c) && self.db.lbd(c) > 2 {
-                if self.config.proof {
-                    log_of(&mut self.proof).delete(self.db.lits(c));
-                }
-                self.detach(c);
-                self.db.delete(c);
-                removed += 1;
-            } else {
-                kept.push(c);
-            }
-        }
-        self.learnts = kept;
-        self.stats.deleted += removed as u64;
-        self.max_learnts = (self.max_learnts as f64 * self.config.reduce_grow) as usize;
 
         if self.db.wasted * 4 > self.db.arena_len() {
             self.garbage_collect();
@@ -1561,11 +1339,7 @@ impl Solver {
                 self.db.len(c) >= 3
                     && !self.db.is_vivified(c)
                     && !self.is_locked(c)
-                    && if self.config.tiered_db {
-                        self.db.tier(c) != Tier::Local
-                    } else {
-                        self.db.lbd(c) <= VIVIFY_MAX_LBD
-                    }
+                    && self.db.tier(c) != Tier::Local
             })
             .collect();
         if candidates.is_empty() {
@@ -1665,17 +1439,15 @@ impl Solver {
             let new_lbd = old_lbd.min(kept.len() as u32).max(1);
             self.db.set_lbd(nc, new_lbd);
             self.db.set_activity(nc, old_act);
-            if self.config.tiered_db {
-                // Never demote: the strengthened clause subsumes the
-                // original, so it is at least as valuable.
-                let promoted = tier_for_lbd(new_lbd);
-                let tier = if (promoted as u32) < (old_tier as u32) {
-                    promoted
-                } else {
-                    old_tier
-                };
-                self.db.set_tier(nc, tier);
-            }
+            // Never demote: the strengthened clause subsumes the original,
+            // so it is at least as valuable.
+            let promoted = tier_for_lbd(new_lbd);
+            let tier = if (promoted as u32) < (old_tier as u32) {
+                promoted
+            } else {
+                old_tier
+            };
+            self.db.set_tier(nc, tier);
             self.db.set_touch(nc, self.stats.conflicts);
             self.db.set_vivified(nc);
             self.attach(nc);
@@ -1753,7 +1525,7 @@ impl Solver {
             let ls = self.db.lits(cref);
             (ls[0], ls[1])
         };
-        if self.config.binary_watches && self.db.len(cref) == 2 {
+        if self.db.len(cref) == 2 {
             self.bin_watches[(!l0).index()].retain(|w| w.cref != cref);
             self.bin_watches[(!l1).index()].retain(|w| w.cref != cref);
         } else {
@@ -1976,11 +1748,7 @@ impl Solver {
             self.check_invariants("solve-entry");
         }
 
-        let mut restarts = 0u64;
         let mut conflicts_this_call = 0u64;
-        if self.max_learnts == 0 {
-            self.max_learnts = self.config.first_reduce;
-        }
         if self.next_reduce == 0 {
             self.reduce_interval =
                 ((self.config.first_reduce as u64 / 2).max(TIER_REDUCE_MIN_INTERVAL)) as f64;
@@ -1988,22 +1756,12 @@ impl Solver {
         }
 
         let result = loop {
-            let budget = match self.config.restart_policy {
-                RestartPolicy::Luby => luby(restarts) * self.config.restart_unit,
-                // EMA restarts are decided by the LBD EMAs inside `search`.
-                RestartPolicy::Ema => u64::MAX,
-            };
-            match self.search(assumptions, budget, &mut conflicts_this_call) {
+            match self.search(assumptions, &mut conflicts_this_call) {
                 SearchOutcome::Sat => break SolveResult::Sat,
                 SearchOutcome::Unsat => break SolveResult::Unsat,
                 SearchOutcome::Restart => {
-                    restarts += 1;
                     self.stats.restarts += 1;
-                    match self.config.restart_policy {
-                        RestartPolicy::Luby => self.stats.restarts_luby += 1,
-                        RestartPolicy::Ema => self.stats.restarts_ema += 1,
-                    }
-                    if self.config.vivify && self.learned_since_vivify >= VIVIFY_MIN_LEARNED {
+                    if self.learned_since_vivify >= VIVIFY_MIN_LEARNED {
                         self.learned_since_vivify = 0;
                         let mut sw = self.config.obs.stopwatch(Phase::Preprocess);
                         if sw.recording() {
@@ -2065,12 +1823,7 @@ impl Solver {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        restart_budget: u64,
-        conflicts_this_call: &mut u64,
-    ) -> SearchOutcome {
+    fn search(&mut self, assumptions: &[Lit], conflicts_this_call: &mut u64) -> SearchOutcome {
         let mut conflicts_since_restart = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -2086,9 +1839,7 @@ impl Solver {
                 self.backtrack_to(bt_level);
                 let lbd = self.learn(&learnt);
                 self.decay_activities();
-                if self.config.restart_policy == RestartPolicy::Ema {
-                    self.update_restart_emas(lbd, trail_at_conflict, conflicts_since_restart);
-                }
+                self.update_restart_emas(lbd, trail_at_conflict, conflicts_since_restart);
                 // Unhooked solvers pay exactly this one branch per conflict;
                 // hooked ones fall into the throttle's integer fast path.
                 if self.config.progress.is_some() {
@@ -2106,23 +1857,13 @@ impl Solver {
                 if self.interrupted() {
                     return SearchOutcome::Interrupted;
                 }
-                let restart_due = match self.config.restart_policy {
-                    RestartPolicy::Luby => conflicts_since_restart >= restart_budget,
-                    RestartPolicy::Ema => {
-                        conflicts_since_restart >= EMA_MIN_RESTART_CONFLICTS
-                            && self.lbd_fast > EMA_RESTART_K * self.lbd_slow
-                    }
-                };
+                let restart_due = conflicts_since_restart >= EMA_MIN_RESTART_CONFLICTS
+                    && self.lbd_fast > EMA_RESTART_K * self.lbd_slow;
                 if restart_due && self.decision_level() > assumptions.len() as u32 {
                     self.backtrack_to(assumptions.len() as u32);
                     return SearchOutcome::Restart;
                 }
-                let reduce_due = if self.config.tiered_db {
-                    self.stats.conflicts >= self.next_reduce
-                } else {
-                    self.learnts.len() >= self.max_learnts
-                };
-                if reduce_due {
+                if self.stats.conflicts >= self.next_reduce {
                     self.reduce_db();
                 }
                 // Extend with assumptions, then decide.
@@ -2230,9 +1971,7 @@ impl Solver {
                 let lbd = self.lbd_stamps.distinct(&self.level, learnt);
                 self.db.set_lbd(cref, lbd);
                 self.db.set_activity(cref, self.cla_inc);
-                if self.config.tiered_db {
-                    self.db.set_tier(cref, tier_for_lbd(lbd));
-                }
+                self.db.set_tier(cref, tier_for_lbd(lbd));
                 self.db.set_touch(cref, self.stats.conflicts);
                 self.attach(cref);
                 self.learnts.push(cref);
@@ -2401,23 +2140,6 @@ fn shrink_excess<T>(v: &mut Vec<T>) -> usize {
     before - v.capacity()
 }
 
-/// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
-fn luby(mut i: u64) -> u64 {
-    // Find the finite subsequence containing index i, then recurse.
-    let mut k = 1u32;
-    loop {
-        if i + 1 == (1u64 << k) - 1 {
-            return 1u64 << (k - 1);
-        }
-        if i + 1 < (1u64 << k) - 1 {
-            i -= (1u64 << (k - 1)) - 1;
-            k = 1;
-            continue;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2460,18 +2182,16 @@ mod tests {
         s.subsume_checks = base + 15;
         s.elim_restored = base + 16;
         s.elim_stack_depth = base + 17;
-        s.restarts_luby = base + 18;
-        s.restarts_ema = base + 19;
-        s.restarts_blocked = base + 20;
-        s.vivified = base + 21;
-        s.vivify_lits_removed = base + 22;
-        s.tier_core = base + 23;
-        s.tier_mid = base + 24;
-        s.tier_local = base + 25;
-        s.peak_learnts = base + 26;
-        s.watch_bytes_reclaimed = base + 27;
-        s.solve_ms = base as f64 + 28.5;
-        assert_eq!(names.len(), 29, "synthetic_stats must cover every field");
+        s.restarts_blocked = base + 18;
+        s.vivified = base + 19;
+        s.vivify_lits_removed = base + 20;
+        s.tier_core = base + 21;
+        s.tier_mid = base + 22;
+        s.tier_local = base + 23;
+        s.peak_learnts = base + 24;
+        s.watch_bytes_reclaimed = base + 25;
+        s.solve_ms = base as f64 + 26.5;
+        assert_eq!(names.len(), 27, "synthetic_stats must cover every field");
         s
     }
 
@@ -2514,12 +2234,12 @@ mod tests {
         let b = synthetic_stats(1000);
         a.absorb(&b);
         assert_eq!(a.decisions, 1100);
-        assert_eq!(a.solve_ms, 128.5 + 1028.5);
+        assert_eq!(a.solve_ms, 126.5 + 1026.5);
         // Gauges sum to the fleet total.
-        assert_eq!(a.tier_core, 123 + 1023);
+        assert_eq!(a.tier_core, 121 + 1021);
         assert_eq!(a.elim_stack_depth, 117 + 1017);
         // Peak takes the worst single solver.
-        assert_eq!(a.peak_learnts, 1026);
+        assert_eq!(a.peak_learnts, 1024);
     }
 
     #[test]
@@ -2563,12 +2283,12 @@ mod tests {
         s.for_each_metric(&mut |name, kind, value| {
             seen.insert(name, (kind, value));
         });
-        assert_eq!(seen.len(), 29);
+        assert_eq!(seen.len(), 27);
         assert_eq!(seen["decisions"], ("counter", 7.0));
         assert_eq!(seen["elim_stack_depth"].0, "gauge");
         assert_eq!(seen["peak_learnts"].0, "max");
         assert_eq!(seen["watch_bytes_reclaimed"].0, "counter_sat");
-        assert_eq!(seen["solve_ms"], ("counter", 35.5));
+        assert_eq!(seen["solve_ms"], ("counter", 33.5));
     }
 
     #[test]
@@ -2628,13 +2348,6 @@ mod tests {
         assert_eq!(got[0].worker, Some(3));
         assert_eq!(got[0].window, Some((10, 20)));
         assert!(got[0].conflicts >= 1);
-    }
-
-    #[test]
-    fn luby_sequence() {
-        let expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        let got: Vec<u64> = (0..15).map(luby).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -3076,39 +2789,12 @@ mod tests {
     }
 
     #[test]
-    fn search_engine_label_and_parse_roundtrip() {
-        for e in [
-            SearchEngine::full(),
-            SearchEngine::legacy(),
-            SearchEngine {
-                binary_watches: true,
-                tiered_db: false,
-                restart: RestartPolicy::Ema,
-                vivify: false,
-                elim: false,
-            },
-            SearchEngine {
-                binary_watches: false,
-                tiered_db: false,
-                restart: RestartPolicy::Luby,
-                vivify: true,
-                elim: true,
-            },
-        ] {
-            let label = e.label();
-            assert_eq!(label.parse::<SearchEngine>().unwrap(), e, "label {label}");
-        }
-        assert!("bogus".parse::<SearchEngine>().is_err());
-        let mut cfg = SolverConfig::default();
-        SearchEngine::legacy().configure(&mut cfg);
-        assert_eq!(SearchEngine::from_config(&cfg), SearchEngine::legacy());
-    }
-
-    #[test]
     fn every_axis_combination_agrees_on_random_instances() {
-        // 3-SAT with a sprinkle of binary clauses; every one of the 32 axis
-        // combinations must reproduce the reference verdict, including
-        // under an assumption re-solve (incremental reuse).
+        // 3-SAT with a sprinkle of binary clauses; every combination of the
+        // simplification axes (preprocessing, elimination) must reproduce
+        // the reference verdict, including under an assumption re-solve
+        // (incremental reuse) checked against a solver that never
+        // simplifies.
         for seed in 0..8u64 {
             let mut clauses = Vec::new();
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -3130,20 +2816,11 @@ mod tests {
                 clauses.push(c);
             }
             let mut reference: Option<SolveResult> = None;
-            for bits in 0..32u32 {
-                let engine = SearchEngine {
-                    binary_watches: bits & 1 != 0,
-                    tiered_db: bits & 2 != 0,
-                    restart: if bits & 4 != 0 {
-                        RestartPolicy::Ema
-                    } else {
-                        RestartPolicy::Luby
-                    },
-                    vivify: bits & 8 != 0,
-                    elim: bits & 16 != 0,
-                };
+            for bits in 0..4u32 {
+                let (preprocess, elim) = (bits & 1 != 0, bits & 2 != 0);
                 let mut s = Solver::new();
-                engine.configure(&mut s.config);
+                s.config.preprocess = preprocess;
+                s.config.elim = elim;
                 let mut ids = Vec::new();
                 for c in &clauses {
                     add(&mut s, &mut ids, c);
@@ -3151,19 +2828,20 @@ mod tests {
                 let r = s.solve(&[]);
                 match reference {
                     None => reference = Some(r),
-                    Some(want) => assert_eq!(r, want, "seed {seed} engine {}", engine.label()),
+                    Some(want) => assert_eq!(r, want, "seed {seed} axes {bits:02b}"),
                 }
                 if r == SolveResult::Sat {
                     s.debug_check_model();
                     let ra = s.solve(&[ids[0].negative()]);
                     let mut fresh = Solver::new();
-                    SearchEngine::legacy().configure(&mut fresh.config);
+                    fresh.config.preprocess = false;
+                    fresh.config.elim = false;
                     let mut fids = Vec::new();
                     for c in &clauses {
                         add(&mut fresh, &mut fids, c);
                     }
                     let want = fresh.solve(&[fids[0].negative()]);
-                    assert_eq!(ra, want, "seed {seed} engine {} assumption", engine.label());
+                    assert_eq!(ra, want, "seed {seed} axes {bits:02b} assumption");
                 }
             }
         }
@@ -3173,7 +2851,6 @@ mod tests {
     fn ema_restarts_are_deterministic_and_counted() {
         let run = || {
             let mut s = Solver::new();
-            s.config.restart_policy = RestartPolicy::Ema;
             add_pigeonhole(&mut s, 7, 6);
             assert_eq!(s.solve(&[]), SolveResult::Unsat);
             (
@@ -3181,32 +2858,17 @@ mod tests {
                 s.stats.decisions,
                 s.stats.propagations,
                 s.stats.restarts,
-                s.stats.restarts_ema,
             )
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "bit-identical replay");
-        assert!(a.4 > 0, "EMA restarts fired");
-        assert_eq!(a.3, a.4, "all restarts attributed to the EMA policy");
+        assert!(a.3 > 0, "EMA restarts fired");
     }
 
     #[test]
-    fn luby_policy_attributes_restarts() {
+    fn learned_db_populates_tier_gauges() {
         let mut s = Solver::new();
-        s.config.restart_policy = RestartPolicy::Luby;
-        s.config.restart_unit = 10;
-        add_pigeonhole(&mut s, 7, 6);
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-        assert!(s.stats.restarts_luby > 0);
-        assert_eq!(s.stats.restarts, s.stats.restarts_luby);
-        assert_eq!(s.stats.restarts_ema, 0);
-    }
-
-    #[test]
-    fn tiered_db_populates_tier_gauges() {
-        let mut s = Solver::new();
-        s.config.tiered_db = true;
         add_pigeonhole(&mut s, 7, 6);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
         let total = s.stats.tier_core + s.stats.tier_mid + s.stats.tier_local;
@@ -3218,7 +2880,6 @@ mod tests {
     #[test]
     fn binary_clauses_use_dedicated_lists() {
         let mut s = Solver::new();
-        assert!(s.config.binary_watches);
         let a = s.new_var();
         let b = s.new_var();
         let c = s.new_var();

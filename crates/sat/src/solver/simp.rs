@@ -410,8 +410,8 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// Whether enough new input clauses arrived to warrant an inprocessing
-    /// re-pass (only under `config.elim`; with elimination off the pass is
-    /// one-shot, preserving the legacy engine's exact behavior).
+    /// re-pass (only under `config.elim`; with elimination off the pass
+    /// runs once, at the first `solve`).
     pub(crate) fn inprocess_due(&self) -> bool {
         self.config.elim && self.inputs_since_simplify >= INPROCESS_MIN_NEW
     }

@@ -40,7 +40,6 @@ fn db_reduction_and_gc_preserve_soundness() {
 #[test]
 fn restarts_fire_on_hard_instances() {
     let mut s = Solver::new();
-    s.config.restart_unit = 10;
     // Pigeonhole PHP(7,6): needs thousands of conflicts.
     let p: Vec<Vec<Var>> = (0..7)
         .map(|_| (0..6).map(|_| s.new_var()).collect())

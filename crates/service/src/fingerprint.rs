@@ -439,23 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn search_engine_knobs_never_enter_the_fingerprint() {
-        // The search engine changes how the optimum is found, never what it
-        // is — like backend/mode/strategy it must stay out of the cache key,
-        // or re-solving with a different engine would miss warm state.
-        let (a, _) = twin_instances();
-        let full = SolveOptions::default();
-        let legacy = SolveOptions {
-            search: optalloc::SearchEngine::legacy(),
-            ..SolveOptions::default()
-        };
-        assert_eq!(
-            fingerprint(&a, &Objective::MaxUtilizationPermille, &full, None),
-            fingerprint(&a, &Objective::MaxUtilizationPermille, &legacy, None),
-        );
-    }
-
-    #[test]
     fn fingerprints_round_trip_through_hex() {
         let (a, _) = twin_instances();
         let f = fingerprint(

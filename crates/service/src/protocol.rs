@@ -134,10 +134,9 @@ pub enum JobOutcome {
 pub struct SearchSummary {
     /// Literals propagated (clause + PB).
     pub propagations: u64,
-    /// Restarts taken under the fixed Luby policy.
-    pub restarts_luby: u64,
-    /// Restarts taken under the adaptive EMA policy.
-    pub restarts_ema: u64,
+    /// Restarts taken (all adaptive EMA restarts).
+    #[serde(default)]
+    pub restarts: u64,
     /// EMA restarts suppressed by trail-size blocking.
     pub restarts_blocked: u64,
     /// Learned clauses strengthened by in-search vivification.
@@ -179,8 +178,7 @@ impl SearchSummary {
     pub fn from_stats(stats: &optalloc::sat::SolverStats) -> SearchSummary {
         SearchSummary {
             propagations: stats.propagations,
-            restarts_luby: stats.restarts_luby,
-            restarts_ema: stats.restarts_ema,
+            restarts: stats.restarts,
             restarts_blocked: stats.restarts_blocked,
             vivified: stats.vivified,
             elim_vars: stats.elim_vars,
@@ -202,8 +200,7 @@ impl SearchSummary {
     /// the peak takes the max).
     pub fn absorb(&mut self, other: &SearchSummary) {
         self.propagations += other.propagations;
-        self.restarts_luby += other.restarts_luby;
-        self.restarts_ema += other.restarts_ema;
+        self.restarts += other.restarts;
         self.restarts_blocked += other.restarts_blocked;
         self.vivified += other.vivified;
         self.elim_vars += other.elim_vars;
@@ -338,9 +335,29 @@ mod tests {
         let r: JobResult = serde_json::from_str(old).unwrap();
         assert_eq!(r.conflicts, 17);
         assert_eq!(r.search, SearchSummary::default());
+        // Lines written while restarts were split by policy carry one
+        // counter per policy (`restarts_` + `luby` / `ema`) and no
+        // `restarts`: the old fields are ignored and `restarts` defaults to
+        // zero. The line below has the shape such a result line had.
+        let split = format!(
+            r#"{{"fingerprint":"00","outcome":"Infeasible","cached":false,
+                "warm":"Cold","solve_calls":3,"conflicts":17,"solve_ms":5,
+                "search":{{"propagations":40,"restarts_{}":0,"restarts_{}":6,
+                          "restarts_blocked":1,"vivified":2,"elim_vars":3,
+                          "elim_resolvents":4,"elim_restored":0,"elim_attempts":5,
+                          "elim_pairs":6,"subsume_checks":7,"elim_stack_depth":3,
+                          "tier_core":1,"tier_mid":2,"tier_local":3,
+                          "peak_learnts":9}}}}"#,
+            "luby", "ema"
+        );
+        let r2: JobResult = serde_json::from_str(&split).unwrap();
+        assert_eq!(r2.search.restarts, 0);
+        assert_eq!(r2.search.propagations, 40);
+        assert_eq!(r2.search.restarts_blocked, 1);
+        assert_eq!(r2.search.peak_learnts, 9);
         // And a fully populated line round-trips.
         let mut modern = r.clone();
-        modern.search.restarts_ema = 4;
+        modern.search.restarts = 4;
         modern.search.tier_core = 2;
         modern.search.peak_learnts = 99;
         let line = serde_json::to_string(&modern).unwrap();
@@ -366,7 +383,7 @@ mod tests {
                 cached: 3,
                 search: SearchSummary {
                     propagations: 10,
-                    restarts_ema: 2,
+                    restarts: 2,
                     tier_core: 1,
                     ..SearchSummary::default()
                 },

@@ -11,7 +11,7 @@
 //! | `scale`       | multiply every time quantity by `k`     | exact / one-sided under TRT objectives (see below) |
 //! | `monotone`    | raise a WCET or message size, or tighten a deadline | optimum non-decreasing, infeasible stays infeasible |
 //! | `redundant`   | add provably-redundant constraints      | identical outcome |
-//! | `engine-grid` | same instance, N engine configurations  | all agree with a certified run |
+//! | `engine-grid` | same instance: fresh mode, encoder opts off, window search | all agree with a certified run |
 //! | `warm-delta`  | delta chain: warm engine vs. cold solve, plus the service path | identical outcome |
 //!
 //! **Scaling soundness.** Integer response-time analysis is an exact fixed
@@ -33,8 +33,8 @@
 
 use crate::spec::{base_options, InstanceSpec, ObjectiveSpec};
 use optalloc::{
-    apply_deltas, EncoderOpt, InstanceDelta, OptError, Optimizer, SearchEngine, SolveOptions,
-    Strategy, WarmEngine,
+    apply_deltas, EncoderOpt, InstanceDelta, OptError, Optimizer, SolveOptions, Strategy,
+    WarmEngine,
 };
 use optalloc_intopt::BinSearchMode;
 use optalloc_service::protocol::{Instance, JobOutcome, Request, Response};
@@ -460,13 +460,6 @@ fn check_engine_grid(spec: &InstanceSpec, opts: &SolveOptions) -> Result<bool, S
             "encoder-opt-off",
             SolveOptions {
                 encoder_opt: EncoderOpt::none(),
-                ..opts.clone()
-            },
-        ),
-        (
-            "legacy-engine",
-            SolveOptions {
-                search: SearchEngine::legacy(),
                 ..opts.clone()
             },
         ),

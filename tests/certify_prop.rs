@@ -14,7 +14,7 @@
 //! scales the number of cases, and `PROPTEST_REGRESSIONS_DIR` persists
 //! shrunk counterexamples under `tests/regressions/`.
 
-use optalloc::{Objective, Optimizer, RestartPolicy, SearchEngine, SolveOptions, Strategy};
+use optalloc::{Objective, Optimizer, SolveOptions, Strategy};
 use optalloc_analysis::validate;
 use optalloc_heuristics::{anneal, greedy, objective_value, HeuristicObjective, SaParams};
 use optalloc_model::MediumId;
@@ -116,64 +116,6 @@ proptest! {
         );
         let replayed = objective_value(&w.arch, &w.tasks, &r.solution.allocation, &h_objective);
         prop_assert_eq!(replayed, r.cost, "replayed objective diverges from proven optimum");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Every point of the restart-policy × tiered-DB × vivification/
-    /// elimination grid proves the same certified optimum, and every proof
-    /// checks. This is the soundness contract of the search engine: the
-    /// axes may change how the search runs, never what it proves — even
-    /// with DRAT logging on, where vivification must log its
-    /// strengthenings derivation-first and variable elimination its
-    /// resolvents parents-first.
-    #[test]
-    fn search_engine_grid_certifies_identical_optima(
-        seed in 0u64..1000,
-        n_tasks in 6usize..=7,
-    ) {
-        let w = generate(&tiny(seed, n_tasks, true));
-        let objective = Objective::TokenRotationTime(MediumId(0));
-        let mut reference: Option<i64> = None;
-        for restart in [RestartPolicy::Luby, RestartPolicy::Ema] {
-            for tiered_db in [false, true] {
-                for (vivify, elim) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let search = SearchEngine {
-                        binary_watches: true,
-                        tiered_db,
-                        restart,
-                        vivify,
-                        elim,
-                    };
-                    let opts = SolveOptions {
-                        search,
-                        ..certified_options(Strategy::Single)
-                    };
-                    let r = Optimizer::new(&w.arch, &w.tasks)
-                        .with_options(opts)
-                        .minimize(&objective)
-                        .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", search.label()));
-                    let cert = r
-                        .certificate
-                        .as_ref()
-                        .expect("certify=true yields a certificate");
-                    cert.certificate.verify().unwrap_or_else(|e| {
-                        panic!("seed {seed} {}: certificate rejected: {e}", search.label())
-                    });
-                    prop_assert_eq!(cert.certificate.optimum, r.cost);
-                    let expect = *reference.get_or_insert(r.cost);
-                    prop_assert_eq!(
-                        r.cost,
-                        expect,
-                        "seed {} engine {}: optimum moved",
-                        seed,
-                        search.label()
-                    );
-                }
-            }
-        }
     }
 }
 
