@@ -37,7 +37,7 @@ use optalloc_obs::{Obs, Phase, ProgressEvent, ProgressHook, ProgressThrottle, DE
 mod paranoid;
 mod simp;
 
-use simp::ElimGroup;
+use simp::{ElimGroup, SimpScratch};
 
 use crate::clause::{ClauseDb, ClauseRef, Tier};
 use crate::drat::ProofLog;
@@ -451,6 +451,11 @@ pub struct Solver {
     /// Clauses removed by each elimination, in elimination order — replayed
     /// backwards to extend models, forwards (per variable) to restore.
     elim_stack: Vec<ElimGroup>,
+    /// The reconstruction stack's clauses, flat: clause `k` is
+    /// `elim_lits[elim_ranges[k].0..elim_ranges[k].1]`; a group holds a
+    /// range of `k`.
+    elim_lits: Vec<Lit>,
+    elim_ranges: Vec<(u32, u32)>,
     /// `var index → elim_stack position` while eliminated (`u32::MAX`
     /// otherwise); stale stack entries of re-eliminated variables are
     /// recognized by this indirection.
@@ -458,6 +463,8 @@ pub struct Solver {
     /// Input clauses added since the last simplification pass; drives the
     /// bounded inprocessing trigger.
     inputs_since_simplify: u64,
+    /// Buffers of the simplification pass, reused from pass to pass.
+    simp: SimpScratch,
 
     /// Extended DRAT trace, lazily created when `config.proof` is set.
     proof: Option<ProofLog>,
@@ -517,8 +524,11 @@ impl Solver {
             frozen: Vec::new(),
             eliminated: Vec::new(),
             elim_stack: Vec::new(),
+            elim_lits: Vec::new(),
+            elim_ranges: Vec::new(),
             elim_pos: Vec::new(),
             inputs_since_simplify: 0,
+            simp: SimpScratch::default(),
             proof: None,
             progress_throttle: None,
             stats: SolverStats::default(),
@@ -1278,8 +1288,10 @@ impl Solver {
             if self.config.proof {
                 log_of(&mut self.proof).delete(self.db.lits(c));
             }
-            self.detach(c);
             self.db.delete(c);
+        }
+        if target > 0 {
+            self.sweep_deleted_watches();
         }
         let db = &self.db;
         self.learnts.retain(|&c| !db.is_deleted(c));
@@ -1508,9 +1520,11 @@ impl Solver {
             if self.config.proof {
                 log_of(&mut self.proof).delete(self.db.lits(c));
             }
-            self.detach(c);
             self.db.delete(c);
             removed += 1;
+        }
+        if removed > 0 {
+            self.sweep_deleted_watches();
         }
         self.learnts = kept;
         self.stats.deleted += removed as u64;
@@ -1520,6 +1534,23 @@ impl Solver {
         removed
     }
 
+    /// Drops the watches of every tombstoned clause in one pass over all
+    /// watch lists, keeping the others in order: the lists a `detach` per
+    /// deleted clause would leave, without scanning two lists per clause.
+    /// Callers tombstone with `db.delete`, then sweep before anything
+    /// propagates or collects garbage.
+    fn sweep_deleted_watches(&mut self) {
+        let db = &self.db;
+        for ws in &mut self.watches {
+            ws.retain(|w| !db.is_deleted(w.cref));
+        }
+        for ws in &mut self.bin_watches {
+            ws.retain(|w| !db.is_deleted(w.cref));
+        }
+    }
+
+    /// Removes one clause's watches (vivification detaches the clause under
+    /// test; bulk deletions tombstone and sweep instead).
     fn detach(&mut self, cref: ClauseRef) {
         let (l0, l1) = {
             let ls = self.db.lits(cref);
@@ -2983,6 +3014,64 @@ mod tests {
             "oversized watch lists were shrunk"
         );
         assert_eq!(s.solve(&[]), SolveResult::Sat);
+    }
+
+    /// One tombstone-and-sweep leaves every watch list exactly as a
+    /// `detach` per deleted clause does: same entries, same order. The
+    /// solvers first search a while, so propagation has reordered the
+    /// lists and learned clauses are watched too.
+    #[test]
+    fn sweeping_deleted_watches_matches_per_clause_detach() {
+        type Lists = Vec<Vec<(u32, Lit)>>;
+        fn lists(s: &Solver) -> (Lists, Lists) {
+            let long = s
+                .watches
+                .iter()
+                .map(|ws| ws.iter().map(|w| (w.cref.0, w.blocker)).collect());
+            let bin = s
+                .bin_watches
+                .iter()
+                .map(|ws| ws.iter().map(|w| (w.cref.0, w.other)).collect());
+            (long.collect(), bin.collect())
+        }
+        for seed in 1..=20u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |n: u64| -> u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let n_vars = 30;
+            let clauses: Vec<Vec<i32>> = (0..130)
+                .map(|_| {
+                    let len = 2 + next(3);
+                    (0..len)
+                        .map(|_| (1 + next(n_vars) as i32) * if next(2) == 0 { 1 } else { -1 })
+                        .collect()
+                })
+                .collect();
+            let build = || {
+                let mut s = Solver::new();
+                s.config.max_conflicts = Some(40);
+                let mut ids = Vec::new();
+                for c in &clauses {
+                    add(&mut s, &mut ids, c);
+                }
+                s.solve(&[]);
+                s
+            };
+            let (mut detached, mut swept) = (build(), build());
+            assert_eq!(lists(&detached), lists(&swept));
+            let doomed: Vec<ClauseRef> = detached.db.iter_refs().filter(|_| next(3) == 0).collect();
+            for &c in &doomed {
+                detached.detach(c);
+                detached.db.delete(c);
+                swept.db.delete(c);
+            }
+            swept.sweep_deleted_watches();
+            assert_eq!(lists(&detached), lists(&swept), "seed {seed}");
+        }
     }
 
     #[test]

@@ -241,9 +241,11 @@ impl Solver {
 
     /// Elimination-stack consistency: the `eliminated` marks, the
     /// `elim_pos` indirection and the stack agree (with stale entries of
-    /// re-eliminated variables correctly orphaned), frozen variables are
-    /// never eliminated, the depth gauge matches, and no eliminated
-    /// variable occurs in a live input clause or a PB constraint.
+    /// re-eliminated variables correctly orphaned), every live group's
+    /// stored clauses lie in the flat stack and mention its variable,
+    /// frozen variables are never eliminated, the depth gauge matches, and
+    /// no eliminated variable occurs in a live input clause or a PB
+    /// constraint.
     fn check_elim_state(&self, site: &str) {
         let mut live = 0u64;
         for v in 0..self.eliminated.len() {
@@ -263,6 +265,19 @@ impl Solver {
                     Var::from_index(v),
                     "[{site}] elim_pos of var {v} points at another variable's group"
                 );
+                // Each stored clause is a range of the flat stack and
+                // mentions the variable it was stored for.
+                for k in self.elim_stack[gi as usize].clauses.clone() {
+                    assert!(
+                        (k as usize) < self.elim_ranges.len(),
+                        "[{site}] group of var {v} holds clause {k} past the stack"
+                    );
+                    assert!(
+                        self.stored_clause(k).iter().any(|l| l.var().index() == v),
+                        "[{site}] stored clause {:?} of var {v} does not mention it",
+                        self.stored_clause(k)
+                    );
+                }
             } else {
                 assert_eq!(
                     self.elim_pos[v],

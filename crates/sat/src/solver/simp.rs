@@ -37,6 +37,8 @@
 //! keep their deletion steps, exactly as before.)
 
 use super::*;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Re-run the simplification pass (under `config.elim`) once this many new
 /// input clauses arrived since the last pass.
@@ -78,8 +80,10 @@ fn inject_skip_elim_restore() -> bool {
 pub(crate) struct ElimGroup {
     pub(crate) var: Var,
     /// Every clause containing the variable when it was eliminated, in
-    /// working-copy (root-simplified, sorted) form. Emptied on restore.
-    pub(crate) clauses: Vec<Vec<Lit>>,
+    /// working-copy (root-simplified, sorted) form: indices into the
+    /// solver's `elim_ranges`, each a range of `elim_lits`. Emptied on
+    /// restore.
+    pub(crate) clauses: Range<u32>,
 }
 
 /// Working copy of one live input clause during a pass.
@@ -87,19 +91,112 @@ struct Pc {
     /// Arena home; `None` for a resolvent created this pass (allocated at
     /// write-back if it survives).
     cref: Option<ClauseRef>,
-    lits: Vec<Lit>,
+    /// The copy's literals: `arena[start..start + len]`, sorted.
+    start: u32,
+    len: u32,
     sig: u64,
     dead: bool,
     /// Dead because its variable was eliminated: the clause moved to the
     /// reconstruction stack and its proof-trace copy is *kept*.
     elim_dead: bool,
     changed: bool,
-    /// Last working copy logged into the proof trace. Strengthened copies
-    /// are logged the moment they are derived — while both resolution
-    /// parents are still present, so the step is RUP — never at write-back,
-    /// where the parents may already have been deleted (a subsumer can
-    /// itself be strengthened or subsumed).
-    logged: Option<Vec<Lit>>,
+    /// Last working copy logged into the proof trace, as a range of
+    /// `SimpScratch::logged` (only under `config.proof`). Strengthened
+    /// copies are logged the moment they are derived — while both
+    /// resolution parents are still present, so the step is RUP — never at
+    /// write-back, where the parents may already have been deleted (a
+    /// subsumer can itself be strengthened or subsumed).
+    logged: Option<(u32, u32)>,
+}
+
+impl Pc {
+    /// The copy's range of the pass arena.
+    fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Occurrence lists by literal index: one block, counted then filled, over
+/// the copies a pass starts with, and per-literal overflow for the
+/// resolvents it adds. A literal's occurrences are its block slice followed
+/// by its overflow, i.e. in the order the clauses were added.
+#[derive(Default)]
+struct Occs {
+    /// `start[l]..start[l + 1]` is literal `l`'s slice of `block`.
+    start: Vec<u32>,
+    block: Vec<u32>,
+    extra: Vec<Vec<u32>>,
+}
+
+impl Occs {
+    fn build(&mut self, num_lits: usize, pcs: &[Pc], arena: &[Lit]) {
+        self.start.clear();
+        self.start.resize(num_lits + 1, 0);
+        for pc in pcs {
+            for l in &arena[pc.range()] {
+                self.start[l.index() + 1] += 1;
+            }
+        }
+        for i in 1..=num_lits {
+            self.start[i] += self.start[i - 1];
+        }
+        self.block.clear();
+        self.block.resize(self.start[num_lits] as usize, 0);
+        // Fill with `start[l]` as the cursor (it ends at `l + 1`'s start),
+        // then shift the starts back.
+        for (i, pc) in pcs.iter().enumerate() {
+            for l in &arena[pc.range()] {
+                let at = &mut self.start[l.index()];
+                self.block[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        self.start.copy_within(0..num_lits, 1);
+        self.start[0] = 0;
+        self.extra.resize_with(num_lits, Vec::new);
+        for e in &mut self.extra {
+            e.clear();
+        }
+    }
+
+    fn len(&self, l: Lit) -> usize {
+        let i = l.index();
+        (self.start[i + 1] - self.start[i]) as usize + self.extra[i].len()
+    }
+
+    fn iter(&self, l: Lit) -> impl Iterator<Item = u32> + '_ {
+        let i = l.index();
+        let block = &self.block[self.start[i] as usize..self.start[i + 1] as usize];
+        block.iter().chain(&self.extra[i]).copied()
+    }
+
+    fn push(&mut self, l: Lit, pc: u32) {
+        self.extra[l.index()].push(pc);
+    }
+}
+
+/// The working state of one pass. It lives on the solver between passes,
+/// so a pass reuses the buffers of the last one: each is cleared at the
+/// start of a pass, never shrunk.
+#[derive(Default)]
+pub(crate) struct SimpScratch {
+    /// Literals of every working copy and resolvent of the pass.
+    arena: Vec<Lit>,
+    pcs: Vec<Pc>,
+    /// Proof-logged copies (under `config.proof` only).
+    logged: Vec<Lit>,
+    occ: Occs,
+    worklist: VecDeque<u32>,
+    /// Counting-sort buckets of the initial worklist, by clause length.
+    by_len: Vec<u32>,
+    crefs: Vec<ClauseRef>,
+    /// Clauses found satisfied or unit while copying.
+    doomed: Vec<ClauseRef>,
+    /// Assumption variables, frozen for the duration of the pass.
+    assumed: Vec<bool>,
+    elim: ElimScratch,
+    /// A copy re-simplified at write-back.
+    buf: Vec<Lit>,
 }
 
 fn signature(lits: &[Lit]) -> u64 {
@@ -127,11 +224,11 @@ fn sub_check(a: &[Lit], b: &[Lit]) -> Option<Option<Lit>> {
 
 /// Fills `out` with the indices in `occ[l]` whose clause is live and still
 /// contains `l` (strengthening leaves stale entries behind).
-fn live_occs(pcs: &[Pc], occ: &[Vec<u32>], l: Lit, out: &mut Vec<u32>) {
+fn live_occs(pcs: &[Pc], arena: &[Lit], occ: &Occs, l: Lit, out: &mut Vec<u32>) {
     out.clear();
-    out.extend(occ[l.index()].iter().copied().filter(|&i| {
+    out.extend(occ.iter(l).filter(|&i| {
         let p = &pcs[i as usize];
-        !p.dead && p.lits.binary_search(&l).is_ok()
+        !p.dead && arena[p.range()].binary_search(&l).is_ok()
     }));
 }
 
@@ -143,7 +240,8 @@ fn touch(memo: &mut [u64], lits: &[Lit]) {
     }
 }
 
-/// Per-pass scratch of the elimination schedule, O(variables).
+/// Scratch of the elimination schedule, O(variables).
+#[derive(Default)]
 struct ElimScratch {
     /// `memo[v]`: the budget charge (`|P|·|N| + 1`) of `v`'s last aborted
     /// distribution attempt, or 0 once a clause containing `v` changed
@@ -153,32 +251,41 @@ struct ElimScratch {
     /// Literal marks of the dry run: the positive clause of the current
     /// pair; all clear between attempts.
     mark: Vec<bool>,
+    /// Candidates of a sweep as `(estimated occurrences, variable)`.
+    cands: Vec<(usize, usize)>,
     pos: Vec<u32>,
     neg: Vec<u32>,
+    /// Arena ranges of the resolvents of a committed elimination.
+    res: Vec<Range<usize>>,
 }
 
 impl ElimScratch {
-    fn new(num_vars: usize) -> ElimScratch {
-        ElimScratch {
-            memo: vec![0; num_vars],
-            mark: vec![false; 2 * num_vars],
-            pos: Vec::new(),
-            neg: Vec::new(),
-        }
+    /// Clears the per-pass state for `num_vars` variables.
+    fn reset(&mut self, num_vars: usize) {
+        self.memo.clear();
+        self.memo.resize(num_vars, 0);
+        self.mark.resize(2 * num_vars, false);
     }
 
     /// Dry run of distributing `v`: whether every non-tautological
     /// resolvent of `self.pos × self.neg` has at most `ELIM_MAX_RES_LEN`
     /// literals and there are at most `limit` of them, i.e. whether
-    /// building them with [`resolve`] would not abort. Working copies are
-    /// sorted, duplicate-free and non-tautological, so with `C` marked a
-    /// resolvent is `|C| − 1` literals plus those of `D ∖ {¬v}` not in `C`.
-    /// Adds the pairs examined to `pairs`.
-    fn distribution_fits(&mut self, pcs: &[Pc], v: Var, limit: usize, pairs: &mut u64) -> bool {
+    /// building them with [`resolve_into`] would not abort. Working copies
+    /// are sorted, duplicate-free and non-tautological, so with `C` marked
+    /// a resolvent is `|C| − 1` literals plus those of `D ∖ {¬v}` not in
+    /// `C`. Adds the pairs examined to `pairs`.
+    fn distribution_fits(
+        &mut self,
+        pcs: &[Pc],
+        arena: &[Lit],
+        v: Var,
+        limit: usize,
+        pairs: &mut u64,
+    ) -> bool {
         let mark = &mut self.mark;
         let mut kept = 0usize;
         for &ci in &self.pos {
-            let c = &pcs[ci as usize].lits;
+            let c = &arena[pcs[ci as usize].range()];
             for &l in c {
                 mark[l.index()] = true;
             }
@@ -186,7 +293,10 @@ impl ElimScratch {
             'neg: for &dj in &self.neg {
                 *pairs += 1;
                 let mut len = c.len() - 1;
-                for &l in pcs[dj as usize].lits.iter().filter(|l| l.var() != v) {
+                for &l in arena[pcs[dj as usize].range()]
+                    .iter()
+                    .filter(|l| l.var() != v)
+                {
                     if mark[(!l).index()] {
                         continue 'neg; // tautology
                     }
@@ -209,21 +319,49 @@ impl ElimScratch {
     }
 }
 
-/// The resolvent of sorted clauses `c` (containing `v`) and `d` (containing
-/// `¬v`) on `v`; `None` if it is a tautology.
-fn resolve(c: &[Lit], d: &[Lit], v: Var) -> Option<Vec<Lit>> {
-    let mut out: Vec<Lit> = Vec::with_capacity(c.len() + d.len() - 2);
-    out.extend(c.iter().copied().filter(|l| l.var() != v));
-    out.extend(d.iter().copied().filter(|l| l.var() != v));
-    out.sort_unstable();
-    out.dedup();
-    // Sorted literal order keeps complements adjacent.
-    for w in out.windows(2) {
-        if w[1] == !w[0] {
-            return None;
+/// Appends to `arena` the resolvent on `v` of the sorted clauses
+/// `arena[c]` (containing `v`) and `arena[d]` (containing `¬v`), merging
+/// the two: the result is sorted and duplicate-free — the sequence that
+/// sorting and deduplicating both minus `v` gives. Returns its range, or
+/// `None`, with `arena` as it was, if it is a tautology.
+fn resolve_into(
+    arena: &mut Vec<Lit>,
+    c: Range<usize>,
+    d: Range<usize>,
+    v: Var,
+) -> Option<Range<usize>> {
+    let start = arena.len();
+    let (mut i, mut j) = (c.start, d.start);
+    loop {
+        let next = match (i < c.end, j < d.end) {
+            (true, true) if arena[i] <= arena[j] => {
+                j += usize::from(arena[i] == arena[j]);
+                i += 1;
+                arena[i - 1]
+            }
+            (_, true) => {
+                j += 1;
+                arena[j - 1]
+            }
+            (true, false) => {
+                i += 1;
+                arena[i - 1]
+            }
+            (false, false) => return Some(start..arena.len()),
+        };
+        if next.var() == v {
+            continue;
+        }
+        // Sorted literal order keeps duplicates and complements adjacent.
+        match arena[start..].last() {
+            Some(&last) if last == next => continue,
+            Some(&last) if last == !next => {
+                arena.truncate(start);
+                return None;
+            }
+            _ => arena.push(next),
         }
     }
-    Some(out)
 }
 
 impl Solver {
@@ -296,17 +434,19 @@ impl Solver {
             if !self.order.contains(v) {
                 self.order.insert(v, &self.activity);
             }
-            let clauses = std::mem::take(&mut self.elim_stack[gi].clauses);
-            for cl in clauses {
+            let clauses = &mut self.elim_stack[gi].clauses;
+            let range = clauses.clone();
+            clauses.end = clauses.start;
+            for k in range {
                 // A stored clause may mention variables eliminated *after*
                 // this one (their own stored clauses cannot mention `v`, so
                 // the cascade terminates).
-                for &l in &cl {
+                for &l in self.stored_clause(k) {
                     if self.eliminated[l.var().index()] {
                         work.push(l.var());
                     }
                 }
-                self.reinstall_clause(&cl);
+                self.reinstall_clause(k);
                 if !self.ok {
                     return;
                 }
@@ -314,11 +454,11 @@ impl Solver {
         }
     }
 
-    /// Re-attaches one stored clause, simplified against the current root
+    /// Re-attaches stored clause `k`, simplified against the current root
     /// assignment.
-    fn reinstall_clause(&mut self, cl: &[Lit]) {
-        let mut lits: Vec<Lit> = Vec::with_capacity(cl.len());
-        for &l in cl {
+    fn reinstall_clause(&mut self, k: u32) {
+        let mut lits: Vec<Lit> = Vec::new();
+        for &l in self.stored_clause(k) {
             match self.value_lit(l) {
                 LBool::True => return, // already satisfied at root
                 LBool::False => {}
@@ -367,7 +507,8 @@ impl Solver {
             }
             let pos = var.positive();
             let mut value = false;
-            'clauses: for cl in &self.elim_stack[gi].clauses {
+            'clauses: for k in self.elim_stack[gi].clauses.clone() {
+                let cl = self.stored_clause(k);
                 let mut has_pos = false;
                 for &l in cl {
                     if l.var() == var {
@@ -387,6 +528,12 @@ impl Solver {
         }
     }
 
+    /// Clause `k` of the reconstruction stack.
+    pub(crate) fn stored_clause(&self, k: u32) -> &[Lit] {
+        let (start, end) = self.elim_ranges[k as usize];
+        &self.elim_lits[start as usize..end as usize]
+    }
+
     /// Panics unless the current model satisfies every clause on the live
     /// reconstruction stack — the complement of `debug_check_model` for the
     /// part of the original formula that elimination removed.
@@ -395,7 +542,8 @@ impl Solver {
             if self.elim_pos[g.var.index()] != gi as u32 {
                 continue;
             }
-            for cl in &g.clauses {
+            for k in g.clauses.clone() {
+                let cl = self.stored_clause(k);
                 assert!(
                     cl.iter().any(|&l| self.model_value(l)),
                     "eliminated clause {:?} violated by the extended model",
@@ -431,80 +579,88 @@ impl Solver {
     /// and any variable occurring in one is ineligible. Iteration follows
     /// arena/occurrence order, so the pass is deterministic.
     pub(crate) fn simplify(&mut self, assumptions: &[Lit], first: bool) {
+        let mut sc = std::mem::take(&mut self.simp);
+        self.simplify_in(&mut sc, assumptions, first);
+        self.simp = sc;
+    }
+
+    /// The pass, with its buffers in `sc`. Write-back tombstones
+    /// clauses and drops their watches in one sweep, which runs before
+    /// anything can propagate or collect garbage: no propagation ever meets
+    /// a watch of a tombstoned clause.
+    fn simplify_in(&mut self, sc: &mut SimpScratch, assumptions: &[Lit], first: bool) {
         debug_assert_eq!(self.decision_level(), 0);
         self.clear_root_reasons();
         self.inputs_since_simplify = 0;
+        let num_vars = self.num_vars();
+        sc.arena.clear();
+        sc.pcs.clear();
+        sc.logged.clear();
+        sc.doomed.clear();
+        sc.elim.reset(num_vars);
 
         // Working copies of the live input clauses, simplified against the
         // current root assignment.
-        let crefs: Vec<ClauseRef> = self
-            .db
-            .iter_refs()
-            .filter(|&c| !self.db.is_learnt(c))
-            .collect();
-        let mut pcs: Vec<Pc> = Vec::with_capacity(crefs.len());
-        let mut doomed: Vec<ClauseRef> = Vec::new();
-        for cref in crefs {
-            let orig_len = self.db.len(cref);
-            let mut lits: Vec<Lit> = Vec::with_capacity(orig_len);
+        sc.crefs.clear();
+        sc.crefs
+            .extend(self.db.iter_refs().filter(|&c| !self.db.is_learnt(c)));
+        for k in 0..sc.crefs.len() {
+            let cref = sc.crefs[k];
+            let start = sc.arena.len();
             let mut satisfied = false;
-            for i in 0..orig_len {
-                let l = self.db.lits(cref)[i];
+            for &l in self.db.lits(cref) {
                 match self.value_lit(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {}
-                    LBool::Undef => lits.push(l),
+                    LBool::Undef => sc.arena.push(l),
                 }
             }
+            let len = sc.arena.len() - start;
             if satisfied {
-                doomed.push(cref);
+                sc.arena.truncate(start);
+                sc.doomed.push(cref);
                 self.stats.pp_removed += 1;
                 continue;
             }
-            match lits.len() {
+            match len {
                 // All-false clauses would have conflicted during propagation.
                 0 => {
                     self.set_unsat();
                     return;
                 }
                 1 => {
-                    doomed.push(cref);
-                    if !self.pp_assign_unit(lits[0]) {
+                    let unit = sc.arena[start];
+                    sc.arena.truncate(start);
+                    sc.doomed.push(cref);
+                    if !self.pp_assign_unit(unit) {
                         return;
                     }
                     continue;
                 }
                 _ => {}
             }
+            let lits = &mut sc.arena[start..];
             lits.sort_unstable();
-            let sig = signature(&lits);
-            let changed = lits.len() != orig_len;
-            pcs.push(Pc {
+            sc.pcs.push(Pc {
                 cref: Some(cref),
-                lits,
-                sig,
+                start: start as u32,
+                len: len as u32,
+                sig: signature(lits),
                 dead: false,
                 elim_dead: false,
-                changed,
+                changed: len != self.db.len(cref),
                 logged: None,
             });
         }
+        sc.occ.build(2 * num_vars, &sc.pcs, &sc.arena);
 
-        // Occurrence lists over the copies, by literal index.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
-        for (i, pc) in pcs.iter().enumerate() {
-            for &l in &pc.lits {
-                occ[l.index()].push(i as u32);
-            }
-        }
-
-        // Assumption variables are frozen for the duration of the pass.
-        let mut assumed = vec![false; self.num_vars()];
+        sc.assumed.clear();
+        sc.assumed.resize(num_vars, false);
         for a in assumptions {
-            assumed[a.var().index()] = true;
+            sc.assumed[a.var().index()] = true;
         }
 
         let mut budget: u64 = if first {
@@ -521,59 +677,74 @@ impl Solver {
         // Forward subsumption with the short clauses as subsumers, cheapest
         // occurrence list first, bounded by a global step budget; then (with
         // elimination on) a variable-elimination sweep whose resolvents feed
-        // back into the subsumption worklist, until a fixpoint.
-        let mut order: Vec<u32> = (0..pcs.len() as u32).collect();
-        order.sort_by_key(|&i| (pcs[i as usize].lits.len(), i));
-        let mut worklist: std::collections::VecDeque<u32> = order.into();
-        let mut scratch = ElimScratch::new(self.num_vars());
-        let mut c_lits: Vec<Lit> = Vec::with_capacity(SUBSUMER_MAX_LEN);
+        // back into the subsumption worklist, until a fixpoint. The worklist
+        // starts in `(length, index)` order, by counting sort.
+        let max_len = sc.pcs.iter().map(|p| p.len as usize).max().unwrap_or(0);
+        sc.by_len.clear();
+        sc.by_len.resize(max_len + 2, 0);
+        for p in &sc.pcs {
+            sc.by_len[p.len as usize + 1] += 1;
+        }
+        for i in 1..sc.by_len.len() {
+            sc.by_len[i] += sc.by_len[i - 1];
+        }
+        sc.worklist.clear();
+        sc.worklist.resize(sc.pcs.len(), 0);
+        for (i, p) in sc.pcs.iter().enumerate() {
+            let at = &mut sc.by_len[p.len as usize];
+            sc.worklist[*at as usize] = i as u32;
+            *at += 1;
+        }
         loop {
-            while let Some(ci) = worklist.pop_front() {
+            while let Some(ci) = sc.worklist.pop_front() {
                 if budget == 0 {
                     break;
                 }
-                let c_sig = {
-                    let c = &pcs[ci as usize];
-                    if c.dead || c.lits.len() > SUBSUMER_MAX_LEN {
-                        continue;
-                    }
-                    c_lits.clear();
-                    c_lits.extend_from_slice(&c.lits);
-                    c.sig
-                };
+                let c = &sc.pcs[ci as usize];
+                if c.dead || c.len as usize > SUBSUMER_MAX_LEN {
+                    continue;
+                }
+                let (c_range, c_sig) = (c.range(), c.sig);
                 // Candidates must contain the subsumer's least-occurring
                 // literal in either polarity.
-                let best = c_lits
+                let occ = &sc.occ;
+                let best = sc.arena[c_range.clone()]
                     .iter()
-                    .min_by_key(|l| occ[l.index()].len() + occ[(!**l).index()].len())
+                    .min_by_key(|l| occ.len(**l) + occ.len(!**l))
                     .copied()
-                    .unwrap();
+                    .expect("a working copy has at least two literals");
                 for side in [best, !best] {
-                    for &dj in &occ[side.index()] {
-                        if dj == ci || pcs[dj as usize].dead {
+                    for dj in sc.occ.iter(side) {
+                        let d = &sc.pcs[dj as usize];
+                        if dj == ci || d.dead {
                             continue;
                         }
-                        let d = &pcs[dj as usize];
-                        if d.lits.len() < c_lits.len() || c_sig & !d.sig != 0 {
+                        if d.len < c_range.len() as u32 || c_sig & !d.sig != 0 {
                             continue;
                         }
-                        budget = budget.saturating_sub(d.lits.len() as u64);
+                        budget = budget.saturating_sub(u64::from(d.len));
                         self.stats.subsume_checks += 1;
-                        match sub_check(&c_lits, &d.lits) {
+                        let d_range = d.range();
+                        let verdict =
+                            sub_check(&sc.arena[c_range.clone()], &sc.arena[d_range.clone()]);
+                        match verdict {
                             None => {}
                             Some(None) => {
-                                touch(&mut scratch.memo, &d.lits);
-                                pcs[dj as usize].dead = true;
+                                touch(&mut sc.elim.memo, &sc.arena[d_range]);
+                                sc.pcs[dj as usize].dead = true;
                                 self.stats.pp_removed += 1;
                             }
                             Some(Some(l)) => {
-                                touch(&mut scratch.memo, &d.lits);
-                                {
-                                    let d = &mut pcs[dj as usize];
-                                    d.lits.retain(|&x| x != !l);
-                                    d.sig = signature(&d.lits);
-                                    d.changed = true;
-                                }
+                                touch(&mut sc.elim.memo, &sc.arena[d_range.clone()]);
+                                // Remove `¬l` in place.
+                                let lits = &mut sc.arena[d_range];
+                                let at = lits.binary_search(&!l).expect("sub_check found ¬l in d");
+                                lits.copy_within(at + 1.., at);
+                                let d = &mut sc.pcs[dj as usize];
+                                d.len -= 1;
+                                let lits = &sc.arena[d.range()];
+                                d.sig = signature(lits);
+                                d.changed = true;
                                 self.stats.pp_strengthened += 1;
                                 // Proof: the new copy is the resolvent of
                                 // the current copies of `d` and the
@@ -585,22 +756,25 @@ impl Solver {
                                 // subsumed by the new one, so the deletion
                                 // never weakens propagation.
                                 if self.config.proof {
-                                    let d = &mut pcs[dj as usize];
-                                    self.proof_log().add(&d.lits);
-                                    if let Some(prev) = d.logged.replace(d.lits.clone()) {
-                                        self.proof_log().delete(&prev);
+                                    let log = log_of(&mut self.proof);
+                                    log.add(lits);
+                                    let at = sc.logged.len();
+                                    sc.logged.extend_from_slice(lits);
+                                    let new = (at as u32, lits.len() as u32);
+                                    if let Some((s, n)) = d.logged.replace(new) {
+                                        log.delete(&sc.logged[s as usize..(s + n) as usize]);
                                     }
                                 }
-                                if pcs[dj as usize].lits.len() == 1 {
-                                    let unit = pcs[dj as usize].lits[0];
-                                    pcs[dj as usize].dead = true;
+                                if lits.len() == 1 {
+                                    let unit = lits[0];
+                                    d.dead = true;
                                     if !self.pp_assign_unit(unit) {
                                         return;
                                     }
                                 } else {
                                     // A stronger clause subsumes more;
                                     // requeue.
-                                    worklist.push_back(dj);
+                                    sc.worklist.push_back(dj);
                                 }
                             }
                         }
@@ -616,14 +790,7 @@ impl Solver {
             if elim_budget == 0 {
                 break;
             }
-            let eliminated = self.elim_sweep(
-                &mut pcs,
-                &mut occ,
-                &mut worklist,
-                &assumed,
-                &mut elim_budget,
-                &mut scratch,
-            );
+            let eliminated = self.elim_sweep(sc, &mut elim_budget);
             if !self.ok {
                 return;
             }
@@ -632,45 +799,51 @@ impl Solver {
             }
         }
 
-        // Write results back into the solver: drop dead clauses, re-allocate
-        // strengthened ones (watches must move to the new literal set), and
-        // allocate surviving resolvents.
-        for cref in doomed {
-            if self.config.proof {
+        // Write results back into the solver: tombstone dead clauses and the
+        // originals of strengthened ones, allocate the strengthened copies
+        // and surviving resolvents. Watches of tombstoned clauses go in one
+        // sweep, before any unit propagates and at the end; the lists come
+        // out as a `detach` per clause would leave them.
+        let proof = self.config.proof;
+        for &cref in &sc.doomed {
+            if proof {
                 log_of(&mut self.proof).delete(self.db.lits(cref));
             }
-            self.detach(cref);
             self.db.delete(cref);
         }
-        for pc in &pcs {
+        let mut unswept = !sc.doomed.is_empty();
+        for pc in &sc.pcs {
+            let logged = pc
+                .logged
+                .map(|(s, n)| &sc.logged[s as usize..(s + n) as usize]);
             if pc.elim_dead {
                 // Moved to the reconstruction stack. The proof-trace copy is
                 // kept on purpose: the checker propagating through it only
                 // strengthens later RUP checks, and restoration needs no
                 // re-derivation.
                 if let Some(cref) = pc.cref {
-                    self.detach(cref);
                     self.db.delete(cref);
+                    unswept = true;
                 }
                 continue;
             }
             if pc.dead {
-                if self.config.proof {
+                if proof {
                     let log = log_of(&mut self.proof);
                     if let Some(cref) = pc.cref {
                         log.delete(self.db.lits(cref));
                     }
                     // Drop the logged working copy too (units stay: they
                     // carry a root fact).
-                    if let Some(lg) = &pc.logged {
+                    if let Some(lg) = logged {
                         if lg.len() > 1 {
                             log.delete(lg);
                         }
                     }
                 }
                 if let Some(cref) = pc.cref {
-                    self.detach(cref);
                     self.db.delete(cref);
+                    unswept = true;
                 }
                 continue;
             }
@@ -679,44 +852,49 @@ impl Solver {
             }
             // Re-simplify against the final root assignment so the new
             // clause's watched literals are all unassigned.
-            let mut lits: Vec<Lit> = Vec::with_capacity(pc.lits.len());
+            sc.buf.clear();
             let mut satisfied = false;
-            for &l in &pc.lits {
+            for &l in &sc.arena[pc.range()] {
                 match self.value_lit(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {}
-                    LBool::Undef => lits.push(l),
+                    LBool::Undef => sc.buf.push(l),
                 }
             }
+            let lits = &sc.buf[..];
             // Proof: strengthened copies and resolvents were already logged
             // when derived. Here only root-simplification remains: the final
             // clause is the last copy minus root-false literals, which is
             // RUP through the persistent root facts. Log it before deleting
             // the original and the superseded copy.
-            if self.config.proof {
-                let already = pc.logged.as_deref() == Some(&lits[..]);
+            if proof {
+                let already = logged == Some(lits);
                 let log = log_of(&mut self.proof);
                 if !satisfied && !lits.is_empty() && !already {
-                    log.add(&lits);
+                    log.add(lits);
                 }
                 if let Some(cref) = pc.cref {
                     log.delete(self.db.lits(cref));
                 }
-                if let Some(lg) = &pc.logged {
+                if let Some(lg) = logged {
                     if !already {
                         log.delete(lg);
                     }
                 }
             }
             if let Some(cref) = pc.cref {
-                self.detach(cref);
                 self.db.delete(cref);
+                unswept = true;
             }
             if satisfied {
                 continue;
+            }
+            if lits.len() < 2 && unswept {
+                self.sweep_deleted_watches();
+                unswept = false;
             }
             match lits.len() {
                 0 => {
@@ -729,10 +907,13 @@ impl Solver {
                     }
                 }
                 _ => {
-                    let cref = self.db.alloc(&lits, false);
+                    let cref = self.db.alloc(lits, false);
                     self.attach(cref);
                 }
             }
+        }
+        if unswept {
+            self.sweep_deleted_watches();
         }
         // Propagation during the pass may have set clause reasons on root
         // facts; clear them again so none points at a deleted clause.
@@ -744,25 +925,19 @@ impl Solver {
 
     /// One bounded-variable-elimination sweep over the working copies.
     /// Returns the number of variables eliminated; resolvents are appended
-    /// to `pcs`/`occ` and queued on the subsumption worklist.
+    /// to the working copies and occurrence lists and queued on the
+    /// subsumption worklist.
     ///
     /// A candidate whose last attempt aborted and none of whose clauses
     /// changed since is not attempted again: it is charged the remembered
     /// cost, so the budget, and with it every decision, is the same as if
     /// the attempt had run.
-    fn elim_sweep(
-        &mut self,
-        pcs: &mut Vec<Pc>,
-        occ: &mut [Vec<u32>],
-        worklist: &mut std::collections::VecDeque<u32>,
-        assumed: &[bool],
-        elim_budget: &mut u64,
-        scratch: &mut ElimScratch,
-    ) -> usize {
+    fn elim_sweep(&mut self, sc: &mut SimpScratch, elim_budget: &mut u64) -> usize {
         // Cheapest variables first (fewest occurrences — stale entries make
         // this an upper bound, good enough for ordering), ties by index.
-        let mut cands: Vec<(usize, usize)> = Vec::new();
-        for (vi, &asm) in assumed.iter().enumerate() {
+        let el = &mut sc.elim;
+        el.cands.clear();
+        for (vi, &asm) in sc.assumed.iter().enumerate() {
             let v = Var::from_index(vi);
             if self.frozen[vi] || self.eliminated[vi] || asm {
                 continue;
@@ -777,106 +952,212 @@ impl Solver {
             {
                 continue;
             }
-            let est = occ[v.positive().index()].len() + occ[v.negative().index()].len();
+            let est = sc.occ.len(v.positive()) + sc.occ.len(v.negative());
             if est == 0 || est > ELIM_MAX_OCC {
                 continue;
             }
-            cands.push((est, vi));
+            el.cands.push((est, vi));
         }
-        cands.sort_unstable();
+        el.cands.sort_unstable();
 
+        let proof = self.config.proof;
         let mut eliminated_now = 0usize;
-        for (_, vi) in cands {
+        for k in 0..el.cands.len() {
             if *elim_budget == 0 {
                 break;
             }
+            let vi = el.cands[k].1;
             let v = Var::from_index(vi);
             // A unit derived earlier in this sweep may have assigned it.
             if self.value_var(v) != LBool::Undef || self.eliminated[vi] {
                 continue;
             }
-            if scratch.memo[vi] != 0 {
-                *elim_budget = elim_budget.saturating_sub(scratch.memo[vi]);
+            if el.memo[vi] != 0 {
+                *elim_budget = elim_budget.saturating_sub(el.memo[vi]);
                 continue;
             }
-            live_occs(pcs, occ, v.positive(), &mut scratch.pos);
-            live_occs(pcs, occ, v.negative(), &mut scratch.neg);
-            let total = scratch.pos.len() + scratch.neg.len();
+            live_occs(&sc.pcs, &sc.arena, &sc.occ, v.positive(), &mut el.pos);
+            live_occs(&sc.pcs, &sc.arena, &sc.occ, v.negative(), &mut el.neg);
+            let total = el.pos.len() + el.neg.len();
             if total == 0 || total > ELIM_MAX_OCC {
                 continue;
             }
-            let cost = (scratch.pos.len() * scratch.neg.len()) as u64 + 1;
+            let cost = (el.pos.len() * el.neg.len()) as u64 + 1;
             *elim_budget = elim_budget.saturating_sub(cost);
             self.stats.elim_attempts += 1;
             // Distribute: all non-tautological resolvents, under the growth
             // cutoff. An empty polarity (pure literal) yields none. The dry
             // run decides; resolvents are built only for a commit.
             let limit = total + ELIM_GROW;
-            if !scratch.distribution_fits(pcs, v, limit, &mut self.stats.elim_pairs) {
-                scratch.memo[vi] = cost;
+            if !el.distribution_fits(&sc.pcs, &sc.arena, v, limit, &mut self.stats.elim_pairs) {
+                el.memo[vi] = cost;
                 continue;
             }
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            for &ci in &scratch.pos {
-                for &dj in &scratch.neg {
-                    resolvents.extend(resolve(&pcs[ci as usize].lits, &pcs[dj as usize].lits, v));
+            el.res.clear();
+            for &ci in &el.pos {
+                for &dj in &el.neg {
+                    let (c, d) = (sc.pcs[ci as usize].range(), sc.pcs[dj as usize].range());
+                    el.res.extend(resolve_into(&mut sc.arena, c, d, v));
                 }
             }
             // Commit: clauses move to the reconstruction stack, resolvents
             // join the working set.
-            let mut group = ElimGroup {
-                var: v,
-                clauses: Vec::with_capacity(total),
-            };
-            for &i in scratch.pos.iter().chain(scratch.neg.iter()) {
-                let pc = &mut pcs[i as usize];
+            let first = self.elim_ranges.len() as u32;
+            for &i in el.pos.iter().chain(el.neg.iter()) {
+                let pc = &mut sc.pcs[i as usize];
                 pc.dead = true;
                 pc.elim_dead = true;
-                // A dead copy is never read again.
-                let lits = std::mem::take(&mut pc.lits);
-                touch(&mut scratch.memo, &lits);
-                group.clauses.push(lits);
+                let lits = &sc.arena[pc.range()];
+                touch(&mut el.memo, lits);
+                let start = self.elim_lits.len() as u32;
+                self.elim_lits.extend_from_slice(lits);
+                self.elim_ranges.push((start, self.elim_lits.len() as u32));
                 self.stats.elim_clauses += 1;
             }
             self.stats.elim_vars += 1;
             self.stats.elim_stack_depth += 1;
             self.eliminated[vi] = true;
             self.elim_pos[vi] = self.elim_stack.len() as u32;
-            self.elim_stack.push(group);
+            self.elim_stack.push(ElimGroup {
+                var: v,
+                clauses: first..self.elim_ranges.len() as u32,
+            });
             eliminated_now += 1;
-            for r in resolvents {
+            for r in &el.res {
+                let lits = &sc.arena[r.clone()];
                 self.stats.elim_resolvents += 1;
-                touch(&mut scratch.memo, &r);
+                touch(&mut el.memo, lits);
                 // Proof: RUP while both parents are in the trace — assert
                 // the negation, one parent becomes unit on the pivot, the
                 // other conflicts.
-                if r.len() == 1 {
+                if lits.len() == 1 {
                     // `pp_assign_unit` logs the addition itself.
-                    if !self.pp_assign_unit(r[0]) {
+                    if !self.pp_assign_unit(lits[0]) {
                         return eliminated_now;
                     }
                     continue;
                 }
-                if self.config.proof {
-                    self.proof_log().add(&r);
+                let idx = sc.pcs.len() as u32;
+                for &l in lits {
+                    sc.occ.push(l, idx);
                 }
-                let sig = signature(&r);
-                let idx = pcs.len() as u32;
-                for &l in &r {
-                    occ[l.index()].push(idx);
-                }
-                worklist.push_back(idx);
-                pcs.push(Pc {
+                sc.worklist.push_back(idx);
+                let logged = proof.then(|| {
+                    self.proof_log().add(lits);
+                    let at = sc.logged.len() as u32;
+                    sc.logged.extend_from_slice(lits);
+                    (at, lits.len() as u32)
+                });
+                sc.pcs.push(Pc {
                     cref: None,
-                    logged: self.config.proof.then(|| r.clone()),
-                    lits: r,
-                    sig,
+                    start: r.start as u32,
+                    len: lits.len() as u32,
+                    sig: signature(lits),
                     dead: false,
                     elim_dead: false,
                     changed: false,
+                    logged,
                 });
             }
         }
         eliminated_now
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The resolvent as sorting and deduplicating both clauses minus the
+    /// pivot gives it, `None` for a tautology.
+    fn resolve_by_sort(c: &[Lit], d: &[Lit], v: Var) -> Option<Vec<Lit>> {
+        let mut out: Vec<Lit> = c
+            .iter()
+            .chain(d)
+            .copied()
+            .filter(|l| l.var() != v)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        if out.windows(2).any(|w| w[1] == !w[0]) {
+            return None;
+        }
+        Some(out)
+    }
+
+    /// A sorted, duplicate-free clause over variables `0..8` containing
+    /// `pivot`.
+    fn clause_with(pivot: Lit) -> impl Strategy<Value = Vec<Lit>> {
+        proptest::collection::vec(0usize..16, 0..8).prop_map(move |idx| {
+            let mut c: Vec<Lit> = idx
+                .into_iter()
+                .map(Lit::from_index)
+                .filter(|l| l.var() != pivot.var())
+                .chain([pivot])
+                .collect();
+            c.sort_unstable();
+            c.dedup();
+            c
+        })
+    }
+
+    /// A pivot, a clause with it, one with its negation, and how many
+    /// unrelated literals precede them in the arena.
+    fn arb_pair() -> impl Strategy<Value = (Var, Vec<Lit>, Vec<Lit>, usize)> {
+        (0usize..8).prop_flat_map(|vi| {
+            let v = Var::from_index(vi);
+            (
+                Just(v),
+                clause_with(v.positive()),
+                clause_with(v.negative()),
+                0usize..3,
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn merge_resolvent_matches_sort_and_dedup(pair in arb_pair()) {
+            let (v, c, d, junk) = pair;
+            // Parents anywhere in the arena, after unrelated literals.
+            let mut arena: Vec<Lit> = (0..junk).map(Lit::from_index).collect();
+            let cs = arena.len();
+            arena.extend(&c);
+            let ds = arena.len();
+            arena.extend(&d);
+            let before = arena.clone();
+            let got = resolve_into(&mut arena, cs..ds, ds..before.len(), v);
+            match resolve_by_sort(&c, &d, v) {
+                Some(want) => {
+                    let r = got.expect("resolvent reported as a tautology");
+                    prop_assert_eq!(r.start, before.len());
+                    prop_assert_eq!(&arena[r], &want[..]);
+                }
+                None => {
+                    prop_assert!(got.is_none(), "tautology not detected");
+                    prop_assert_eq!(arena, before);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_resolvent_drops_shared_literals_and_spots_tautologies() {
+        let [v, a, b] = [0, 1, 2].map(Var::from_index);
+        // (v ∨ a ∨ b) ⊗ (¬v ∨ a) = (a ∨ b)
+        let mut arena = vec![
+            v.positive(),
+            a.positive(),
+            b.positive(),
+            v.negative(),
+            a.positive(),
+        ];
+        let r = resolve_into(&mut arena, 0..3, 3..5, v).unwrap();
+        assert_eq!(&arena[r], &[a.positive(), b.positive()]);
+        // (v ∨ a) ⊗ (¬v ∨ ¬a) is a tautology.
+        let mut arena = vec![v.positive(), a.positive(), v.negative(), a.negative()];
+        assert!(resolve_into(&mut arena, 0..2, 2..4, v).is_none());
+        assert_eq!(arena.len(), 4);
     }
 }

@@ -486,3 +486,121 @@ fn a_strengthening_reopens_an_aborted_candidate() {
     assert_eq!(s.stats.elim_vars, 2);
     assert_eq!(s.stats.pp_strengthened, 1);
 }
+
+/// FNV-1a over a stream of integers: a stable fingerprint for the pins
+/// below (the std hasher may change between releases).
+fn fnv1a(values: impl IntoIterator<Item = i64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The pass's output is pinned down to clause order and watch order: the
+/// clause sequence left behind (hashed through `export_formula`) and the
+/// counts of conflict-bounded searches that follow the pass. Watch order
+/// decides which clause propagates first, so a rewrite that kept the same
+/// clauses but attached them in another order would change the search.
+/// A second round of random clauses over all variables melts eliminated
+/// ones and triggers an inprocessing pass. Under `proof` the DRAT text of
+/// the whole trace is pinned too.
+#[test]
+fn pass_output_and_watch_order_are_pinned() {
+    // (seed, inputs, gates, random clauses) → [conflicts, propagations,
+    // decisions, elim_restored], formula hash, DRAT hash. The first four
+    // formulas are those of `elimination_result_is_pinned`; the rest take
+    // hundreds to thousands of conflicts, so learned-clause reduction runs.
+    let cases = [
+        (
+            (1, 40, 160, 60),
+            [36, 1410, 70, 102],
+            0x7d0e_f39b_1642_a784,
+            0x5dac_2010_46f3_2a1f,
+        ),
+        (
+            (2, 60, 240, 120),
+            [74, 4547, 124, 100],
+            0xaf4b_ac64_3746_39cf,
+            0x0777_80de_2a90_1c85,
+        ),
+        (
+            (3, 30, 300, 40),
+            [106, 6226, 143, 156],
+            0xf1b2_7fce_72e8_3168,
+            0xfbaf_15c0_77e3_5faa,
+        ),
+        (
+            (4, 80, 200, 200),
+            [95, 5544, 170, 70],
+            0xd8ba_fb2c_c95b_a19a,
+            0x0120_d2ef_15e9_3414,
+        ),
+        (
+            (10, 150, 100, 600),
+            [376, 22104, 487, 0],
+            0xe033_6778_bf83_8035,
+            0xbeb5_2915_e24d_9a4d,
+        ),
+        (
+            (11, 200, 100, 820),
+            [2058, 138807, 2408, 12],
+            0xa024_ce7a_0916_98da,
+            0xac17_e0e8_a12c_e76b,
+        ),
+        (
+            (15, 300, 100, 1250),
+            [4000, 303795, 4843, 12],
+            0xb1ee_ba28_2f53_ef4e,
+            0xbed4_049a_beaf_7d59,
+        ),
+        (
+            (16, 120, 300, 700),
+            [951, 77458, 1120, 0],
+            0x3a31_9e9e_83de_d3a4,
+            0x2989_ede6_1380_ff6c,
+        ),
+    ];
+    for ((seed, inputs, gates, randoms), expected, formula_hash, drat_hash) in cases {
+        for proof in [false, true] {
+            let mut s = structured_instance(seed, inputs, gates, randoms);
+            s.config.max_conflicts = Some(2_000);
+            s.config.proof = proof;
+            s.solve(&[]);
+            let mut state = seed | 1;
+            let mut next = |n: usize| -> usize {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let n = s.num_vars();
+            for _ in 0..80 {
+                let c: Vec<_> = (0..3)
+                    .map(|_| Var::from_index(next(n)).lit(next(2) == 0))
+                    .collect();
+                s.add_clause(&c);
+            }
+            s.solve(&[]);
+            let st = &s.stats;
+            let got = [
+                st.conflicts,
+                st.propagations,
+                st.decisions,
+                st.elim_restored,
+            ];
+            let f = s.export_formula();
+            let hash = fnv1a(f.clauses.iter().flat_map(|c| c.iter().copied().chain([0])));
+            assert_eq!(got, expected, "seed {seed}, proof {proof}: search counts");
+            assert_eq!(hash, formula_hash, "seed {seed}, proof {proof}: formula");
+            if proof {
+                let mut drat = Vec::new();
+                s.take_proof().unwrap().write_drat(&mut drat).unwrap();
+                let dh = fnv1a(drat.iter().map(|&b| i64::from(b)));
+                assert_eq!(dh, drat_hash, "seed {seed}: DRAT trace");
+            }
+        }
+    }
+}
