@@ -71,12 +71,10 @@
 //! `optalloc_workloads::Workload` (architecture + task set + a feasibility
 //! witness); the output is the optimal `optalloc_model::Allocation`.
 
-use optalloc::{EncoderOpt, Objective, OptError, Optimizer, SolveOptions, Strategy};
+use optalloc::{EncoderOpt, Objective, Optimizer, SolveOptions, Strategy};
 use optalloc_model::{ticks_to_ms, MediumId};
-use optalloc_obs::{format_progress_line, Obs, PhaseTotals, ProgressHook};
-use optalloc_service::protocol::{
-    Instance, JobOutcome, JobResult, Request, Response, SearchSummary, WarmLabel,
-};
+use optalloc_obs::{format_progress_line, Obs, ProgressHook};
+use optalloc_service::protocol::{Instance, JobOutcome, JobResult, Request, Response, WarmLabel};
 use optalloc_service::{serve, Service, ServiceConfig};
 use optalloc_workloads::{
     architecture_scaling, generate, table4_workload, task_scaling, Fig2, GenParams, Workload,
@@ -360,46 +358,19 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let optimizer = Optimizer::new(&w.arch, &w.tasks).with_options(opts);
     let start = std::time::Instant::now();
 
-    let feasibility = matches!(objective, Objective::Feasibility);
-    let solved = if feasibility {
-        optimizer.find_feasible().map(|sol| (sol, None))
-    } else {
-        optimizer
-            .minimize(&objective)
-            .map(|r| (r.solution.clone(), Some(r)))
-    };
+    let solved = optimizer.minimize(&objective);
     let solve_ms = start.elapsed().as_millis() as u64;
     if progress {
         eprintln!(); // terminate the live progress line
     }
-
-    let (outcome, report) = match solved {
-        Ok((sol, report)) => (
-            JobOutcome::Optimal {
-                cost: report.as_ref().map_or(0, |r| r.cost),
-                allocation: sol.allocation,
-                certified: report.as_ref().is_some_and(|r| r.certificate.is_some()),
-            },
-            report,
-        ),
-        Err(OptError::Infeasible) => (JobOutcome::Infeasible, None),
-        Err(OptError::Budget { incumbent }) => {
-            let incumbent_cost = incumbent.map(|(v, _)| v);
-            let outcome = if timed_out.load(Ordering::Relaxed) {
-                JobOutcome::Timeout { incumbent_cost }
-            } else {
-                JobOutcome::Budget { incumbent_cost }
-            };
-            (outcome, None)
-        }
-        Err(e) => (
-            JobOutcome::Error {
-                message: e.to_string(),
-            },
-            None,
-        ),
-    };
-    let code = exit_for(&outcome);
+    let result = JobResult::from_solve(
+        fingerprint.to_string(),
+        &solved,
+        WarmLabel::Cold,
+        timed_out.load(Ordering::Relaxed),
+        solve_ms,
+    );
+    let code = exit_for(&result.outcome);
 
     // Trace and metrics export happen for every outcome, not just optimal
     // ones — a budget-exhausted run is exactly when you want the trace.
@@ -421,27 +392,12 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     }
 
     if json {
-        let result = JobResult {
-            fingerprint: fingerprint.to_string(),
-            outcome: outcome.clone(),
-            cached: false,
-            warm: WarmLabel::Cold,
-            solve_calls: report.as_ref().map_or(0, |r| r.solve_calls),
-            conflicts: report.as_ref().map_or(0, |r| r.stats.conflicts),
-            solve_ms,
-            search: report.as_ref().map_or_else(SearchSummary::default, |r| {
-                SearchSummary::from_stats(&r.stats)
-            }),
-            phases: report
-                .as_ref()
-                .map_or_else(PhaseTotals::default, |r| r.phases),
-        };
         println!("{}", serde_json::to_string(&result).expect("serialize"));
     }
 
-    let JobOutcome::Optimal { allocation, .. } = outcome else {
+    let Ok(r) = &solved else {
         if !json {
-            match &outcome {
+            match &result.outcome {
                 JobOutcome::Infeasible => eprintln!("no feasible allocation exists"),
                 JobOutcome::Budget { .. } => eprintln!("conflict budget exhausted"),
                 JobOutcome::Timeout { .. } => eprintln!("timed out after {solve_ms} ms"),
@@ -453,63 +409,64 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     };
 
     if !json {
-        if let Some(r) = &report {
-            let line = match objective {
-                Objective::TokenRotationTime(_) | Objective::SumTokenRotationTimes => {
-                    format!(
-                        "optimal {objective_name} = {} ticks ({:.2} ms)",
-                        r.cost,
-                        ticks_to_ms(r.cost as u64)
-                    )
-                }
-                _ => format!("optimal {objective_name} = {}", r.cost),
+        let line = match objective {
+            Objective::Feasibility => "feasible".to_string(),
+            Objective::TokenRotationTime(_) | Objective::SumTokenRotationTimes => {
+                format!(
+                    "optimal {objective_name} = {} ticks ({:.2} ms)",
+                    r.cost,
+                    ticks_to_ms(r.cost as u64)
+                )
+            }
+            _ => format!("optimal {objective_name} = {}", r.cost),
+        };
+        println!(
+            "encoding: {} vars, {} literals; {} SOLVE calls, {:.2}s",
+            r.encode.bool_vars,
+            r.encode.literals,
+            r.solve_calls,
+            r.wall.as_secs_f64()
+        );
+        println!(
+            "search: {} conflicts, {} restarts ({} blocked), {} vivified, \
+             {} eliminated (+{} resolvents), tiers {}/{}/{}",
+            r.stats.conflicts,
+            r.stats.restarts,
+            r.stats.restarts_blocked,
+            r.stats.vivified,
+            r.stats.elim_vars,
+            r.stats.elim_resolvents,
+            r.stats.tier_core,
+            r.stats.tier_mid,
+            r.stats.tier_local,
+        );
+        for worker in &r.workers {
+            println!("  {worker}");
+        }
+        if let Some(cert) = &r.certificate {
+            let (lo, optimum) = (cert.certificate.cost_lo, cert.certificate.optimum);
+            let coverage = if optimum > lo {
+                format!("refutations cover [{lo}, {}]", optimum - 1)
+            } else {
+                "no cost below the optimum to refute".to_string()
             };
             println!(
-                "encoding: {} vars, {} literals; {} SOLVE calls, {:.2}s",
-                r.encode.bool_vars,
-                r.encode.literals,
-                r.solve_calls,
-                r.wall.as_secs_f64()
+                "certificate VERIFIED: {} — {coverage}, \
+                 witness replayed through independent analysis",
+                cert.summary
             );
-            println!(
-                "search: {} conflicts, {} restarts ({} blocked), {} vivified, \
-                 {} eliminated (+{} resolvents), tiers {}/{}/{}",
-                r.stats.conflicts,
-                r.stats.restarts,
-                r.stats.restarts_blocked,
-                r.stats.vivified,
-                r.stats.elim_vars,
-                r.stats.elim_resolvents,
-                r.stats.tier_core,
-                r.stats.tier_mid,
-                r.stats.tier_local,
-            );
-            for worker in &r.workers {
-                println!("  {worker}");
-            }
-            if let Some(cert) = &r.certificate {
-                println!(
-                    "certificate VERIFIED: {} — refutations cover [{}, {}], \
-                     witness replayed through independent analysis",
-                    cert.summary,
-                    cert.certificate.cost_lo,
-                    cert.certificate.optimum - 1
-                );
-            }
-            println!("{line}");
-        } else {
-            println!("feasible");
         }
+        println!("{line}");
         for (tid, t) in w.tasks.iter() {
             println!(
                 "  {:<12} -> {}",
                 t.name,
-                w.arch.ecu(allocation.ecu_of(tid)).name
+                w.arch.ecu(r.solution.allocation.ecu_of(tid)).name
             );
         }
     }
     if let Some(pp) = &proof_path {
-        if let Some(cert) = report.as_ref().and_then(|r| r.certificate.as_ref()) {
+        if let Some(cert) = &r.certificate {
             if let Err(e) = write_proofs(pp, &cert.certificate) {
                 eprintln!("cannot write {pp}: {e}");
                 return ExitCode::from(2);
@@ -520,7 +477,7 @@ fn cmd_solve(args: &[String]) -> ExitCode {
         }
     }
     if let Some(out) = out_path {
-        let json_alloc = serde_json::to_string_pretty(&allocation).expect("serialize");
+        let json_alloc = serde_json::to_string_pretty(&r.solution.allocation).expect("serialize");
         if let Err(e) = std::fs::write(&out, json_alloc) {
             eprintln!("cannot write {out}: {e}");
             return ExitCode::from(2);

@@ -94,10 +94,7 @@ mod tests {
         };
         let slot_media = variable_slot_media(&w.arch, objective).expect("objective fits");
         let mut enc = Encoding::build(&w.arch, &w.tasks, &opts, &slot_media);
-        let cost = enc
-            .encode_objective(objective)
-            .expect("objective fits")
-            .expect("objective defines a cost");
+        let cost = enc.encode_objective(objective).expect("objective fits");
         assert!(!enc.infeasible, "{}: infeasible at encode time", w.name);
         for (i, &p) in w.planted.placement.iter().enumerate() {
             let placed = enc.placed_on(TaskId(i as u32), p);
@@ -128,10 +125,7 @@ mod tests {
         let alloc = decode(&enc, &model);
 
         let mut enc2 = Encoding::build(&w.arch, &w.tasks, &opts, &slot_media);
-        let cost2 = enc2
-            .encode_objective(objective)
-            .expect("objective fits")
-            .expect("objective defines a cost");
+        let cost2 = enc2.encode_objective(objective).expect("objective fits");
         for (i, &p) in alloc.placement.iter().enumerate() {
             let placed = enc2.placed_on(TaskId(i as u32), p);
             enc2.problem.assert(placed);

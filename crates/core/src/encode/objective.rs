@@ -88,18 +88,19 @@ impl Encoding<'_> {
     }
 
     /// Declares the cost variable and ties it to the objective expression.
-    /// Returns `None` for [`Objective::Feasibility`].
+    /// [`Objective::Feasibility`] minimizes a cost fixed at 0, so its
+    /// bisection is the single unbounded `SOLVE(φ)`.
     pub(crate) fn encode_objective(
         &mut self,
         objective: &Objective,
-    ) -> Result<Option<IntVar>, ObjectiveError> {
+    ) -> Result<IntVar, ObjectiveError> {
         match objective {
-            Objective::Feasibility => Ok(None),
+            Objective::Feasibility => Ok(self.problem.int_var(0, 0)),
             Objective::TokenRotationTime(k) => {
                 let (round, lo, hi) = self.round_expr(*k);
                 let cost = self.problem.int_var(lo, hi);
                 self.problem.assert(cost.expr().eq(round));
-                Ok(Some(cost))
+                Ok(cost)
             }
             Objective::SumTokenRotationTimes => {
                 let media: Vec<MediumId> = self.slot_vars.keys().copied().collect();
@@ -117,7 +118,7 @@ impl Encoding<'_> {
                 }
                 let cost = self.problem.int_var(lo, hi);
                 self.problem.assert(cost.expr().eq(IntExpr::sum(terms)));
-                Ok(Some(cost))
+                Ok(cost)
             }
             Objective::BusLoadPermille(k) => {
                 match self.arch.medium(*k).kind {
@@ -141,7 +142,7 @@ impl Encoding<'_> {
                 }
                 let cost = self.problem.int_var(0, hi.max(0));
                 self.problem.assert(cost.expr().eq(IntExpr::sum(terms)));
-                Ok(Some(cost))
+                Ok(cost)
             }
             Objective::MaxUtilizationPermille => {
                 // cost ≥ utilization of every ECU; minimization drives it to
@@ -152,7 +153,7 @@ impl Encoding<'_> {
                 for (util, _) in per_ecu {
                     self.problem.assert(cost.expr().ge(util));
                 }
-                Ok(Some(cost))
+                Ok(cost)
             }
             Objective::UtilizationSpreadPermille => {
                 // cost = umax − umin with umax ≥ u_p ≥ umin for all p;
@@ -176,7 +177,7 @@ impl Encoding<'_> {
                 let cost = self.problem.int_var(0, hi);
                 self.problem
                     .assert(cost.expr().eq(umax.expr() - umin.expr()));
-                Ok(Some(cost))
+                Ok(cost)
             }
         }
     }

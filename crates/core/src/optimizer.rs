@@ -9,17 +9,15 @@ use crate::decode::decode;
 use crate::encode::objective::{variable_slot_media, ObjectiveError};
 use crate::encode::Encoding;
 use crate::options::{Objective, SolveOptions, Strategy};
-use optalloc_analysis::{
-    bus_load_permille, ecu_utilization_permille, sum_trt, token_rotation_time,
-    utilization_minmax_spread_permille, validate, AnalysisConfig, Report,
-};
+use optalloc_analysis::{validate, AnalysisConfig, Report};
 use optalloc_intopt::{
-    Certificate, CertificateSummary, EncodeStats, MinimizeStatus, WarmEngine, WarmMode,
+    Certificate, CertificateSummary, EncodeStats, IntVar, MinimizeOutcome, MinimizeStatus,
+    WarmEngine, WarmMode,
 };
 use optalloc_model::{Allocation, Architecture, TaskSet};
 use optalloc_obs::{Phase, PhaseTotals};
-use optalloc_portfolio::{minimize_window_search, PortfolioOptions, WorkerReport};
-use optalloc_sat::{SolverConfig, SolverStats};
+use optalloc_portfolio::{minimize_window_search, WorkerReport};
+use optalloc_sat::SolverStats;
 use std::time::{Duration, Instant};
 
 /// A feasible allocation together with its independent analysis report.
@@ -191,32 +189,6 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Recomputes the objective value of a decoded allocation through the
-    /// independent analysis layer — no encoder artifacts involved, so a
-    /// match between this and the solver's claimed optimum closes the
-    /// encoder out of the trusted base.
-    fn recompute_objective(&self, objective: &Objective, alloc: &Allocation) -> i64 {
-        match objective {
-            Objective::TokenRotationTime(m) => {
-                token_rotation_time(self.arch, alloc, *m).unwrap_or(0) as i64
-            }
-            Objective::SumTokenRotationTimes => sum_trt(self.arch, alloc) as i64,
-            Objective::BusLoadPermille(m) => {
-                bus_load_permille(self.arch, self.tasks, alloc, *m) as i64
-            }
-            Objective::MaxUtilizationPermille => {
-                ecu_utilization_permille(self.tasks, alloc, self.arch.num_ecus())
-                    .into_iter()
-                    .max()
-                    .unwrap_or(0) as i64
-            }
-            Objective::UtilizationSpreadPermille => {
-                utilization_minmax_spread_permille(self.tasks, alloc, self.arch.num_ecus()) as i64
-            }
-            Objective::Feasibility => 0,
-        }
-    }
-
     /// Verifies the optimality certificate end to end: DRAT traces checked
     /// and windows covering everything below the optimum
     /// ([`Certificate::verify`]), plus the independent witness replay —
@@ -238,7 +210,7 @@ impl<'a> Optimizer<'a> {
             .map_err(|e| OptError::CertificationFailed {
                 reason: e.to_string(),
             })?;
-        let recomputed = self.recompute_objective(objective, alloc);
+        let recomputed = objective.value(self.arch, self.tasks, alloc);
         if recomputed != value {
             return Err(OptError::CertificationFailed {
                 reason: format!(
@@ -253,101 +225,26 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Finds any feasible allocation (no objective), or proves none exists.
+    /// Finds any feasible allocation (no objective), or proves none exists:
+    /// [`minimize`](Optimizer::minimize) of [`Objective::Feasibility`],
+    /// whose cost is fixed at 0.
     pub fn find_feasible(&self) -> Result<AllocationSolution, OptError> {
-        let enc = Encoding::build(self.arch, self.tasks, &self.opts, &[]);
-        if enc.infeasible {
-            return Err(OptError::Infeasible);
-        }
-        let mut config = SolverConfig {
-            max_conflicts: self.opts.max_conflicts,
-            interrupt: self.opts.interrupt.clone(),
-            ..SolverConfig::default()
-        };
-        config.paranoid = self.opts.paranoid;
-        match enc.problem.solve_with_solver_config(
-            self.opts.backend,
-            config,
-            &self.opts.encoder_opt,
-        ) {
-            Err(()) => Err(OptError::Budget { incumbent: None }),
-            Ok(None) => Err(OptError::Infeasible),
-            Ok(Some(model)) => self.check(decode(&enc, &model)),
-        }
+        self.minimize(&Objective::Feasibility).map(|r| r.solution)
     }
 
     /// Minimizes `objective` over all feasible allocations via the paper's
     /// binary-search scheme, returning a provably optimal allocation.
     pub fn minimize(&self, objective: &Objective) -> Result<OptimizeReport, OptError> {
         let start = Instant::now();
-        if matches!(objective, Objective::Feasibility) {
-            // Feasibility has no cost; reuse find_feasible with cost 0.
-            let solution = self.find_feasible()?;
-            return Ok(OptimizeReport {
-                solution,
-                cost: 0,
-                encode: EncodeStats::default(),
-                solve_calls: 1,
-                stats: SolverStats::default(),
-                wall: start.elapsed(),
-                phases: PhaseTotals::default(),
-                workers: Vec::new(),
-                certificate: None,
-            });
-        }
-
-        let slot_media = variable_slot_media(self.arch, objective).map_err(OptError::Objective)?;
-        let mut enc = Encoding::build(self.arch, self.tasks, &self.opts, &slot_media);
-        let cost = enc
-            .encode_objective(objective)
-            .map_err(OptError::Objective)?
-            .expect("non-feasibility objectives define a cost");
-        if enc.infeasible {
-            return Err(OptError::Infeasible);
-        }
-
+        let (enc, cost) = self.encode(objective)?;
         let min_opts = self.opts.minimize_options();
-        let (status, solve_calls, encode, stats, workers, certificate) = match self.opts.strategy {
-            Strategy::Single => {
-                let outcome = enc.problem.minimize(cost, &min_opts);
-                (
-                    outcome.status,
-                    outcome.solve_calls,
-                    outcome.encode,
-                    outcome.stats,
-                    Vec::new(),
-                    outcome.certificate,
-                )
-            }
+        let (outcome, workers) = match self.opts.strategy {
+            Strategy::Single => (enc.problem.minimize(cost, &min_opts), Vec::new()),
             Strategy::WindowSearch { workers, .. } => {
-                let popts = PortfolioOptions {
-                    workers,
-                    base: min_opts,
-                };
-                let outcome = minimize_window_search(&enc.problem, cost, &popts);
-                (
-                    outcome.status,
-                    outcome.solve_calls,
-                    outcome.encode,
-                    outcome.stats,
-                    outcome.workers,
-                    outcome.certificate,
-                )
+                minimize_window_search(&enc.problem, cost, &min_opts, workers)
             }
         };
-        let wall = start.elapsed();
-        self.report_from_status(
-            objective,
-            &enc,
-            status,
-            solve_calls,
-            encode,
-            stats,
-            workers,
-            certificate,
-            wall,
-            self.opts.certify,
-        )
+        self.report(objective, &enc, outcome, workers, start, self.opts.certify)
     }
 
     /// Re-solves through a long-lived [`WarmEngine`] instead of a one-shot
@@ -373,117 +270,81 @@ impl<'a> Optimizer<'a> {
         window: Option<(i64, i64)>,
     ) -> Result<(OptimizeReport, WarmMode), OptError> {
         let start = Instant::now();
-        if matches!(objective, Objective::Feasibility) {
-            let solution = self.find_feasible()?;
-            return Ok((
-                OptimizeReport {
-                    solution,
-                    cost: 0,
-                    encode: EncodeStats::default(),
-                    solve_calls: 1,
-                    stats: SolverStats::default(),
-                    wall: start.elapsed(),
-                    phases: PhaseTotals::default(),
-                    workers: Vec::new(),
-                    certificate: None,
-                },
-                WarmMode::Cold,
-            ));
-        }
+        let (enc, cost) = self.encode(objective)?;
+        let (outcome, mode) = engine.solve(&enc.problem, cost, window);
+        let certify = engine.options().certify;
+        let report = self.report(objective, &enc, outcome, Vec::new(), start, certify)?;
+        Ok((report, mode))
+    }
 
+    /// Shared head of every optimization entry point: the instance encoded
+    /// with the objective's slot-table variables, and its cost variable.
+    fn encode(&self, objective: &Objective) -> Result<(Encoding<'_>, IntVar), OptError> {
         let slot_media = variable_slot_media(self.arch, objective).map_err(OptError::Objective)?;
         let mut enc = Encoding::build(self.arch, self.tasks, &self.opts, &slot_media);
         let cost = enc
             .encode_objective(objective)
-            .map_err(OptError::Objective)?
-            .expect("non-feasibility objectives define a cost");
+            .map_err(OptError::Objective)?;
         if enc.infeasible {
             return Err(OptError::Infeasible);
         }
-
-        let certify = engine.options().certify;
-        let (outcome, mode) = match window {
-            Some((lo, hi)) => engine.solve_window(&enc.problem, cost, lo, hi),
-            None => engine.solve(&enc.problem, cost),
-        };
-        let wall = start.elapsed();
-        let report = self.report_from_status(
-            objective,
-            &enc,
-            outcome.status,
-            outcome.solve_calls,
-            outcome.encode,
-            outcome.stats,
-            Vec::new(),
-            outcome.certificate,
-            wall,
-            certify,
-        )?;
-        Ok((report, mode))
+        Ok((enc, cost))
     }
 
     /// Shared tail of every optimization entry point: decode the winning
     /// model, re-validate it independently, verify the certificate when one
-    /// was requested, and map non-optimal statuses to typed errors.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, not API
-    fn report_from_status(
+    /// was requested, and map non-optimal statuses to typed errors. The
+    /// report's wall time runs from `start` to the end of the search.
+    fn report(
         &self,
         objective: &Objective,
         enc: &Encoding,
-        status: MinimizeStatus,
-        solve_calls: u32,
-        encode: EncodeStats,
-        stats: SolverStats,
+        outcome: MinimizeOutcome,
         workers: Vec<WorkerReport>,
-        certificate: Option<Certificate>,
-        wall: Duration,
+        start: Instant,
         certify: bool,
     ) -> Result<OptimizeReport, OptError> {
-        match status {
-            MinimizeStatus::Infeasible => Err(OptError::Infeasible),
+        let wall = start.elapsed();
+        let (value, model) = match outcome.status {
+            MinimizeStatus::Optimal { value, model } => (value, model),
+            MinimizeStatus::Infeasible => return Err(OptError::Infeasible),
             MinimizeStatus::Unknown { incumbent } | MinimizeStatus::Interrupted { incumbent } => {
                 let incumbent = match incumbent {
                     None => None,
-                    Some((value, model)) => {
-                        let sol = self.check(decode(enc, &model))?;
-                        Some((value, sol))
-                    }
+                    Some((value, model)) => Some((value, self.check(decode(enc, &model))?)),
                 };
-                Err(OptError::Budget { incumbent })
+                return Err(OptError::Budget { incumbent });
             }
-            MinimizeStatus::Optimal { value, model } => {
-                // Every winner passes the same independent re-validation
-                // gate.
-                let solution = self.check(decode(enc, &model))?;
-                let mut certify_ms = 0.0;
-                let certificate = if certify {
-                    // The stopwatch both times verification and records the
-                    // `certify` trace span from the same f64, mirroring the
-                    // encode/search attribution.
-                    let sw = self.opts.obs.stopwatch(Phase::Certify);
-                    let report = self.certify(objective, value, &solution.allocation, certificate);
-                    certify_ms = sw.finish();
-                    Some(report?)
-                } else {
-                    None
-                };
-                let phases = PhaseTotals {
-                    encode_ms: encode.encode_ms,
-                    search_ms: stats.solve_ms,
-                    certify_ms,
-                };
-                Ok(OptimizeReport {
-                    solution,
-                    cost: value,
-                    encode,
-                    solve_calls,
-                    stats,
-                    wall,
-                    phases,
-                    workers,
-                    certificate,
-                })
-            }
-        }
+        };
+        // Every winner passes the same independent re-validation gate.
+        let solution = self.check(decode(enc, &model))?;
+        let mut certify_ms = 0.0;
+        let certificate = if certify {
+            // The stopwatch both times verification and records the
+            // `certify` trace span from the same f64, mirroring the
+            // encode/search attribution.
+            let sw = self.opts.obs.stopwatch(Phase::Certify);
+            let verified =
+                self.certify(objective, value, &solution.allocation, outcome.certificate);
+            certify_ms = sw.finish();
+            Some(verified?)
+        } else {
+            None
+        };
+        Ok(OptimizeReport {
+            solution,
+            cost: value,
+            encode: outcome.encode,
+            solve_calls: outcome.solve_calls,
+            phases: PhaseTotals {
+                encode_ms: outcome.encode.encode_ms,
+                search_ms: outcome.stats.solve_ms,
+                certify_ms,
+            },
+            stats: outcome.stats,
+            wall,
+            workers,
+            certificate,
+        })
     }
 }

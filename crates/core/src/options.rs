@@ -1,7 +1,11 @@
 //! Configuration of the encoder and optimizer.
 
+use optalloc_analysis::{
+    bus_load_permille, ecu_utilization_permille, sum_trt, token_rotation_time,
+    utilization_minmax_spread_permille,
+};
 use optalloc_intopt::{Backend, BinSearchMode, EncoderOpt, MinimizeOptions};
-use optalloc_model::{MediumId, Time};
+use optalloc_model::{Allocation, Architecture, MediumId, TaskSet, Time};
 use optalloc_obs::{Obs, ProgressHook};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -26,8 +30,36 @@ pub enum Objective {
     /// the "difference to the average utilization" balance goal of §4,
     /// realized as a max−min band.
     UtilizationSpreadPermille,
-    /// No objective: find any feasible allocation.
+    /// No objective: find any feasible allocation. Encoded as a cost
+    /// fixed at 0, so the bisection's only probe is the unbounded
+    /// `SOLVE(φ)`.
     Feasibility,
+}
+
+impl Objective {
+    /// The objective value of `alloc`, computed by the independent analysis
+    /// layer with no encoder artifacts involved — so a match between this
+    /// and the solver's claimed optimum closes the encoder out of the
+    /// trusted base.
+    pub(crate) fn value(&self, arch: &Architecture, tasks: &TaskSet, alloc: &Allocation) -> i64 {
+        match self {
+            Objective::TokenRotationTime(m) => {
+                token_rotation_time(arch, alloc, *m).unwrap_or(0) as i64
+            }
+            Objective::SumTokenRotationTimes => sum_trt(arch, alloc) as i64,
+            Objective::BusLoadPermille(m) => bus_load_permille(arch, tasks, alloc, *m) as i64,
+            Objective::MaxUtilizationPermille => {
+                ecu_utilization_permille(tasks, alloc, arch.num_ecus())
+                    .into_iter()
+                    .max()
+                    .unwrap_or(0) as i64
+            }
+            Objective::UtilizationSpreadPermille => {
+                utilization_minmax_spread_permille(tasks, alloc, arch.num_ecus()) as i64
+            }
+            Objective::Feasibility => 0,
+        }
+    }
 }
 
 /// How many workers search the encoded problem.
@@ -130,12 +162,12 @@ impl SolveOptions {
         let mut opts = MinimizeOptions {
             backend: self.backend,
             mode: self.mode,
-            max_conflicts: self.max_conflicts,
             initial_upper: self.initial_upper,
             encoder_opt: self.encoder_opt,
             certify: self.certify,
             ..MinimizeOptions::default()
         };
+        opts.solver_config.max_conflicts = self.max_conflicts;
         opts.solver_config.interrupt = self.interrupt.clone();
         opts.solver_config.paranoid = self.paranoid;
         opts.solver_config.obs = self.obs.clone();

@@ -55,9 +55,6 @@ pub struct MinimizeOptions {
     pub backend: Backend,
     /// Work sharing across the probe sequence.
     pub mode: BinSearchMode,
-    /// Per-call conflict budget; exhausting it aborts with
-    /// [`MinimizeStatus::Unknown`].
-    pub max_conflicts: Option<u64>,
     /// Known feasible upper bound on the cost (e.g. from a heuristic
     /// incumbent), used as the search's hint: the first probe is bounded by
     /// it, which can skip the expensive unbounded `SOLVE(φ)` and halve the
@@ -66,10 +63,10 @@ pub struct MinimizeOptions {
     /// hint costs one probe, never the optimum.
     pub initial_upper: Option<i64>,
     /// Base solver tunables applied to every solver the search creates —
-    /// including the cooperative [`SolverConfig::interrupt`] flag, the
-    /// restart unit and the activity decays.
-    /// `max_conflicts` above, when set, overrides
-    /// `solver_config.max_conflicts`.
+    /// including the per-call conflict budget
+    /// ([`SolverConfig::max_conflicts`], whose exhaustion aborts with
+    /// [`MinimizeStatus::Unknown`]) and the cooperative
+    /// [`SolverConfig::interrupt`] flag.
     pub solver_config: SolverConfig,
     /// Encoder-level optimizations (hash-consing, interval narrowing, SAT
     /// preprocessing) applied to every encoding the search builds. All on
@@ -88,7 +85,6 @@ impl Default for MinimizeOptions {
         MinimizeOptions {
             backend: Backend::PseudoBoolean,
             mode: BinSearchMode::Incremental,
-            max_conflicts: None,
             initial_upper: None,
             solver_config: SolverConfig::default(),
             encoder_opt: EncoderOpt::default(),
@@ -98,13 +94,11 @@ impl Default for MinimizeOptions {
 }
 
 impl MinimizeOptions {
-    /// A fresh solver configured per these options.
+    /// A fresh solver configured per these options — the one place options
+    /// become a [`SolverConfig`], for every solver any search creates.
     pub(crate) fn new_solver(&self) -> Solver {
         let mut solver = Solver::new();
         solver.config = self.solver_config.clone();
-        if self.max_conflicts.is_some() {
-            solver.config.max_conflicts = self.max_conflicts;
-        }
         // The encoder-opt switch masters the preprocessing stage so one
         // knob disables the whole optimization layer for ablations.
         if !self.encoder_opt.preprocess {

@@ -6,7 +6,7 @@ use crate::blast::{blast_with, Backend, EncoderOpt};
 use crate::expr::{bool_structural_eq, BoolExpr, BoolVar, IntVar, SeenPairs};
 use crate::prober::CostProber;
 use crate::triplet::TripletForm;
-use optalloc_sat::{PbOp, SolveResult, Solver, SolverConfig};
+use optalloc_sat::{PbOp, SolveResult, Solver};
 
 /// A bounded-integer constraint problem: declare variables, assert Boolean
 /// combinations of integer (in)equations, then [`solve`](IntProblem::solve)
@@ -189,73 +189,24 @@ impl IntProblem {
         }
     }
 
-    /// Decides satisfiability, returning a model if one exists.
+    /// Decides satisfiability, returning a model if one exists: one
+    /// unbudgeted `SOLVE(φ)` on a solver built with default options, the
+    /// reference the encoder tests check models against.
     pub fn solve(&self, backend: Backend) -> Option<Model> {
-        self.solve_with_budget(backend, None)
-            .expect("no budget set")
-    }
-
-    /// Like [`solve`](IntProblem::solve) but aborts after `max_conflicts`
-    /// conflicts, returning `Err(())` on abort.
-    #[allow(clippy::result_unit_err)]
-    pub fn solve_with_budget(
-        &self,
-        backend: Backend,
-        max_conflicts: Option<u64>,
-    ) -> Result<Option<Model>, ()> {
-        self.solve_with_options(backend, max_conflicts, &EncoderOpt::default())
-    }
-
-    /// Like [`solve_with_budget`](IntProblem::solve_with_budget) with an
-    /// explicit encoder-optimization configuration (ablation hook).
-    #[allow(clippy::result_unit_err)]
-    pub fn solve_with_options(
-        &self,
-        backend: Backend,
-        max_conflicts: Option<u64>,
-        opt: &EncoderOpt,
-    ) -> Result<Option<Model>, ()> {
-        let mut solver = Solver::new();
-        solver.config.max_conflicts = max_conflicts;
-        solver.config.preprocess = opt.preprocess;
-        let (form, decls) = self.prepare(opt);
-        let bl = blast_with(&form, &decls, &mut solver, backend, opt);
+        let opts = MinimizeOptions {
+            backend,
+            ..MinimizeOptions::default()
+        };
+        let mut solver = opts.new_solver();
+        let (form, decls) = self.prepare(&opts.encoder_opt);
+        let bl = blast_with(&form, &decls, &mut solver, backend, &opts.encoder_opt);
         if bl.trivially_unsat() {
-            return Ok(None);
+            return None;
         }
         match solver.solve(&[]) {
-            SolveResult::Sat => Ok(Some(self.extract_model(&solver, &bl))),
-            SolveResult::Unsat => Ok(None),
-            SolveResult::Unknown | SolveResult::Interrupted => Err(()),
-        }
-    }
-
-    /// Like [`solve_with_options`](IntProblem::solve_with_options) but with
-    /// a full [`SolverConfig`], which in particular carries the cooperative
-    /// [`SolverConfig::interrupt`] flag — the hook a long-running service
-    /// needs to cancel or time out a plain feasibility solve. Returns
-    /// `Err(())` on budget exhaustion *or* interruption.
-    #[allow(clippy::result_unit_err)]
-    pub fn solve_with_solver_config(
-        &self,
-        backend: Backend,
-        config: SolverConfig,
-        opt: &EncoderOpt,
-    ) -> Result<Option<Model>, ()> {
-        let mut solver = Solver::new();
-        solver.config = config;
-        if !opt.preprocess {
-            solver.config.preprocess = false;
-        }
-        let (form, decls) = self.prepare(opt);
-        let bl = blast_with(&form, &decls, &mut solver, backend, opt);
-        if bl.trivially_unsat() {
-            return Ok(None);
-        }
-        match solver.solve(&[]) {
-            SolveResult::Sat => Ok(Some(self.extract_model(&solver, &bl))),
-            SolveResult::Unsat => Ok(None),
-            SolveResult::Unknown | SolveResult::Interrupted => Err(()),
+            SolveResult::Sat => Some(self.extract_model(&solver, &bl)),
+            SolveResult::Unsat => None,
+            r => unreachable!("{r:?} without a budget or an interrupt flag"),
         }
     }
 

@@ -143,27 +143,13 @@ impl WarmEngine {
     }
 
     /// Minimizes `cost` over `problem`, reusing as much prior state as is
-    /// sound (see the module docs for the mode ladder).
-    pub fn solve(&mut self, problem: &IntProblem, cost: IntVar) -> (MinimizeOutcome, WarmMode) {
-        self.solve_bounded(problem, cost, None)
-    }
-
-    /// Like [`solve`](WarmEngine::solve) but restricted to the cost window
-    /// `lo ≤ cost ≤ hi` (clamped to the variable's declared range) — the
-    /// cost-bound delta of a re-solve request. [`MinimizeStatus::Infeasible`]
-    /// then means *no solution within the window*; any certificate's
-    /// coverage starts at the clamped window lower end.
-    pub fn solve_window(
-        &mut self,
-        problem: &IntProblem,
-        cost: IntVar,
-        lo: i64,
-        hi: i64,
-    ) -> (MinimizeOutcome, WarmMode) {
-        self.solve_bounded(problem, cost, Some((lo, hi)))
-    }
-
-    fn solve_bounded(
+    /// sound (see the module docs for the mode ladder). A `window`
+    /// restricts the search to `lo ≤ cost ≤ hi` (clamped to the variable's
+    /// declared range) — the cost-bound delta of a re-solve request;
+    /// [`MinimizeStatus::Infeasible`] then means *no solution within the
+    /// window*, and any certificate's coverage starts at the clamped window
+    /// lower end.
+    pub fn solve(
         &mut self,
         problem: &IntProblem,
         cost: IntVar,
@@ -250,13 +236,13 @@ mod tests {
         let mut engine = WarmEngine::new(MinimizeOptions::default());
 
         let (p1, c1) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p1, c1);
+        let (out, mode) = engine.solve(&p1, c1, None);
         assert_eq!(mode, WarmMode::Cold);
         assert_eq!(optimum(&out), 9);
 
         // Same problem, rebuilt: full prober reuse, hinted at 9.
         let (p2, c2) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p2, c2);
+        let (out, mode) = engine.solve(&p2, c2, None);
         assert!(
             matches!(mode, WarmMode::Reused { hint: Some(9), .. }),
             "got {mode:?}"
@@ -268,7 +254,7 @@ mod tests {
 
         // Mutated problem: encoding invalidated, seeds carry over.
         let (p3, c3) = floor_problem(11, 2);
-        let (out, mode) = engine.solve(&p3, c3);
+        let (out, mode) = engine.solve(&p3, c3, None);
         assert!(matches!(mode, WarmMode::Seeded { hint: 9 }), "got {mode:?}");
         assert_eq!(optimum(&out), 11);
     }
@@ -278,7 +264,7 @@ mod tests {
         let mut engine = WarmEngine::new(MinimizeOptions::default());
         for (floor, xmin) in [(9, 2), (9, 2), (12, 2), (12, 7), (3, 0), (9, 2)] {
             let (p, cost) = floor_problem(floor, xmin);
-            let (warm, _) = engine.solve(&p, cost);
+            let (warm, _) = engine.solve(&p, cost, None);
             let cold = p.minimize(cost, &MinimizeOptions::default());
             assert_eq!(
                 optimum(&warm),
@@ -305,7 +291,7 @@ mod tests {
         let mut cases = vec![(nonlinear, nonlinear_cost)];
         cases.extend([(9, 2), (12, 7), (3, 0)].map(|(f, x)| floor_problem(f, x)));
         for (p, cost) in cases {
-            let (warm, mode) = WarmEngine::new(MinimizeOptions::default()).solve(&p, cost);
+            let (warm, mode) = WarmEngine::new(MinimizeOptions::default()).solve(&p, cost, None);
             assert_eq!(mode, WarmMode::Cold);
             let cold = p.minimize(cost, &MinimizeOptions::default());
             assert_eq!(optimum(&warm), optimum(&cold));
@@ -322,7 +308,7 @@ mod tests {
         };
         let mut engine = WarmEngine::new(opts);
         let (p1, c1) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p1, c1);
+        let (out, mode) = engine.solve(&p1, c1, None);
         assert_eq!(mode, WarmMode::Cold);
         out.certificate
             .as_ref()
@@ -334,7 +320,7 @@ mod tests {
         // Reused — and its certificate must again verify standalone.
         assert!(engine.retained_learned().is_none());
         let (p2, c2) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p2, c2);
+        let (out, mode) = engine.solve(&p2, c2, None);
         assert_eq!(mode, WarmMode::Cold, "no state retained under certify");
         assert_eq!(optimum(&out), 9);
         out.certificate
@@ -350,20 +336,20 @@ mod tests {
         let (p, cost) = floor_problem(9, 2);
 
         // Below the optimum: infeasible within the window…
-        let (out, _) = engine.solve_window(&p, cost, 0, 5);
+        let (out, _) = engine.solve(&p, cost, Some((0, 5)));
         assert!(matches!(out.status, MinimizeStatus::Infeasible));
 
         // …and the state survives for a successful re-solve.
-        let (out, mode) = engine.solve_window(&p, cost, 0, 50);
+        let (out, mode) = engine.solve(&p, cost, Some((0, 50)));
         assert!(matches!(mode, WarmMode::Reused { .. }));
         assert_eq!(optimum(&out), 9);
 
         // A window cutting in from below raises the reported optimum.
-        let (out, _) = engine.solve_window(&p, cost, 20, 50);
+        let (out, _) = engine.solve(&p, cost, Some((20, 50)));
         assert_eq!(optimum(&out), 20);
 
         // Inverted window: vacuous, no probes.
-        let (out, _) = engine.solve_window(&p, cost, 50, 20);
+        let (out, _) = engine.solve(&p, cost, Some((50, 20)));
         assert!(matches!(out.status, MinimizeStatus::Infeasible));
         assert_eq!(out.solve_calls, 0);
     }
@@ -376,7 +362,7 @@ mod tests {
         };
         let mut engine = WarmEngine::new(opts);
         let (p, cost) = floor_problem(9, 2);
-        let (out, _) = engine.solve_window(&p, cost, 4, 80);
+        let (out, _) = engine.solve(&p, cost, Some((4, 80)));
         assert_eq!(optimum(&out), 9);
         let cert = out.certificate.as_ref().expect("certified window solve");
         assert_eq!(cert.cost_lo, 4, "coverage starts at the window");
@@ -387,9 +373,9 @@ mod tests {
     fn retention_budget_clears_learned_clauses() {
         let mut engine = WarmEngine::new(MinimizeOptions::default()).with_retention(0);
         let (p1, c1) = floor_problem(9, 2);
-        engine.solve(&p1, c1);
+        engine.solve(&p1, c1, None);
         let (p2, c2) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p2, c2);
+        let (out, mode) = engine.solve(&p2, c2, None);
         // With a zero budget the reused prober enters the search with an
         // empty learned DB.
         assert!(
@@ -403,9 +389,9 @@ mod tests {
     fn per_run_stats_are_deltas_not_cumulative() {
         let mut engine = WarmEngine::new(MinimizeOptions::default());
         let (p1, c1) = floor_problem(9, 2);
-        let (first, _) = engine.solve(&p1, c1);
+        let (first, _) = engine.solve(&p1, c1, None);
         let (p2, c2) = floor_problem(9, 2);
-        let (second, _) = engine.solve(&p2, c2);
+        let (second, _) = engine.solve(&p2, c2, None);
         // The reused run answers in 2 probes; cumulative counters would
         // report first.solve_calls + 2.
         assert_eq!(second.solve_calls, 2);
@@ -420,14 +406,14 @@ mod tests {
         let cost = p.int_var(0, 5);
         p.assert(x.expr().ge(7)); // impossible
         p.assert(cost.expr().eq(x.expr()));
-        let (out, _) = engine.solve(&p, cost);
+        let (out, _) = engine.solve(&p, cost, None);
         assert!(matches!(out.status, MinimizeStatus::Infeasible));
         assert_eq!(engine.last_optimum(), None);
 
         // A feasible follow-up on a different problem has no optimum to
         // seed from: it must run cold (never Seeded with a stale hint).
         let (p2, c2) = floor_problem(9, 2);
-        let (out, mode) = engine.solve(&p2, c2);
+        let (out, mode) = engine.solve(&p2, c2, None);
         assert_eq!(mode, WarmMode::Cold);
         assert_eq!(optimum(&out), 9);
     }
@@ -442,7 +428,7 @@ mod tests {
         };
         let mut engine = WarmEngine::new(opts);
         let (p, cost) = floor_problem(9, 2);
-        let (out, _) = engine.solve(&p, cost);
+        let (out, _) = engine.solve(&p, cost, None);
         assert_eq!(optimum(&out), 9);
     }
 }

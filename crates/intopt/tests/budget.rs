@@ -1,7 +1,7 @@
 //! Budgeted-solving behavior: the conflict budget must degrade gracefully
 //! into `Unknown` verdicts with usable incumbents, never wrong answers.
 
-use optalloc_intopt::{Backend, BinSearchMode, IntProblem, MinimizeOptions, MinimizeStatus};
+use optalloc_intopt::{BinSearchMode, IntProblem, MinimizeOptions, MinimizeStatus};
 
 /// A moderately hard optimization instance: magic-square-ish constraints.
 fn hard_instance() -> (IntProblem, optalloc_intopt::IntVar) {
@@ -27,6 +27,16 @@ fn hard_instance() -> (IntProblem, optalloc_intopt::IntVar) {
     (p, cost)
 }
 
+/// Options with a per-`SOLVE` conflict budget.
+fn budgeted(mode: BinSearchMode, max_conflicts: u64) -> MinimizeOptions {
+    let mut opts = MinimizeOptions {
+        mode,
+        ..MinimizeOptions::default()
+    };
+    opts.solver_config.max_conflicts = Some(max_conflicts);
+    opts
+}
+
 #[test]
 fn unlimited_budget_finds_true_optimum() {
     let (p, cost) = hard_instance();
@@ -43,14 +53,7 @@ fn unlimited_budget_finds_true_optimum() {
 fn tiny_budget_yields_unknown_not_wrong_answers() {
     let (p, cost) = hard_instance();
     for mode in [BinSearchMode::Fresh, BinSearchMode::Incremental] {
-        let out = p.minimize(
-            cost,
-            &MinimizeOptions {
-                mode,
-                max_conflicts: Some(1),
-                ..Default::default()
-            },
-        );
+        let out = p.minimize(cost, &budgeted(mode, 1));
         match out.status {
             MinimizeStatus::Unknown { incumbent } => {
                 // Any incumbent returned must satisfy the constraints.
@@ -72,13 +75,7 @@ fn tiny_budget_yields_unknown_not_wrong_answers() {
 #[test]
 fn medium_budget_incumbent_is_valid_upper_bound() {
     let (p, cost) = hard_instance();
-    let out = p.minimize(
-        cost,
-        &MinimizeOptions {
-            max_conflicts: Some(200),
-            ..Default::default()
-        },
-    );
+    let out = p.minimize(cost, &budgeted(BinSearchMode::Incremental, 200));
     match out.status {
         MinimizeStatus::Unknown {
             incumbent: Some((value, _)),
@@ -95,12 +92,17 @@ fn medium_budget_incumbent_is_valid_upper_bound() {
 
 #[test]
 fn budgeted_solve_reports_err_on_abort() {
-    let (p, _) = hard_instance();
-    // With a 1-conflict budget plain solving must abort (Err), not claim
-    // UNSAT.
-    match p.solve_with_budget(Backend::PseudoBoolean, Some(1)) {
-        Err(()) => {}
-        Ok(Some(_)) => {} // solved within one conflict — acceptable
-        Ok(None) => panic!("budget abort misreported as UNSAT"),
+    let (mut p, _) = hard_instance();
+    // A plain satisfiability check is a minimization of a cost fixed at 0:
+    // its one probe is the unbounded SOLVE(φ). With a 1-conflict budget it
+    // must abort (Unknown), not claim UNSAT.
+    let zero = p.int_var(0, 0);
+    match p
+        .minimize(zero, &budgeted(BinSearchMode::Incremental, 1))
+        .status
+    {
+        MinimizeStatus::Unknown { incumbent: None } => {}
+        MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 0), // solved within one conflict
+        ref s => panic!("budget abort misreported as {s:?}"),
     }
 }

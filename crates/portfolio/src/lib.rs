@@ -23,36 +23,11 @@
 use std::fmt;
 use std::time::Duration;
 
-use optalloc_intopt::{Certificate, EncodeStats, MinimizeOptions, MinimizeStatus};
 use optalloc_sat::SolverStats;
 
 pub mod window;
 
 pub use window::minimize_window_search;
-
-/// Options for [`minimize_window_search`].
-#[derive(Clone, Debug)]
-pub struct PortfolioOptions {
-    /// Number of workers; one worker runs the paper's sequential
-    /// `BIN_SEARCH` loop.
-    pub workers: usize,
-    /// Minimization options every worker's solver is configured from;
-    /// `mode` is ignored (workers are incremental).
-    /// `solver_config.interrupt` is honoured as the **job-scoped** cancel
-    /// flag: raising it aborts every worker cooperatively (the hook a
-    /// service timeout or shutdown uses). The search never raises it
-    /// itself.
-    pub base: MinimizeOptions,
-}
-
-impl Default for PortfolioOptions {
-    fn default() -> PortfolioOptions {
-        PortfolioOptions {
-            workers: 4,
-            base: MinimizeOptions::default(),
-        }
-    }
-}
 
 /// What one worker's share of the search ended as (model-free summary).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -118,29 +93,4 @@ impl fmt::Display for WorkerReport {
         }
         Ok(())
     }
-}
-
-/// Result of a window search.
-#[derive(Clone, Debug)]
-pub struct PortfolioOutcome {
-    /// The combined verdict.
-    pub status: MinimizeStatus,
-    /// Total `SOLVE` calls across all workers.
-    pub solve_calls: u32,
-    /// Encoding size reported by worker 0 (every worker encodes the same
-    /// problem).
-    pub encode: EncodeStats,
-    /// Solver counters summed over all workers.
-    pub stats: SolverStats,
-    /// Index of the worker whose result closed the search, if any.
-    pub winner: Option<usize>,
-    /// Per-worker execution records, indexed by worker.
-    pub workers: Vec<WorkerReport>,
-    /// Optimality certificate stitched from *every* worker's proof traces
-    /// — present when [`MinimizeOptions::certify`] was set on the base
-    /// options and the run ended [`MinimizeStatus::Optimal`]. No single
-    /// worker covers the whole range, so the merged set of certified
-    /// windows is what [`Certificate::verify`] checks for gap-free
-    /// coverage.
-    pub certificate: Option<Certificate>,
 }

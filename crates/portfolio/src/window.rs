@@ -48,11 +48,11 @@ use std::time::{Duration, Instant};
 
 use optalloc_intopt::{
     Backend, BinSearchMode, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
-    MinimizeOptions, MinimizeStatus, Model, Probe, WindowProof,
+    MinimizeOptions, MinimizeOutcome, MinimizeStatus, Model, Probe, WindowProof,
 };
 use optalloc_sat::SolverStats;
 
-use crate::{PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
+use crate::{WorkerReport, WorkerVerdict};
 
 // ----------------------------------------------------------------------
 // Interval arithmetic over the remaining cost range
@@ -266,120 +266,95 @@ struct WorkerRun {
     solve_calls: u32,
     stats: SolverStats,
     wall: Duration,
-    encode: EncodeStats,
-    /// The worker's proof trace and certified windows (certify mode only).
-    proofs: Vec<WindowProof>,
 }
 
-/// How a search ended: its verdict, the worker whose result closed it, and
+/// How a search ended: its outcome, the worker whose result closed it, and
 /// every worker's run record.
-type Finish = (MinimizeStatus, Option<usize>, Vec<WorkerRun>);
+type Finish = (MinimizeOutcome, Option<usize>, Vec<WorkerRun>);
 
-impl WorkerRun {
-    fn of(mut prober: CostProber<'_>, windows: Vec<(i64, i64)>, start: Instant) -> WorkerRun {
-        WorkerRun {
-            windows,
-            solve_calls: prober.solve_calls(),
-            stats: prober.stats().clone(),
-            wall: start.elapsed(),
-            encode: prober.encode(),
-            proofs: prober.take_proofs(),
-        }
-    }
-}
-
-/// Minimizes `cost` over `problem` with a parallel window search (see the
-/// module docs for the protocol and the determinism contract). The
-/// [`PortfolioOptions::base`] options configure every worker's solver.
-/// `solver_config.interrupt` is honoured as the job-scoped cancel flag:
-/// raising it ends the search cooperatively with an `Unknown` outcome
-/// (`Interrupted` for one worker) carrying the best incumbent.
+/// Minimizes `cost` over `problem` with `workers` window-search workers
+/// (see the module docs for the protocol and the determinism contract).
+/// `opts` configure every worker's solver; their `mode` is ignored, since
+/// workers are incremental. `solver_config.interrupt` is honoured as the
+/// job-scoped cancel flag: raising it ends the search cooperatively with an
+/// `Unknown` outcome (`Interrupted` for one worker) carrying the best
+/// incumbent. The search never raises it itself.
+///
+/// The outcome sums solve calls and solver counters over all workers and
+/// reports worker 0's encoding size (every worker encodes the same
+/// problem). With `opts.certify` its certificate is stitched from *every*
+/// worker's proof traces: no single worker covers the whole range, so the
+/// merged set of certified windows is what [`Certificate::verify`] checks
+/// for gap-free coverage. The reports list the workers in index order.
 pub fn minimize_window_search(
     problem: &IntProblem,
     cost: IntVar,
-    opts: &PortfolioOptions,
-) -> PortfolioOutcome {
-    let n = opts.workers.max(1);
+    opts: &MinimizeOptions,
+    workers: usize,
+) -> (MinimizeOutcome, Vec<WorkerReport>) {
+    let n = workers.max(1);
     let worker_opts = |i: usize| {
         // The clone keeps the caller's job-scoped interrupt flag, which
         // every worker's solver polls directly.
-        let mut w = opts.base.clone();
+        let mut w = opts.clone();
         // Window workers keep one incremental solver across their probes.
         w.mode = BinSearchMode::Incremental;
         // Progress events from a window worker carry its index; the solver
         // stamps the per-probe window itself.
-        w.solver_config.progress_worker = Some(i);
+        w.solver_config.progress = w.solver_config.progress.map(|h| h.with_worker(i));
         w
     };
-    let desc = {
-        let backend = match opts.base.backend {
-            Backend::PseudoBoolean => "pb",
-            Backend::Cnf => "cnf",
-        };
-        move |i: usize| format!("win/{backend}/w{i}")
+    let backend = match opts.backend {
+        Backend::PseudoBoolean => "pb",
+        Backend::Cnf => "cnf",
     };
 
-    let (status, winner, runs) = if n == 1 {
+    let (outcome, winner, runs) = if n == 1 {
         run_sequential(problem, cost, &worker_opts(0))
     } else {
         run_rounds(problem, cost, opts, n, &worker_opts)
     };
 
-    let optimum = match &status {
+    let status = &outcome.status;
+    let optimum = match status {
         MinimizeStatus::Optimal { value, .. } => Some(*value),
         _ => None,
     };
-    let mut stats = SolverStats::default();
-    let mut solve_calls = 0u32;
-    let mut workers = Vec::with_capacity(n);
-    for (i, run) in runs.iter().enumerate() {
-        stats.absorb(&run.stats);
-        solve_calls += run.solve_calls;
-        let (verdict, value) = match (&status, winner) {
-            (MinimizeStatus::Optimal { .. }, Some(w)) if w == i => {
-                (WorkerVerdict::Optimal, optimum)
+    let reports = runs
+        .into_iter()
+        .enumerate()
+        .map(|(i, run)| {
+            let (verdict, value) = match (status, winner) {
+                (MinimizeStatus::Optimal { .. }, Some(w)) if w == i => {
+                    (WorkerVerdict::Optimal, optimum)
+                }
+                // The proof is collective; non-closing workers certified an
+                // optimum whose witness may live elsewhere.
+                (MinimizeStatus::Optimal { .. }, _) => (WorkerVerdict::ExternalOptimal, optimum),
+                (MinimizeStatus::Infeasible, Some(w)) if w == i => {
+                    (WorkerVerdict::Infeasible, None)
+                }
+                (MinimizeStatus::Infeasible, _) => (WorkerVerdict::Interrupted, None),
+                (
+                    MinimizeStatus::Unknown { incumbent }
+                    | MinimizeStatus::Interrupted { incumbent },
+                    _,
+                ) => (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v)),
+            };
+            WorkerReport {
+                index: i,
+                config: format!("win/{backend}/w{i}"),
+                verdict,
+                value,
+                solve_calls: run.solve_calls,
+                stats: run.stats,
+                wall: run.wall,
+                winner: winner == Some(i),
+                windows: run.windows,
             }
-            // The proof is collective; non-closing workers certified an
-            // optimum whose witness may live elsewhere.
-            (MinimizeStatus::Optimal { .. }, _) => (WorkerVerdict::ExternalOptimal, optimum),
-            (MinimizeStatus::Infeasible, Some(w)) if w == i => (WorkerVerdict::Infeasible, None),
-            (MinimizeStatus::Infeasible, _) => (WorkerVerdict::Interrupted, None),
-            (
-                MinimizeStatus::Unknown { incumbent } | MinimizeStatus::Interrupted { incumbent },
-                _,
-            ) => (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v)),
-        };
-        workers.push(WorkerReport {
-            index: i,
-            config: desc(i),
-            verdict,
-            value,
-            solve_calls: run.solve_calls,
-            stats: run.stats.clone(),
-            wall: run.wall,
-            winner: winner == Some(i),
-            windows: run.windows.clone(),
-        });
-    }
-
-    let certificate = match &status {
-        MinimizeStatus::Optimal { value, model } if opts.base.certify => Some(Certificate {
-            optimum: *value,
-            cost_lo: cost.lo,
-            witness: model.clone(),
-            proofs: runs.iter().flat_map(|r| r.proofs.iter().cloned()).collect(),
-        }),
-        _ => None,
-    };
-    PortfolioOutcome {
-        status,
-        solve_calls,
-        encode: runs[0].encode,
-        stats,
-        winner,
-        workers,
-        certificate,
-    }
+        })
+        .collect();
+    (outcome, reports)
 }
 
 /// One worker: the paper's sequential `BIN_SEARCH` over one incremental
@@ -395,24 +370,22 @@ fn run_sequential(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
     let run = WorkerRun {
         windows: Vec::new(),
         solve_calls: out.solve_calls,
-        stats: out.stats,
+        stats: out.stats.clone(),
         wall: start.elapsed(),
-        encode: out.encode,
-        proofs: out.proofs,
     };
-    (out.status, closed.then_some(0), vec![run])
+    (out, closed.then_some(0), vec![run])
 }
 
 /// `n ≥ 2` workers in barrier rounds (see the module docs).
 fn run_rounds(
     problem: &IntProblem,
     cost: IntVar,
-    opts: &PortfolioOptions,
+    opts: &MinimizeOptions,
     n: usize,
     worker_opts: &dyn Fn(usize) -> MinimizeOptions,
 ) -> Finish {
     let state = Mutex::new(RoundState {
-        known: Knowledge::new(cost, opts.base.initial_upper),
+        known: Knowledge::new(cost, opts.initial_upper),
         windows: Vec::new(),
         results: Vec::new(),
         done: false,
@@ -420,7 +393,9 @@ fn run_rounds(
     });
     let barrier = Barrier::new(n);
 
-    let runs: Vec<WorkerRun> = std::thread::scope(|scope| {
+    // Each worker hands back its run record, its encoding size and its
+    // proof trace with the windows it certified (certify mode only).
+    let joined: Vec<(WorkerRun, EncodeStats, Vec<WindowProof>)> = std::thread::scope(|scope| {
         let state = &state;
         let barrier = &barrier;
         let handles: Vec<_> = (0..n)
@@ -452,7 +427,13 @@ fn run_rounds(
                             state.lock().unwrap().results[i] = Some(probe);
                         }
                     }
-                    WorkerRun::of(prober, windows, start)
+                    let run = WorkerRun {
+                        windows,
+                        solve_calls: prober.solve_calls(),
+                        stats: prober.stats().clone(),
+                        wall: start.elapsed(),
+                    };
+                    (run, prober.encode(), prober.take_proofs())
                 })
             })
             .collect();
@@ -460,7 +441,36 @@ fn run_rounds(
     });
 
     let st = state.into_inner().unwrap();
-    (st.known.status(st.winner.is_some()), st.winner, runs)
+    let status = st.known.status(st.winner.is_some());
+    let encode = joined[0].1;
+    let mut stats = SolverStats::default();
+    let mut solve_calls = 0;
+    let mut proofs = Vec::new();
+    let mut runs = Vec::with_capacity(n);
+    for (run, _, mut worker_proofs) in joined {
+        stats.absorb(&run.stats);
+        solve_calls += run.solve_calls;
+        proofs.append(&mut worker_proofs);
+        runs.push(run);
+    }
+    let certificate = match &status {
+        MinimizeStatus::Optimal { value, model } if opts.certify => Some(Certificate {
+            optimum: *value,
+            cost_lo: cost.lo,
+            witness: model.clone(),
+            proofs: proofs.clone(),
+        }),
+        _ => None,
+    };
+    let outcome = MinimizeOutcome {
+        status,
+        solve_calls,
+        encode,
+        stats,
+        proofs,
+        certificate,
+    };
+    (outcome, st.winner, runs)
 }
 
 #[cfg(test)]
@@ -527,14 +537,8 @@ mod tests {
     fn window_search_finds_optimum() {
         let (p, cost) = instance();
         for workers in [1, 2, 4] {
-            let out = minimize_window_search(
-                &p,
-                cost,
-                &PortfolioOptions {
-                    workers,
-                    ..PortfolioOptions::default()
-                },
-            );
+            let (out, reports) =
+                minimize_window_search(&p, cost, &MinimizeOptions::default(), workers);
             match out.status {
                 MinimizeStatus::Optimal { value, ref model } => {
                     assert_eq!(value, 0, "workers={workers}");
@@ -542,11 +546,11 @@ mod tests {
                 }
                 ref s => panic!("workers={workers}: got {s:?}"),
             }
-            assert!(out.winner.is_some());
-            assert_eq!(out.workers.len(), workers);
+            assert_eq!(reports.iter().filter(|w| w.winner).count(), 1);
+            assert_eq!(reports.len(), workers);
             if workers > 1 {
                 // Every round cuts the unknown range into disjoint windows.
-                let probed: usize = out.workers.iter().map(|w| w.windows.len()).sum();
+                let probed: usize = reports.iter().map(|w| w.windows.len()).sum();
                 assert!(probed > 0, "workers={workers}");
             }
         }
@@ -558,14 +562,7 @@ mod tests {
     fn one_worker_is_the_sequential_search() {
         let (p, cost) = instance();
         let single = p.minimize(cost, &MinimizeOptions::default());
-        let out = minimize_window_search(
-            &p,
-            cost,
-            &PortfolioOptions {
-                workers: 1,
-                ..PortfolioOptions::default()
-            },
-        );
+        let (out, reports) = minimize_window_search(&p, cost, &MinimizeOptions::default(), 1);
         match (&single.status, &out.status) {
             (
                 MinimizeStatus::Optimal { value: a, .. },
@@ -576,9 +573,9 @@ mod tests {
         assert_eq!(out.solve_calls, single.solve_calls);
         assert_eq!(out.stats.conflicts, single.stats.conflicts);
         assert_eq!(out.stats.decisions, single.stats.decisions);
-        assert_eq!(out.winner, Some(0));
-        assert_eq!(out.workers.len(), 1);
-        assert_eq!(out.workers[0].verdict, WorkerVerdict::Optimal);
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].winner);
+        assert_eq!(reports[0].verdict, WorkerVerdict::Optimal);
     }
 
     #[test]
@@ -586,18 +583,15 @@ mod tests {
         // Workers poll the caller's flag directly; the first round makes no
         // progress and ends the search. No hang, no false optimum.
         let (p, cost) = instance();
-        let mut opts = PortfolioOptions {
-            workers: 3,
-            ..PortfolioOptions::default()
-        };
-        opts.base.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
-        let out = minimize_window_search(&p, cost, &opts);
+        let mut opts = MinimizeOptions::default();
+        opts.solver_config.interrupt = Some(Arc::new(AtomicBool::new(true)));
+        let (out, reports) = minimize_window_search(&p, cost, &opts, 3);
         assert!(
             matches!(out.status, MinimizeStatus::Unknown { .. }),
             "got {:?}",
             out.status
         );
-        assert!(out.winner.is_none());
+        assert!(reports.iter().all(|w| !w.winner));
     }
 
     /// Nine pairwise-distinct values in `[0, 15]` with the smallest sum:
@@ -627,14 +621,11 @@ mod tests {
         let (p, cost) = distinct_sum_instance();
         let flag = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<()>();
-        let mut opts = PortfolioOptions {
-            workers: 3,
-            ..PortfolioOptions::default()
-        };
-        opts.base.solver_config.interrupt = Some(Arc::clone(&flag));
-        opts.base.solver_config.progress_every_conflicts = 64;
-        opts.base.solver_config.progress_interval_ms = 0;
-        opts.base.solver_config.progress = Some(ProgressHook::new(move |_| {
+        let mut opts = MinimizeOptions::default();
+        opts.solver_config.interrupt = Some(Arc::clone(&flag));
+        opts.solver_config.progress_every_conflicts = 64;
+        opts.solver_config.progress_interval_ms = 0;
+        opts.solver_config.progress = Some(ProgressHook::new(move |_| {
             let _ = tx.send(());
         }));
         let raiser = {
@@ -647,17 +638,17 @@ mod tests {
                 }
             })
         };
-        let out = minimize_window_search(&p, cost, &opts);
+        let (out, reports) = minimize_window_search(&p, cost, &opts, 3);
         drop(opts);
         raiser.join().unwrap();
         assert!(flag.load(Ordering::Relaxed), "the flag was never raised");
         match out.status {
-            MinimizeStatus::Unknown { .. } => assert!(out.winner.is_none()),
+            MinimizeStatus::Unknown { .. } => assert!(reports.iter().all(|w| !w.winner)),
             MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 36),
             ref s => panic!("got {s:?}"),
         }
         // Every worker was joined and reported.
-        assert_eq!(out.workers.len(), 3);
+        assert_eq!(reports.len(), 3);
     }
 
     #[test]
@@ -667,14 +658,7 @@ mod tests {
         p.assert(x.expr().ge(10));
         p.assert(x.expr().le(9));
         for workers in [1, 3] {
-            let out = minimize_window_search(
-                &p,
-                x,
-                &PortfolioOptions {
-                    workers,
-                    ..PortfolioOptions::default()
-                },
-            );
+            let (out, _) = minimize_window_search(&p, x, &MinimizeOptions::default(), workers);
             assert!(
                 matches!(out.status, MinimizeStatus::Infeasible),
                 "workers={workers}: got {:?}",
@@ -691,11 +675,11 @@ mod tests {
         let x = p.int_var(0, 50);
         p.assert(x.expr().ge(12));
         for workers in [1, 2] {
-            let base = MinimizeOptions {
+            let opts = MinimizeOptions {
                 initial_upper: Some(5),
                 ..MinimizeOptions::default()
             };
-            let out = minimize_window_search(&p, x, &PortfolioOptions { workers, base });
+            let (out, _) = minimize_window_search(&p, x, &opts, workers);
             match out.status {
                 MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 12),
                 ref s => panic!("workers={workers}: got {s:?}"),
@@ -712,16 +696,12 @@ mod tests {
         let mut p = IntProblem::new();
         let x = p.int_var(0, 100);
         p.assert(x.expr().ge(7));
-        let base = MinimizeOptions {
+        let opts = MinimizeOptions {
             certify: true,
             ..MinimizeOptions::default()
         };
         for workers in [1, 3] {
-            let opts = PortfolioOptions {
-                workers,
-                base: base.clone(),
-            };
-            let out = minimize_window_search(&p, x, &opts);
+            let (out, _) = minimize_window_search(&p, x, &opts, workers);
             match out.status {
                 MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 7, "workers={workers}"),
                 ref s => panic!("workers={workers}: got {s:?}"),
@@ -734,9 +714,8 @@ mod tests {
         }
         // Certificates are bit-stable: same windows, same proof steps, run
         // to run.
-        let opts = PortfolioOptions { workers: 3, base };
-        let a = minimize_window_search(&p, x, &opts);
-        let b = minimize_window_search(&p, x, &opts);
+        let (a, _) = minimize_window_search(&p, x, &opts, 3);
+        let (b, _) = minimize_window_search(&p, x, &opts, 3);
         let (sa, sb) = (
             a.certificate.unwrap().verify().unwrap(),
             b.certificate.unwrap().verify().unwrap(),
@@ -749,17 +728,14 @@ mod tests {
     #[test]
     fn deterministic_window_search_is_bit_stable() {
         let (p, cost) = instance();
-        let opts = PortfolioOptions {
-            workers: 3,
-            ..PortfolioOptions::default()
-        };
-        let a = minimize_window_search(&p, cost, &opts);
-        let b = minimize_window_search(&p, cost, &opts);
-        assert_eq!(a.winner, b.winner);
+        let opts = MinimizeOptions::default();
+        let (a, ra) = minimize_window_search(&p, cost, &opts, 3);
+        let (b, rb) = minimize_window_search(&p, cost, &opts, 3);
         assert_eq!(a.solve_calls, b.solve_calls);
         assert_eq!(a.stats.conflicts, b.stats.conflicts);
         assert_eq!(a.stats.decisions, b.stats.decisions);
-        for (wa, wb) in a.workers.iter().zip(&b.workers) {
+        for (wa, wb) in ra.iter().zip(&rb) {
+            assert_eq!(wa.winner, wb.winner);
             assert_eq!(wa.windows, wb.windows, "window assignment must be stable");
             assert_eq!(wa.solve_calls, wb.solve_calls);
         }

@@ -8,7 +8,7 @@ use optalloc_intopt::{
     BinSearchMode, BoolExpr, EncoderOpt, IntExpr, IntProblem, IntVar, MinimizeOptions,
     MinimizeStatus,
 };
-use optalloc_portfolio::{minimize_window_search, PortfolioOptions};
+use optalloc_portfolio::minimize_window_search;
 use proptest::prelude::*;
 
 /// Recipe for a random affine-ish expression over 3 variables.
@@ -67,14 +67,7 @@ fn optimum_single(
 }
 
 fn optimum_window(p: &IntProblem, cost: IntVar) -> Option<i64> {
-    let out = minimize_window_search(
-        p,
-        cost,
-        &PortfolioOptions {
-            workers: 4,
-            ..PortfolioOptions::default()
-        },
-    );
+    let (out, _) = minimize_window_search(p, cost, &MinimizeOptions::default(), 4);
     match out.status {
         MinimizeStatus::Optimal { value, ref model } => {
             assert_eq!(

@@ -120,14 +120,17 @@ const EMA_MIN_RESTART_CONFLICTS: u64 = 50;
 const VIVIFY_MIN_LEARNED: u64 = 2_000;
 /// Propagation budget per vivification round.
 const VIVIFY_PROP_BUDGET: u64 = 200_000;
+/// Multiplicative EVSIDS decay (activity increment grows by `1/decay`).
+const VAR_DECAY: f64 = 0.95;
+/// Clause activity decay.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Saved phase of a fresh variable, and the model value of a variable the
+/// model never assigned.
+const DEFAULT_PHASE: bool = false;
 
 /// Tunable solver parameters.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Multiplicative EVSIDS decay (activity increment grows by `1/decay`).
-    pub var_decay: f64,
-    /// Clause activity decay.
-    pub clause_decay: f64,
     /// Twice the conflict interval before the first learned-clause
     /// reduction.
     pub first_reduce: usize,
@@ -136,8 +139,6 @@ pub struct SolverConfig {
     /// Give up (return [`SolveResult::Unknown`]) after this many conflicts
     /// in one `solve` call, if set.
     pub max_conflicts: Option<u64>,
-    /// Default phase for unassigned decision variables.
-    pub default_phase: bool,
     /// Cooperative cancellation: when the flag becomes true, `solve`
     /// returns [`SolveResult::Interrupted`] at the next conflict or
     /// decision boundary. The solver stays sound and reusable.
@@ -186,9 +187,6 @@ pub struct SolverConfig {
     pub progress_every_conflicts: u64,
     /// Minimum wall-clock milliseconds between emitted progress events.
     pub progress_interval_ms: u64,
-    /// Worker index stamped on emitted progress events (window searches
-    /// tag each worker's stream before merging).
-    pub progress_worker: Option<usize>,
     /// Cost window `[lo, hi]` stamped on emitted progress events; the
     /// bisection loop updates it before each probe.
     pub progress_window: Option<(i64, i64)>,
@@ -209,12 +207,9 @@ pub fn paranoid_env() -> bool {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
             first_reduce: 4000,
             reduce_grow: 1.2,
             max_conflicts: None,
-            default_phase: false,
             interrupt: None,
             preprocess: true,
             elim: true,
@@ -224,7 +219,6 @@ impl Default for SolverConfig {
             progress: None,
             progress_every_conflicts: 2048,
             progress_interval_ms: 50,
-            progress_worker: None,
             progress_window: None,
         }
     }
@@ -570,7 +564,7 @@ impl Solver {
         self.reason.push(Reason::None);
         self.trail_pos.push(0);
         self.activity.push(0.0);
-        self.saved_phase.push(self.config.default_phase);
+        self.saved_phase.push(DEFAULT_PHASE);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -632,7 +626,7 @@ impl Solver {
             .model
             .get(l.var().index())
             .copied()
-            .unwrap_or(self.config.default_phase);
+            .unwrap_or(DEFAULT_PHASE);
         v == l.is_positive()
     }
 
@@ -1214,8 +1208,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay as f32;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY as f32;
     }
 
     // ------------------------------------------------------------------
@@ -1724,7 +1718,8 @@ impl Solver {
         };
         self.refresh_tier_stats();
         let ev = ProgressEvent {
-            worker: self.config.progress_worker,
+            // A window search stamps its workers through the hook.
+            worker: None,
             conflicts: self.stats.conflicts,
             conflicts_per_s: rate,
             propagations: self.stats.propagations,
@@ -2354,12 +2349,12 @@ mod tests {
         // Keep the conflicts in search: preprocessing would refute this
         // instance at level 0 before a single conflict fires.
         s.config.preprocess = false;
-        s.config.progress = Some(ProgressHook::new(move |ev| {
+        let hook = ProgressHook::new(move |ev| {
             sink.lock().unwrap().push(ev.clone());
-        }));
+        });
+        s.config.progress = Some(hook.with_worker(3));
         s.config.progress_every_conflicts = 1;
         s.config.progress_interval_ms = 0;
-        s.config.progress_worker = Some(3);
         s.config.progress_window = Some((10, 20));
         let mut ids = Vec::new();
         // Small pigeonhole-ish contradiction to force conflicts.

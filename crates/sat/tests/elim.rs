@@ -9,6 +9,10 @@
 use optalloc_sat::{check_proof, Claim, PbOp, PbTerm, ProofStep, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
+/// A PB constraint in plain data form: terms of (signed var, coef), the
+/// operator and the bound.
+type PbData = (Vec<(i32, i64)>, PbOp, i64);
+
 /// A random problem over `n_vars` variables in plain data form, consumed
 /// by both the solver and the brute-force oracle.
 #[derive(Debug, Clone)]
@@ -16,8 +20,8 @@ struct Problem {
     n_vars: usize,
     /// Clauses as signed var indices (1-based, negative = negated).
     clauses: Vec<Vec<i32>>,
-    /// PB constraints: (terms of (signed var, coef), op, bound).
-    pbs: Vec<(Vec<(i32, i64)>, PbOp, i64)>,
+    /// PB constraints.
+    pbs: Vec<PbData>,
 }
 
 fn lit_of(vars: &[Var], signed: i32) -> optalloc_sat::Lit {

@@ -52,8 +52,8 @@ use crate::protocol::{
     Instance, JobOutcome, JobResult, RejectReason, Request, Response, SearchSummary, WarmLabel,
 };
 use optalloc::{
-    apply_deltas, CertificateReport, Objective, OptError, Optimizer, SolveOptions, Strategy,
-    WarmEngine, WarmMode,
+    apply_deltas, CertificateReport, Objective, Optimizer, SolveOptions, Strategy, WarmEngine,
+    WarmMode,
 };
 use optalloc_obs::{MetricsRegistry, PhaseTotals, DEFAULT_MS_BUCKETS};
 pub use server::{serve, Server};
@@ -656,71 +656,24 @@ fn run_job(
     };
 
     let solve_ms = start.elapsed().as_millis() as u64;
-    let (outcome, warm, solve_calls, conflicts, search, phases, certificate) = match solved {
-        Ok((report, mode)) => {
-            let warm = match mode {
-                WarmMode::Cold => WarmLabel::Cold,
-                WarmMode::Seeded { .. } => WarmLabel::Seeded,
-                WarmMode::Reused { .. } => WarmLabel::Reused,
-            };
-            (
-                JobOutcome::Optimal {
-                    cost: report.cost,
-                    allocation: report.solution.allocation.clone(),
-                    certified: report.certificate.is_some(),
-                },
-                warm,
-                report.solve_calls,
-                report.stats.conflicts,
-                SearchSummary::from_stats(&report.stats),
-                report.phases,
-                report.certificate,
-            )
-        }
-        Err(OptError::Infeasible) => (
-            JobOutcome::Infeasible,
-            WarmLabel::Cold,
-            0,
-            0,
-            SearchSummary::default(),
-            PhaseTotals::default(),
-            None,
-        ),
-        Err(OptError::Budget { incumbent }) => {
-            let incumbent_cost = incumbent.map(|(v, _)| v);
-            let outcome = if timed_out.load(Ordering::Relaxed) {
-                JobOutcome::Timeout { incumbent_cost }
-            } else {
-                JobOutcome::Budget { incumbent_cost }
-            };
-            (
-                outcome,
-                WarmLabel::Cold,
-                0,
-                0,
-                SearchSummary::default(),
-                PhaseTotals::default(),
-                None,
-            )
-        }
-        Err(e) => (
-            JobOutcome::Error {
-                message: e.to_string(),
-            },
-            WarmLabel::Cold,
-            0,
-            0,
-            SearchSummary::default(),
-            PhaseTotals::default(),
-            None,
-        ),
-    };
-    shared.search_totals.lock().unwrap().absorb(&search);
-    shared.phase_totals.lock().unwrap().absorb(&phases);
+    let warm = solved
+        .as_ref()
+        .map_or(WarmLabel::Cold, |(_, mode)| WarmLabel::from(mode));
+    let solved = solved.map(|(report, _)| report);
+    let result = JobResult::from_solve(
+        fp.to_string(),
+        &solved,
+        warm,
+        timed_out.load(Ordering::Relaxed),
+        solve_ms,
+    );
+    let certificate = solved.ok().and_then(|r| r.certificate);
+    shared.search_totals.lock().unwrap().absorb(&result.search);
+    shared.phase_totals.lock().unwrap().absorb(&result.phases);
     shared.metrics.counter("service.jobs").inc();
     shared
         .metrics
-        .counter(match &outcome {
+        .counter(match &result.outcome {
             JobOutcome::Optimal { .. } => "service.jobs_optimal",
             JobOutcome::Infeasible => "service.jobs_infeasible",
             JobOutcome::Budget { .. } => "service.jobs_budget",
@@ -728,23 +681,14 @@ fn run_job(
             JobOutcome::Error { .. } => "service.jobs_error",
         })
         .inc();
-    shared.metrics.counter("service.conflicts").add(conflicts);
+    shared
+        .metrics
+        .counter("service.conflicts")
+        .add(result.conflicts);
     shared
         .metrics
         .histogram("service.job_ms", DEFAULT_MS_BUCKETS)
         .observe(solve_ms as f64);
-
-    let result = JobResult {
-        fingerprint: fp.to_string(),
-        outcome,
-        cached: false,
-        warm,
-        solve_calls,
-        conflicts,
-        solve_ms,
-        search,
-        phases,
-    };
 
     // 3. Session bookkeeping: the instance is addressable for future
     // deltas whatever the verdict; only terminal, deterministic verdicts

@@ -5,7 +5,7 @@
 //! the CLI's `--json` output, so a script driving the TCP server and a
 //! script parsing CLI output read the same shape.
 
-use optalloc::{InstanceDelta, Objective};
+use optalloc::{InstanceDelta, Objective, OptError, OptimizeReport, WarmMode};
 use optalloc_model::{Allocation, Architecture, TaskSet};
 use optalloc_obs::{MetricsSnapshot, PhaseTotals};
 use serde::{Deserialize, Serialize};
@@ -89,6 +89,16 @@ pub enum WarmLabel {
     Seeded,
     /// Nothing reusable; full cold solve.
     Cold,
+}
+
+impl From<&WarmMode> for WarmLabel {
+    fn from(mode: &WarmMode) -> WarmLabel {
+        match mode {
+            WarmMode::Cold => WarmLabel::Cold,
+            WarmMode::Seeded { .. } => WarmLabel::Seeded,
+            WarmMode::Reused { .. } => WarmLabel::Reused,
+        }
+    }
 }
 
 /// Terminal verdict of one job.
@@ -244,6 +254,56 @@ pub struct JobResult {
     /// All zero on a cache hit.
     #[serde(default)]
     pub phases: PhaseTotals,
+}
+
+impl JobResult {
+    /// The result line of one solve: the optimizer's verdict mapped to a
+    /// [`JobOutcome`] — a budget abort reads as [`JobOutcome::Timeout`]
+    /// when `timed_out` says the job's wall-clock limit raised the
+    /// interrupt — plus the report's counters (all zero on an error). The
+    /// one mapping behind the CLI's `solve --json` line and the service's
+    /// job results.
+    pub fn from_solve(
+        fingerprint: String,
+        solved: &Result<OptimizeReport, OptError>,
+        warm: WarmLabel,
+        timed_out: bool,
+        solve_ms: u64,
+    ) -> JobResult {
+        let outcome = match solved {
+            Ok(report) => JobOutcome::Optimal {
+                cost: report.cost,
+                allocation: report.solution.allocation.clone(),
+                certified: report.certificate.is_some(),
+            },
+            Err(OptError::Infeasible) => JobOutcome::Infeasible,
+            Err(OptError::Budget { incumbent }) => {
+                let incumbent_cost = incumbent.as_ref().map(|(v, _)| *v);
+                if timed_out {
+                    JobOutcome::Timeout { incumbent_cost }
+                } else {
+                    JobOutcome::Budget { incumbent_cost }
+                }
+            }
+            Err(e) => JobOutcome::Error {
+                message: e.to_string(),
+            },
+        };
+        let report = solved.as_ref().ok();
+        JobResult {
+            fingerprint,
+            outcome,
+            cached: false,
+            warm,
+            solve_calls: report.map_or(0, |r| r.solve_calls),
+            conflicts: report.map_or(0, |r| r.stats.conflicts),
+            solve_ms,
+            search: report.map_or_else(SearchSummary::default, |r| {
+                SearchSummary::from_stats(&r.stats)
+            }),
+            phases: report.map_or_else(PhaseTotals::default, |r| r.phases),
+        }
+    }
 }
 
 /// One response line.

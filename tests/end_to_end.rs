@@ -2,11 +2,12 @@
 //! optimize → decode → independently validate, plus the optimality
 //! ordering against the heuristic baselines.
 
-use optalloc::{Objective, Optimizer, SolveOptions};
+use optalloc::{Objective, OptError, Optimizer, SolveOptions};
 use optalloc_analysis::{token_rotation_time, validate, AnalysisConfig};
 use optalloc_heuristics::{anneal, HeuristicObjective, SaParams};
 use optalloc_model::MediumId;
-use optalloc_workloads::{generate, GenParams};
+use optalloc_obs::{Obs, Phase};
+use optalloc_workloads::{generate, task_scaling, GenParams};
 
 fn small(seed: u64) -> GenParams {
     GenParams {
@@ -123,4 +124,69 @@ fn max_utilization_objective_balances() {
         w.arch.num_ecus(),
     );
     assert_eq!(*utils.iter().max().unwrap() as i64, result.cost);
+}
+
+/// Feasibility minimizes a cost fixed at 0: one unbounded `SOLVE(φ)` that
+/// reports its encoding, its search counters and a trace like any other
+/// objective.
+#[test]
+fn feasibility_is_one_traced_solve() {
+    let w = task_scaling(12);
+    let obs = Obs::enabled();
+    let report = Optimizer::new(&w.arch, &w.tasks)
+        .with_options(SolveOptions {
+            obs: obs.clone(),
+            ..Default::default()
+        })
+        .minimize(&Objective::Feasibility)
+        .expect("t12 is feasible");
+    assert_eq!(report.cost, 0);
+    assert_eq!(report.solve_calls, 1);
+    assert!(report.stats.propagations > 0);
+    assert!(report.encode.bool_vars > 0);
+    let search = obs
+        .phase_totals()
+        .into_iter()
+        .find(|t| t.phase == Phase::Search.label())
+        .expect("the solve recorded a search span");
+    assert_eq!(search.count, 1);
+    assert_eq!(report.phases.search_ms, search.total_ms);
+}
+
+/// A certified feasibility check carries a certificate with nothing below
+/// the optimum to refute, and it verifies.
+#[test]
+fn certified_feasibility_carries_a_verified_certificate() {
+    let w = task_scaling(12);
+    let report = Optimizer::new(&w.arch, &w.tasks)
+        .with_options(SolveOptions {
+            certify: true,
+            ..Default::default()
+        })
+        .minimize(&Objective::Feasibility)
+        .expect("t12 is feasible");
+    let cert = report.certificate.expect("certify attaches a certificate");
+    assert_eq!(cert.certificate.optimum, 0);
+    assert_eq!(cert.summary.windows, 0);
+    cert.certificate
+        .verify()
+        .expect("the certificate re-verifies");
+}
+
+/// A conflict budget too small for the first `SOLVE(φ)` aborts the
+/// feasibility check; it never reads as a proof of infeasibility.
+#[test]
+fn budgeted_feasibility_never_claims_infeasible() {
+    let w = task_scaling(12);
+    let solved = Optimizer::new(&w.arch, &w.tasks)
+        .with_options(SolveOptions {
+            max_conflicts: Some(1),
+            ..Default::default()
+        })
+        .find_feasible();
+    match solved {
+        Err(OptError::Budget { incumbent: None }) => {}
+        Ok(solution) => assert!(solution.report.is_feasible()),
+        Err(e) => panic!("budget abort misreported: {e}"),
+    }
 }
