@@ -8,15 +8,25 @@
 //! - `single` — plain incremental binary search ([`Strategy::Single`]),
 //!   the baseline every speedup column divides by;
 //! - `window` — N ≥ 2 workers over **disjoint** sub-windows
-//!   ([`Strategy::WindowSearch`], barrier rounds): the certification
-//!   region is partitioned, so its conflicts split across workers instead
-//!   of repeating. (One worker would run the `single` search itself.)
+//!   ([`Strategy::WindowSearch`], conflict-sliced barrier rounds): the
+//!   certification region is partitioned, so its conflicts split across
+//!   workers instead of repeating. (One worker would run the `single`
+//!   search itself.)
 //!
 //! The per-worker conflict column (`worker_conflicts`) makes that split
-//! visible. The result is stated as **critical-path work**:
-//! `critical_path_conflicts` is the largest per-worker conflict count (the
-//! whole count for `single`), and `critical_path_vs_single` divides the
-//! single search's conflicts by it. Conflict counts are deterministic, so
+//! visible. The result is stated as **critical-path work**, two ways:
+//!
+//! - `critical_path_conflicts` is the largest per-worker conflict count
+//!   (the whole count for `single`). It ignores the barrier: a worker that
+//!   waits for a slower one costs nothing in it.
+//! - `round_critical_path_conflicts` sums, over the search's `rounds`, the
+//!   largest conflict count any worker spent in that round — the work a
+//!   barrier actually puts on the critical path (the whole count for
+//!   `single`, which runs no rounds).
+//!
+//! `critical_path_vs_single` divides the single search's conflicts by the
+//! first, `round_critical_path_vs_single` by the second. Conflict counts
+//! are deterministic, so
 //! unlike wall time they do not depend on how many cores the host has
 //! (`host_cores`, via `std::thread::available_parallelism()`): on a
 //! single-core host the workers time-slice one CPU and the measured
@@ -60,6 +70,13 @@ struct WindowRow {
     critical_path_conflicts: u64,
     /// `conflicts(single) / critical_path_conflicts`.
     critical_path_vs_single: f64,
+    /// Barrier rounds the window search ran (0 for `single`).
+    rounds: usize,
+    /// Sum over rounds of the largest per-worker conflicts in that round
+    /// (`conflicts` for `single`).
+    round_critical_path_conflicts: u64,
+    /// `conflicts(single) / round_critical_path_conflicts`.
+    round_critical_path_vs_single: f64,
     /// `time_s(single) / time_s(this row)` — measured wall clock.
     speedup_vs_single: f64,
 }
@@ -124,10 +141,28 @@ fn main() {
                 .max()
                 .unwrap_or(r.stats.conflicts);
             let critical_vs_single = single_conflicts as f64 / critical_path as f64;
+            // Per round, the busiest worker's conflicts: what the barrier
+            // waits for.
+            let mut round_max: Vec<u64> = Vec::new();
+            for w in &r.workers {
+                round_max.resize(round_max.len().max(w.round_conflicts.len()), 0);
+                for (m, &c) in round_max.iter_mut().zip(&w.round_conflicts) {
+                    *m = (*m).max(c);
+                }
+            }
+            let rounds = round_max.len();
+            let round_critical_path = if rounds == 0 {
+                r.stats.conflicts
+            } else {
+                round_max.iter().sum()
+            };
+            let round_vs_single = single_conflicts as f64 / round_critical_path as f64;
             eprintln!(
                 "{n} tasks, {mode}/{workers}: TRT = {} in {total:.2}s — \
                  critical path {critical_path} conflicts ({critical_vs_single:.2}x \
-                 vs single), wall speedup {:.2}x measured",
+                 vs single), {rounds} rounds with critical path \
+                 {round_critical_path} conflicts ({round_vs_single:.2}x vs single), \
+                 wall speedup {:.2}x measured",
                 r.cost,
                 single_time / total,
             );
@@ -148,6 +183,9 @@ fn main() {
                 worker_windows: r.workers.iter().map(|w| w.windows.len()).collect(),
                 critical_path_conflicts: critical_path,
                 critical_path_vs_single: critical_vs_single,
+                rounds,
+                round_critical_path_conflicts: round_critical_path,
+                round_critical_path_vs_single: round_vs_single,
                 speedup_vs_single: single_time / total,
             });
         }

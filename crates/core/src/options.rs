@@ -69,7 +69,7 @@ pub enum Strategy {
     /// setup).
     Single,
     /// A parallel window search: workers probe **disjoint** sub-windows of
-    /// the remaining cost interval in barrier-synchronised rounds, so the
+    /// the remaining cost interval in conflict-sliced barrier rounds, so the
     /// terminal UNSAT certification is divided across workers instead of
     /// repeated per worker, and the output is bit-stable (see the
     /// `optalloc-portfolio` crate's `window` module).

@@ -11,7 +11,10 @@
 //! (the paper's §7 reuse). Each bounded probe allocates a fresh guard
 //! literal, attaches the window bounds guarded by it, assumes the guard for
 //! the solve, and closes the guard afterwards so the dead bound clauses
-//! simplify away.
+//! simplify away. A probe cut short by a per-call conflict limit
+//! ([`CostProber::probe_slice`]) is the exception: it leaves its guard
+//! open, so a resumed slice of the same window assumes it again with no new
+//! bound clauses and every learned clause that mentions it intact.
 //!
 //! A *fresh* prober ([`CostProber::fresh`]) re-encodes the problem into a
 //! new solver for every probe, with the window bounds asserted hard — the
@@ -24,7 +27,7 @@ use crate::certificate::{CertifiedWindow, WindowProof};
 use crate::problem::{IntProblem, Model};
 use crate::IntVar;
 use optalloc_obs::Phase;
-use optalloc_sat::{SolveResult, Solver, SolverStats};
+use optalloc_sat::{Lit, SolveResult, Solver, SolverStats};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -40,7 +43,8 @@ pub enum Probe {
     },
     /// No model inside the window (an exhaustive refutation).
     Unsat,
-    /// Conflict budget exhausted before a verdict.
+    /// Conflict budget, or a slice's conflict limit, exhausted before a
+    /// verdict.
     Unknown,
     /// The cooperative interrupt flag was raised mid-solve.
     Interrupted,
@@ -75,6 +79,9 @@ struct Incremental {
     /// Windows refuted so far, when proof logging is on; paired with the
     /// solver's trace by [`CostProber::take_proofs`].
     certified: Vec<CertifiedWindow>,
+    /// The window whose last slice ran out of conflicts, with its guard,
+    /// still open for a resumed slice.
+    open: Option<((i64, i64), Lit)>,
 }
 
 /// A new solver and encoding per probe, bounds asserted hard.
@@ -167,6 +174,7 @@ impl<'p> CostProber<'p> {
             solver,
             bl,
             certified: Vec::new(),
+            open: None,
         });
         CostProber::with_engine(problem, cost, opts, engine, encode)
     }
@@ -287,16 +295,31 @@ impl<'p> CostProber<'p> {
     /// refuted encoding is vacuously [`Probe::Unsat`] without touching the
     /// solver.
     pub fn probe(&mut self, window: Option<(i64, i64)>) -> Probe {
+        self.probe_with(window, None)
+    }
+
+    /// Probes `window` like [`CostProber::probe`], but for at most `limit`
+    /// conflicts, in place of `solver_config.max_conflicts`. When the limit
+    /// runs out ([`Probe::Unknown`]) an incremental prober keeps the
+    /// window's guard open: the next slice of the same window resumes under
+    /// it, and probing any other window closes it first.
+    pub fn probe_slice(&mut self, window: (i64, i64), limit: u64) -> Probe {
+        self.probe_with(Some(window), Some(limit))
+    }
+
+    fn probe_with(&mut self, window: Option<(i64, i64)>, limit: Option<u64>) -> Probe {
         if self.trivially_unsat() || window.is_some_and(|(lo, hi)| lo > hi) {
             return Probe::Unsat;
         }
         self.solve_calls += 1;
         let problem: &IntProblem = &self.problem;
         match &mut self.engine {
-            Engine::Incremental(inc) => inc.probe(problem, self.cost, window, &mut self.encode),
+            Engine::Incremental(inc) => {
+                inc.probe(problem, self.cost, window, limit, &mut self.encode)
+            }
             Engine::Fresh(fresh) => {
                 let first = self.solve_calls == 1;
-                fresh.probe(problem, self.cost, window, &mut self.encode, first)
+                fresh.probe(problem, self.cost, window, limit, &mut self.encode, first)
             }
         }
     }
@@ -308,9 +331,24 @@ impl Incremental {
         problem: &IntProblem,
         cost: IntVar,
         window: Option<(i64, i64)>,
+        limit: Option<u64>,
         encode: &mut EncodeStats,
     ) -> Probe {
         let solver = &mut self.solver;
+        // A guard left open by a sliced probe is resumed only by the same
+        // window; any other probe closes it.
+        let resumed = match self.open.take() {
+            Some((w, guard)) if Some(w) == window => Some(guard),
+            Some((_, guard)) => {
+                solver.add_clause(&[!guard]);
+                None
+            }
+            None => None,
+        };
+        let budget = solver.config.max_conflicts;
+        if limit.is_some() {
+            solver.config.max_conflicts = limit;
+        }
         let result = match window {
             Some((lo, hi)) => {
                 // The whole bounded probe is one `bisect-window` span; the
@@ -321,17 +359,20 @@ impl Incremental {
                     probe_sw.attr("lo", lo.to_string());
                     probe_sw.attr("hi", hi.to_string());
                 }
-                // Guard-clause emission is encoding work: attribute it to
-                // encode_ms so solve_ms stays pure search time even across
-                // many reused probes. Same stopwatch-as-span pattern as the
-                // base encoding.
-                let mut sw = solver.config.obs.stopwatch(Phase::Encode);
-                let guard = solver.new_var().positive();
-                self.bl.add_guarded_bounds(solver, cost, lo, hi, guard);
-                if sw.recording() {
-                    sw.attr("pass", "guard-bounds");
-                }
-                encode.encode_ms += sw.finish();
+                let guard = resumed.unwrap_or_else(|| {
+                    // Guard-clause emission is encoding work: attribute it
+                    // to encode_ms so solve_ms stays pure search time even
+                    // across many reused probes. Same stopwatch-as-span
+                    // pattern as the base encoding.
+                    let mut sw = solver.config.obs.stopwatch(Phase::Encode);
+                    let guard = solver.new_var().positive();
+                    self.bl.add_guarded_bounds(solver, cost, lo, hi, guard);
+                    if sw.recording() {
+                        sw.attr("pass", "guard-bounds");
+                    }
+                    encode.encode_ms += sw.finish();
+                    guard
+                });
                 solver.config.progress_window = Some((lo, hi));
                 let r = solver.solve(&[guard]);
                 probe_sw.finish();
@@ -346,9 +387,14 @@ impl Incremental {
                         step: trace_len(solver),
                     });
                 }
-                // Close the guard: it is never assumed again, so the dead
-                // bound clauses can simplify away.
-                solver.add_clause(&[!guard]);
+                if r == SolveResult::Unknown && limit.is_some() {
+                    // The slice ran out: keep the guard for a resumed one.
+                    self.open = Some(((lo, hi), guard));
+                } else {
+                    // Close the guard: it is never assumed again, so the
+                    // dead bound clauses can simplify away.
+                    solver.add_clause(&[!guard]);
+                }
                 r
             }
             None => {
@@ -367,6 +413,7 @@ impl Incremental {
                 r
             }
         };
+        solver.config.max_conflicts = budget;
         verdict(result, problem, cost, &self.solver, &self.bl)
     }
 }
@@ -377,6 +424,7 @@ impl Fresh {
         problem: &IntProblem,
         cost: IntVar,
         window: Option<(i64, i64)>,
+        limit: Option<u64>,
         encode: &mut EncodeStats,
         first: bool,
     ) -> Probe {
@@ -389,6 +437,11 @@ impl Fresh {
         // by the failed-assumption clause ¬guard.
         let use_guard = opts.certify && window.is_some();
         let mut solver = opts.new_solver();
+        if limit.is_some() {
+            // A fresh solver has no guard to keep open: a slice is a
+            // conflict-limited probe, and its resumption starts over.
+            solver.config.max_conflicts = limit;
+        }
         let mut p = problem.clone();
         if !use_guard {
             if let Some((lo, hi)) = window {
@@ -704,6 +757,90 @@ mod tests {
         match prober.probe(None) {
             Probe::Sat { value, .. } => assert!(value >= 7),
             ref r => panic!("expected Sat, got {r:?}"),
+        }
+    }
+
+    /// Six distinct values in `[0, 9]` summing to at most 14: a pigeonhole
+    /// refutation that takes many conflicts.
+    fn pigeonhole() -> (IntProblem, IntVar) {
+        let mut p = IntProblem::new();
+        let xs: Vec<IntVar> = (0..6).map(|_| p.int_var(0, 9)).collect();
+        for (i, a) in xs.iter().enumerate() {
+            for b in &xs[i + 1..] {
+                p.assert(a.expr().ne(b.expr()));
+            }
+        }
+        let cost = p.int_var(0, 54);
+        let sum = xs
+            .iter()
+            .fold(crate::IntExpr::constant(0), |s, x| s + x.expr());
+        p.assert(cost.expr().eq(sum));
+        (p, cost)
+    }
+
+    fn num_vars(prober: &CostProber) -> usize {
+        match &prober.engine {
+            Engine::Incremental(inc) => inc.solver.num_vars(),
+            Engine::Fresh(_) => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn sliced_probe_resumes_under_its_open_guard() {
+        let (p, cost) = pigeonhole();
+        let opts = MinimizeOptions::default();
+        let mut prober = CostProber::new(&p, cost, &opts);
+        assert!(matches!(prober.probe_slice((0, 14), 2), Probe::Unknown));
+        let vars = num_vars(&prober);
+        // Resumed slices add no guard and no bound clauses…
+        let mut slices = 1;
+        let verdict = loop {
+            match prober.probe_slice((0, 14), 2) {
+                Probe::Unknown => slices += 1,
+                r => break r,
+            }
+            assert_eq!(num_vars(&prober), vars);
+        };
+        assert!(matches!(verdict, Probe::Unsat), "got {verdict:?}");
+        assert!(slices > 1);
+        assert_eq!(prober.solve_calls(), slices + 1);
+        // …and the closed window's successor gets a fresh guard.
+        assert!(matches!(
+            prober.probe_slice((15, 54), 1_000),
+            Probe::Sat { .. }
+        ));
+        assert!(num_vars(&prober) > vars);
+    }
+
+    #[test]
+    fn probing_another_window_closes_an_open_guard() {
+        let (p, cost) = pigeonhole();
+        let opts = MinimizeOptions::default();
+        let mut prober = CostProber::new(&p, cost, &opts);
+        assert!(matches!(prober.probe_slice((0, 14), 2), Probe::Unknown));
+        // Probing another window closes the open guard first.
+        match prober.probe(Some((15, 15))) {
+            Probe::Sat { value, .. } => assert_eq!(value, 15),
+            r => panic!("expected Sat, got {r:?}"),
+        }
+        match &prober.engine {
+            Engine::Incremental(inc) => assert!(inc.open.is_none()),
+            Engine::Fresh(_) => unreachable!(),
+        }
+        // An unsliced probe never leaves a guard open, even when the
+        // configured budget runs out.
+        let opts = MinimizeOptions {
+            solver_config: optalloc_sat::SolverConfig {
+                max_conflicts: Some(2),
+                ..Default::default()
+            },
+            ..MinimizeOptions::default()
+        };
+        let mut prober = CostProber::new(&p, cost, &opts);
+        assert!(matches!(prober.probe(Some((0, 14))), Probe::Unknown));
+        match &prober.engine {
+            Engine::Incremental(inc) => assert!(inc.open.is_none()),
+            Engine::Fresh(_) => unreachable!(),
         }
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! ## Determinism contract
 //!
-//! Workers run barrier-synchronised rounds with an index-ordered fold, so
-//! the output — optimum, witness, winning worker, window assignment, solve
-//! calls and solver counters — is bit-stable across runs. The proven
+//! Workers run barrier-synchronised rounds of a fixed number of conflicts
+//! each, with an index-ordered fold, so the output — optimum, witness,
+//! winning worker, window assignment, solve calls and solver counters — is
+//! bit-stable across runs. The proven
 //! optimum is also the same for every worker count.
 //!
 //! [`IntProblem`]: optalloc_intopt::IntProblem
@@ -26,6 +27,10 @@ use std::time::Duration;
 use optalloc_sat::SolverStats;
 
 pub mod window;
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_problems;
 
 pub use window::minimize_window_search;
 
@@ -63,8 +68,13 @@ pub struct WorkerReport {
     pub wall: Duration,
     /// Whether this worker's result closed the search.
     pub winner: bool,
-    /// Cost windows this worker probed, in order.
+    /// Cost windows this worker probed, in order; a window resumed over
+    /// several rounds appears once.
     pub windows: Vec<(i64, i64)>,
+    /// Conflicts this worker spent in each round of the search, in order,
+    /// 0 in a round it waited (empty for a 1-worker search, which runs no
+    /// rounds).
+    pub round_conflicts: Vec<u64>,
 }
 
 impl fmt::Display for WorkerReport {

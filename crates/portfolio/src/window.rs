@@ -23,21 +23,36 @@
 //! naturally skipped past when it turns out infeasible: once `L` crosses
 //! the hint the ceiling reopens to the top of the cost range.
 //!
-//! ## Barrier rounds
+//! ## Conflict-sliced rounds
 //!
-//! Workers run barrier-synchronised *rounds*: worker 0 cuts the unknown
-//! part of `[L, ceiling]` into one window per worker, every worker probes
-//! its window to completion on its own incremental prober, and worker 0
-//! folds the results **in worker-index order**. Window assignment, probe
-//! sequence, solver statistics and the winning worker are therefore
-//! bit-stable across runs; the proven optimum is additionally identical
-//! across worker counts (it is the true optimum, and every run certifies
-//! it exhaustively).
+//! Workers run barrier-synchronised *rounds*. In each round every worker
+//! with a window probes it on its own incremental prober for at most
+//! `ROUND_CONFLICTS` conflicts (one *slice*), and worker 0 then folds the
+//! results **in worker-index order** and plans the next round:
 //!
-//! A round in which no probe adds knowledge — every window came back
-//! budget-exhausted or interrupted — ends the search with the incumbent.
-//! That is how the job-scoped cancel flag, which every worker's solver
-//! polls, stops a running search.
+//! * A probe that used up its slice leaves its window *in flight*. If the
+//!   window is still wholly unknown, the same worker resumes it next round
+//!   under the same open guard literal, with every learned clause intact.
+//!   A window that now lies above the ceiling or below the lower bound is
+//!   dropped at this slice boundary; one that is partly stale is clipped to
+//!   the unknown ground.
+//! * Idle workers split the unknown ground no in-flight window covers; if
+//!   none is left, they wait for the next round.
+//!
+//! Slices are counted in conflicts, not time, so window assignment, probe
+//! sequence, solver statistics and the winning worker are bit-stable across
+//! runs; the proven optimum is additionally identical across worker counts
+//! (it is the true optimum, and every run certifies it exhaustively).
+//!
+//! `solver_config.max_conflicts` budgets each window, summed over its
+//! slices: a window that uses it up comes back `Unknown`. A round in which
+//! no probe adds knowledge and no window is left in flight — every window
+//! came back budget-exhausted or interrupted — ends the search with the
+//! incumbent; a slice that ran out counts as progress. That is how the
+//! job-scoped cancel flag, which every worker's solver polls, stops a
+//! running search. Ground whose window ran out of budget is not handed out
+//! again until some probe adds knowledge, so exhausted budgets end the
+//! search instead of cycling through fresh windows.
 //!
 //! A 1-worker search has nothing to divide: it runs the paper's sequential
 //! `BIN_SEARCH` loop on one incremental prober ([`IntProblem::minimize`]),
@@ -212,28 +227,75 @@ impl Knowledge {
 }
 
 // ----------------------------------------------------------------------
-// Barrier-round driver
+// Conflict-sliced round driver
 // ----------------------------------------------------------------------
+
+/// Conflicts a worker spends on its window per round before the fold. A
+/// window a SAT result made stale stops at the next slice boundary; a
+/// live one resumes under its open guard.
+const ROUND_CONFLICTS: u64 = 2_000;
+
+/// One worker's window for the coming round.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    window: (i64, i64),
+    /// Conflicts spent on this window in earlier slices (0: a new window).
+    spent: u64,
+}
 
 struct RoundState {
     known: Knowledge,
-    /// The current round's window plan; worker `i` probes `windows[i]`.
-    windows: Vec<(i64, i64)>,
-    /// The current round's probe results, indexed by worker.
-    results: Vec<Option<Probe>>,
+    /// Conflicts per slice.
+    slice: u64,
+    /// Conflicts per window, summed over its slices
+    /// (`solver_config.max_conflicts`).
+    budget: Option<u64>,
+    /// Worker `i` probes `slots[i]` this round; `None` waits.
+    slots: Vec<Option<Slot>>,
+    /// This round's probe results with the conflicts each used, by worker.
+    results: Vec<Option<(Probe, u64)>>,
+    /// Windows that came back budget-exhausted or interrupted since the
+    /// search last learned something. Their ground is not handed out again
+    /// until it does, so exhausted budgets cannot cycle forever.
+    stalled: Vec<(i64, i64)>,
     done: bool,
     winner: Option<usize>,
 }
 
+impl RoundState {
+    /// The conflict limit of `slot`'s next slice: a full slice, or what is
+    /// left of the window's budget.
+    fn limit(&self, slot: Slot) -> u64 {
+        self.budget
+            .map_or(self.slice, |m| self.slice.min(m.saturating_sub(slot.spent)))
+    }
+}
+
 /// The step between two rounds, run by worker 0 between barriers: fold the
 /// previous round's results in worker-index order, then plan the next
-/// round's windows.
-fn step(st: &mut RoundState, n: usize) {
+/// round. A window whose slice ran out stays with its worker, clipped to
+/// the ground still unknown, or is dropped once none of it is; idle workers
+/// split the unknown ground no window covers.
+fn step(st: &mut RoundState) {
     let results = std::mem::take(&mut st.results);
-    let mut progress = false;
+    let (mut probed, mut learned, mut sliced) = (false, false, false);
     for (j, r) in results.into_iter().enumerate() {
-        let Some(r) = r else { continue };
-        progress |= st.known.fold(st.windows[j], r);
+        let Some((probe, used)) = r else { continue };
+        probed = true;
+        let slot = st.slots[j].as_mut().expect("a result comes from a slot");
+        slot.spent += used;
+        if matches!(probe, Probe::Unknown) && st.budget.is_none_or(|m| slot.spent < m) {
+            // The slice ran out, not the window's budget: still in flight.
+            sliced = true;
+            continue;
+        }
+        let window = slot.window;
+        st.slots[j] = None;
+        if st.known.fold(window, probe) {
+            learned = true;
+        } else {
+            st.stalled.push(window);
+        }
         // Checking after every fold step makes the winner — the worker
         // whose result closes the window — index-deterministic.
         if st.known.closed() {
@@ -242,18 +304,40 @@ fn step(st: &mut RoundState, n: usize) {
             return;
         }
     }
-    if !st.windows.is_empty() && !progress {
-        // A full round with zero new knowledge: every probed window came
-        // back Unknown or Interrupted. Re-running the identical round would
-        // loop forever; give up with the incumbent.
+    if probed && !learned && !sliced {
+        // A round with zero new knowledge and no window in flight: every
+        // probe came back budget-exhausted or interrupted. Re-running it
+        // would loop forever; give up with the incumbent.
         st.done = true;
         return;
     }
+    if learned {
+        st.stalled.clear();
+    }
     let known = &st.known;
-    let unknown = subtract(known.lower, known.ceiling, &mut known.fragments.clone());
-    st.windows = split(&unknown, n);
-    st.windows.truncate(n);
-    st.results = vec![None; n];
+    let mut covered = known.fragments.clone();
+    covered.extend_from_slice(&st.stalled);
+    // In-flight windows are disjoint from every other window and from the
+    // refuted fragments, so only the ceiling and the lower bound cut them.
+    for slot in st.slots.iter_mut() {
+        let Some(s) = *slot else { continue };
+        let clipped = (s.window.0.max(known.lower), s.window.1.min(known.ceiling));
+        *slot = (clipped.0 <= clipped.1).then(|| Slot {
+            window: clipped,
+            // A clipped window is a new window: a new guard and budget.
+            spent: if clipped == s.window { s.spent } else { 0 },
+        });
+        covered.extend(slot.map(|s| s.window));
+    }
+    let idle = st.slots.iter().filter(|s| s.is_none()).count();
+    let mut fresh = split(&subtract(known.lower, known.ceiling, &mut covered), idle).into_iter();
+    for slot in st.slots.iter_mut().filter(|s| s.is_none()) {
+        *slot = fresh.next().map(|window| Slot { window, spent: 0 });
+    }
+    // Unreachable while the range is open, but a plan with nothing to probe
+    // must end the search rather than spin at the barrier.
+    st.done = st.slots.iter().all(Option::is_none);
+    st.results = vec![None; st.slots.len()];
 }
 
 // ----------------------------------------------------------------------
@@ -263,6 +347,7 @@ fn step(st: &mut RoundState, n: usize) {
 /// Per-worker run record collected after the join.
 struct WorkerRun {
     windows: Vec<(i64, i64)>,
+    round_conflicts: Vec<u64>,
     solve_calls: u32,
     stats: SolverStats,
     wall: Duration,
@@ -292,6 +377,17 @@ pub fn minimize_window_search(
     opts: &MinimizeOptions,
     workers: usize,
 ) -> (MinimizeOutcome, Vec<WorkerReport>) {
+    window_search(problem, cost, opts, workers, ROUND_CONFLICTS)
+}
+
+/// [`minimize_window_search`] with `slice` conflicts per round.
+fn window_search(
+    problem: &IntProblem,
+    cost: IntVar,
+    opts: &MinimizeOptions,
+    workers: usize,
+    slice: u64,
+) -> (MinimizeOutcome, Vec<WorkerReport>) {
     let n = workers.max(1);
     let worker_opts = |i: usize| {
         // The clone keeps the caller's job-scoped interrupt flag, which
@@ -312,7 +408,7 @@ pub fn minimize_window_search(
     let (outcome, winner, runs) = if n == 1 {
         run_sequential(problem, cost, &worker_opts(0))
     } else {
-        run_rounds(problem, cost, opts, n, &worker_opts)
+        run_rounds(problem, cost, opts, n, &worker_opts, slice)
     };
 
     let status = &outcome.status;
@@ -351,6 +447,7 @@ pub fn minimize_window_search(
                 wall: run.wall,
                 winner: winner == Some(i),
                 windows: run.windows,
+                round_conflicts: run.round_conflicts,
             }
         })
         .collect();
@@ -369,6 +466,7 @@ fn run_sequential(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
     );
     let run = WorkerRun {
         windows: Vec::new(),
+        round_conflicts: Vec::new(),
         solve_calls: out.solve_calls,
         stats: out.stats.clone(),
         wall: start.elapsed(),
@@ -376,18 +474,26 @@ fn run_sequential(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
     (out, closed.then_some(0), vec![run])
 }
 
-/// `n ≥ 2` workers in barrier rounds (see the module docs).
+/// Why locking the round state can fail.
+const POISONED: &str = "a window worker panicked holding the round state";
+
+/// `n ≥ 2` workers in conflict-sliced barrier rounds of `slice` conflicts
+/// (see the module docs).
 fn run_rounds(
     problem: &IntProblem,
     cost: IntVar,
     opts: &MinimizeOptions,
     n: usize,
     worker_opts: &dyn Fn(usize) -> MinimizeOptions,
+    slice: u64,
 ) -> Finish {
     let state = Mutex::new(RoundState {
         known: Knowledge::new(cost, opts.initial_upper),
-        windows: Vec::new(),
+        slice,
+        budget: opts.solver_config.max_conflicts,
+        slots: vec![None; n],
         results: Vec::new(),
+        stalled: Vec::new(),
         done: false,
         winner: None,
     });
@@ -405,30 +511,40 @@ fn run_rounds(
                     let start = Instant::now();
                     let mut prober = CostProber::new(problem, cost, &wopts);
                     let mut windows = Vec::new();
+                    let mut round_conflicts = Vec::new();
                     loop {
                         // Phase A: worker 0 folds the previous round (a
                         // no-op on the first pass) and plans the next one.
                         barrier.wait();
                         if i == 0 {
-                            step(&mut state.lock().unwrap(), n);
+                            step(&mut state.lock().expect(POISONED));
                         }
                         barrier.wait();
-                        // Phase B: probe the assigned window, if any.
-                        let (done, my_window) = {
-                            let st = state.lock().unwrap();
-                            (st.done, st.windows.get(i).copied())
+                        // Phase B: probe one slice of the assigned window,
+                        // if any.
+                        let (done, job) = {
+                            let st = state.lock().expect(POISONED);
+                            (st.done, st.slots[i].map(|s| (s, st.limit(s))))
                         };
                         if done {
                             break;
                         }
-                        if let Some(w) = my_window {
-                            windows.push(w);
-                            let probe = prober.probe(Some(w));
-                            state.lock().unwrap().results[i] = Some(probe);
+                        let mut used = 0;
+                        if let Some((slot, limit)) = job {
+                            if slot.spent == 0 {
+                                windows.push(slot.window);
+                            }
+                            let before = prober.stats().conflicts;
+                            let probe = prober.probe_slice(slot.window, limit);
+                            used = prober.stats().conflicts - before;
+                            let mut st = state.lock().expect(POISONED);
+                            st.results[i] = Some((probe, used));
                         }
+                        round_conflicts.push(used);
                     }
                     let run = WorkerRun {
                         windows,
+                        round_conflicts,
                         solve_calls: prober.solve_calls(),
                         stats: prober.stats().clone(),
                         wall: start.elapsed(),
@@ -440,7 +556,7 @@ fn run_rounds(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let st = state.into_inner().unwrap();
+    let st = state.into_inner().expect(POISONED);
     let status = st.known.status(st.winner.is_some());
     let encode = joined[0].1;
     let mut stats = SolverStats::default();
@@ -481,6 +597,28 @@ mod tests {
 
     use optalloc_intopt::IntExpr;
     use optalloc_obs::ProgressHook;
+    use proptest::prelude::*;
+
+    use crate::test_problems::{arb_expr, problem};
+
+    /// Slices of 1 and 10 conflicts: almost every probe resumes its window.
+    const TINY_SLICES: [u64; 2] = [1, 10];
+
+    fn optimum(status: &MinimizeStatus) -> Option<i64> {
+        match status {
+            MinimizeStatus::Optimal { value, .. } => Some(*value),
+            MinimizeStatus::Infeasible => None,
+            s => panic!("expected a decisive verdict, got {s:?}"),
+        }
+    }
+
+    /// Windows resumed by some worker: slices beyond each window's first.
+    fn resumes(reports: &[WorkerReport]) -> usize {
+        reports
+            .iter()
+            .map(|w| w.solve_calls as usize - w.windows.len())
+            .sum()
+    }
 
     fn instance() -> (IntProblem, IntVar) {
         let mut p = IntProblem::new();
@@ -594,22 +732,28 @@ mod tests {
         assert!(reports.iter().all(|w| !w.winner));
     }
 
-    /// Nine pairwise-distinct values in `[0, 15]` with the smallest sum:
-    /// proving that no sum below 36 exists is a pigeonhole argument that
-    /// keeps three workers busy for over a minute, far longer than the
-    /// cancel takes to land.
-    fn distinct_sum_instance() -> (IntProblem, IntVar) {
+    /// `k` pairwise-distinct values in `[0, hi]` with the smallest sum,
+    /// `k(k − 1)/2`: refuting every smaller sum is a pigeonhole argument,
+    /// hard for CDCL as `k` grows.
+    fn distinct_sum(k: usize, hi: i64) -> (IntProblem, IntVar) {
         let mut p = IntProblem::new();
-        let xs: Vec<IntVar> = (0..9).map(|_| p.int_var(0, 15)).collect();
+        let xs: Vec<IntVar> = (0..k).map(|_| p.int_var(0, hi)).collect();
         for (i, a) in xs.iter().enumerate() {
             for b in &xs[i + 1..] {
                 p.assert(a.expr().ne(b.expr()));
             }
         }
-        let cost = p.int_var(0, 9 * 15);
+        let cost = p.int_var(0, k as i64 * hi);
         let sum = xs.iter().fold(IntExpr::constant(0), |s, x| s + x.expr());
         p.assert(cost.expr().eq(sum));
         (p, cost)
+    }
+
+    /// Nine distinct values in `[0, 15]`: proving that no sum below 36
+    /// exists keeps three workers busy for over a minute, far longer than
+    /// the cancel takes to land.
+    fn distinct_sum_instance() -> (IntProblem, IntVar) {
+        distinct_sum(9, 15)
     }
 
     #[test]
@@ -748,6 +892,124 @@ mod tests {
                 assert_eq!(*va, 0);
             }
             (s, t) => panic!("expected Optimal twice, got {s:?} / {t:?}"),
+        }
+    }
+
+    #[test]
+    fn tiny_slices_reach_the_single_search_optimum() {
+        let opts = MinimizeOptions::default();
+        for (p, cost) in [instance(), distinct_sum(5, 7)] {
+            let single = optimum(&p.minimize(cost, &opts).status);
+            for slice in TINY_SLICES {
+                for workers in [2, 3] {
+                    let (out, reports) = window_search(&p, cost, &opts, workers, slice);
+                    assert_eq!(optimum(&out.status), single, "{workers}w/{slice}");
+                    assert_eq!(reports.iter().filter(|w| w.winner).count(), 1);
+                }
+            }
+        }
+        // The slices bite: the pigeonhole instance resumes windows.
+        let (p, cost) = distinct_sum(5, 7);
+        let (_, reports) = window_search(&p, cost, &opts, 2, 10);
+        assert!(resumes(&reports) > 0, "no window was resumed");
+    }
+
+    #[test]
+    fn tiny_slices_certify() {
+        let opts = MinimizeOptions {
+            certify: true,
+            ..MinimizeOptions::default()
+        };
+        let (p, cost) = distinct_sum(5, 7);
+        for slice in TINY_SLICES {
+            let (out, reports) = window_search(&p, cost, &opts, 3, slice);
+            assert_eq!(optimum(&out.status), Some(10), "slice {slice}");
+            assert!(
+                resumes(&reports) > 0,
+                "slice {slice}: no window was resumed"
+            );
+            let cert = out.certificate.expect("certificate stitched");
+            let summary = cert
+                .verify()
+                .unwrap_or_else(|e| panic!("slice {slice}: {e}"));
+            assert!(summary.windows > 0);
+        }
+    }
+
+    #[test]
+    fn tiny_slices_are_bit_stable() {
+        let (p, cost) = distinct_sum(5, 7);
+        let opts = MinimizeOptions::default();
+        for slice in TINY_SLICES {
+            let (a, ra) = window_search(&p, cost, &opts, 3, slice);
+            let (b, rb) = window_search(&p, cost, &opts, 3, slice);
+            assert_eq!(a.solve_calls, b.solve_calls);
+            assert_eq!(a.stats.conflicts, b.stats.conflicts);
+            assert_eq!(a.stats.decisions, b.stats.decisions);
+            for (wa, wb) in ra.iter().zip(&rb) {
+                assert_eq!(wa.winner, wb.winner);
+                assert_eq!(wa.windows, wb.windows, "window assignment must be stable");
+                assert_eq!(wa.round_conflicts, wb.round_conflicts);
+                assert_eq!(wa.solve_calls, wb.solve_calls);
+            }
+        }
+    }
+
+    /// `max_conflicts` bounds a window over all its slices: with 50 per
+    /// window the pigeonhole refutation never finishes, and the search
+    /// ends `Unknown` instead of cycling through resumed and re-planned
+    /// windows.
+    #[test]
+    fn window_budget_is_summed_over_slices() {
+        let (p, cost) = distinct_sum_instance();
+        let mut opts = MinimizeOptions::default();
+        opts.solver_config.max_conflicts = Some(50);
+        for slice in [ROUND_CONFLICTS, 10] {
+            let (out, reports) = window_search(&p, cost, &opts, 2, slice);
+            assert!(
+                matches!(out.status, MinimizeStatus::Unknown { .. }),
+                "slice {slice}: got {:?}",
+                out.status
+            );
+            if slice == 10 {
+                assert!(resumes(&reports) > 0, "no window was resumed");
+                for w in &reports {
+                    // Exhausted ground waits for new knowledge instead of
+                    // going straight back out with a fresh budget.
+                    assert!(
+                        w.windows.windows(2).all(|p| p[0] != p[1]),
+                        "worker {} re-probed an exhausted window: {:?}",
+                        w.index,
+                        w.windows
+                    );
+                    assert!(
+                        w.stats.conflicts <= 50 * w.windows.len() as u64,
+                        "worker {}: {} conflicts over {} windows",
+                        w.index,
+                        w.stats.conflicts,
+                        w.windows.len()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The agreement property of `tests/prop.rs`, under tiny slices.
+        #[test]
+        fn tiny_slices_agree_on_random_problems(
+            objective in arb_expr(),
+            bound in 2i64..=10,
+            sum_lo in 0i64..=8,
+            k in 0usize..TINY_SLICES.len(),
+        ) {
+            let (p, cost) = problem(&objective, bound, sum_lo);
+            let opts = MinimizeOptions::default();
+            let single = optimum(&p.minimize(cost, &opts).status);
+            let (out, _) = window_search(&p, cost, &opts, 3, TINY_SLICES[k]);
+            prop_assert_eq!(optimum(&out.status), single);
         }
     }
 }
