@@ -18,12 +18,13 @@
 //! proves the optimum exceeds `M`.)
 //!
 //! [`bisect`] is the one implementation of this loop. It issues every
-//! `SOLVE` through a [`CostProber`], and the prober decides how the calls
-//! share work:
+//! `SOLVE` through a [`CostProber`], whose one probe function answers it
+//! on an encoded solver; the prober decides whether the calls share it:
 //!
 //! * [`BinSearchMode::Fresh`] ([`CostProber::fresh`]) — every `SOLVE`
-//!   builds a new solver and re-encodes the constraints with the bounds
-//!   asserted hard. This is the paper's baseline formulation.
+//!   encodes the constraints into a new solver, with the bounds asserted
+//!   hard, and drops it afterwards. This is the paper's baseline
+//!   formulation.
 //! * [`BinSearchMode::Incremental`] ([`CostProber::new`]) — one solver
 //!   instance; bounds enter as *guard literals* passed as assumptions, so
 //!   every learned clause persists across the whole search. This is the
@@ -31,10 +32,12 @@
 //!
 //! [`crate::IntProblem::minimize`] builds the prober its options ask for and
 //! bisects once; [`crate::WarmEngine`] keeps an incremental prober across
-//! requests and bisects it again for each one.
+//! requests and bisects it again for each one. Under
+//! [`MinimizeOptions::certify`] an optimum's [`Certificate`] comes from
+//! [`Certificate::of_optimum`], which the window search uses too.
 
 use crate::blast::{Backend, EncoderOpt};
-use crate::certificate::{Certificate, WindowProof};
+use crate::certificate::Certificate;
 use crate::prober::{CostProber, Probe};
 use crate::problem::Model;
 use optalloc_sat::{Solver, SolverConfig, SolverStats};
@@ -164,9 +167,6 @@ pub struct MinimizeOutcome {
     pub encode: EncodeStats,
     /// Aggregated solver statistics over all calls.
     pub stats: SolverStats,
-    /// Proof traces recorded when [`MinimizeOptions::certify`] is set —
-    /// present on *every* status, not only on an optimum.
-    pub proofs: Vec<WindowProof>,
     /// The assembled optimality certificate; `Some` only for a certified
     /// run that ended [`MinimizeStatus::Optimal`]. It is self-contained:
     /// its refutations cover every cost below the optimum.
@@ -200,21 +200,12 @@ pub(crate) fn bisect(
     let calls_base = prober.solve_calls();
     let status = search(prober, lo, hi, window.is_some(), hint);
     let proofs = prober.take_proofs();
-    let certificate = match &status {
-        MinimizeStatus::Optimal { value, model } if prober.certifies() => Some(Certificate {
-            optimum: *value,
-            cost_lo: lo,
-            witness: model.clone(),
-            proofs: proofs.clone(),
-        }),
-        _ => None,
-    };
+    let certificate = Certificate::of_optimum(&status, lo, prober.certifies().then_some(proofs));
     MinimizeOutcome {
         status,
         solve_calls: prober.solve_calls() - calls_base,
         encode: prober.report_encode(),
         stats: prober.stats().delta_since(&stats_base),
-        proofs,
         certificate,
     }
 }
@@ -346,9 +337,8 @@ mod tests {
             let summary = cert.verify().unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert!(summary.windows > 0, "{mode:?}: refutations recorded");
 
-            // Off by default: no traces, no certificate.
+            // Off by default: no certificate.
             let out = p.minimize(x, &MinimizeOptions::default());
-            assert!(out.proofs.is_empty());
             assert!(out.certificate.is_none());
         }
     }

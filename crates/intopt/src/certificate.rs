@@ -37,6 +37,7 @@
 //! whenever the search reached `Optimal`. `verify` does not trust that
 //! argument: it re-checks coverage from the recorded windows alone.
 
+use crate::binsearch::MinimizeStatus;
 use crate::problem::Model;
 use optalloc_sat::{check_proof, CheckError, Claim, Lit};
 use std::sync::Arc;
@@ -170,6 +171,27 @@ impl std::fmt::Display for CertificateError {
 impl std::error::Error for CertificateError {}
 
 impl Certificate {
+    /// The certificate of a search that ended `status` over costs from
+    /// `cost_lo` up: the optimum's witness with every trace in `proofs`.
+    /// `None` unless the search certified (`proofs` is `Some`) and found an
+    /// optimum. The one place a certificate is assembled, for the
+    /// sequential search and the window search alike.
+    pub fn of_optimum(
+        status: &MinimizeStatus,
+        cost_lo: i64,
+        proofs: Option<Vec<WindowProof>>,
+    ) -> Option<Certificate> {
+        match (status, proofs) {
+            (MinimizeStatus::Optimal { value, model }, Some(proofs)) => Some(Certificate {
+                optimum: *value,
+                cost_lo,
+                witness: model.clone(),
+                proofs,
+            }),
+            _ => None,
+        }
+    }
+
     /// Checks the certificate end to end: every window claim proved at its
     /// anchor (with every derived clause it rests on checked), no certified
     /// window containing the optimum, and gap-free coverage of

@@ -6,20 +6,22 @@
 //! portfolio's parallel window scheduler, which assigns each worker's
 //! incremental prober a disjoint sub-window of the remaining cost range.
 //!
-//! An *incremental* prober ([`CostProber::new`]) owns one solver with the
-//! problem encoded once and carries every learned clause across probes
-//! (the paper's §7 reuse). Each bounded probe allocates a fresh guard
-//! literal, attaches the window bounds guarded by it, assumes the guard for
-//! the solve, and closes the guard afterwards so the dead bound clauses
+//! Every probe runs through one function, the incremental probe over one
+//! encoded solver. Each bounded probe allocates a fresh guard literal,
+//! attaches the window bounds guarded by it, assumes the guard for the
+//! solve, and closes the guard afterwards so the dead bound clauses
 //! simplify away. A probe cut short by a per-call conflict limit
 //! ([`CostProber::probe_slice`]) is the exception: it leaves its guard
 //! open, so a resumed slice of the same window assumes it again with no new
 //! bound clauses and every learned clause that mentions it intact.
 //!
-//! A *fresh* prober ([`CostProber::fresh`]) re-encodes the problem into a
-//! new solver for every probe, with the window bounds asserted hard — the
-//! paper's baseline, in which interval narrowing can refute a window before
-//! the solver runs.
+//! An *incremental* prober ([`CostProber::new`]) keeps that solver, with
+//! the problem encoded once, and carries every learned clause across probes
+//! (the paper's §7 reuse). A *fresh* prober ([`CostProber::fresh`]) encodes
+//! the problem into a new solver for every probe, probes it once and drops
+//! it — the paper's baseline. Without certification a fresh probe asserts
+//! its window hard into the encoding instead of guarding it, so interval
+//! narrowing can refute the window before the solver runs.
 
 use crate::binsearch::{EncodeStats, MinimizeOptions};
 use crate::blast::{blast_with, Blast};
@@ -77,14 +79,14 @@ struct Incremental {
     solver: Solver,
     bl: Blast,
     /// Windows refuted so far, when proof logging is on; paired with the
-    /// solver's trace by [`CostProber::take_proofs`].
+    /// solver's trace by [`Incremental::take_proof`].
     certified: Vec<CertifiedWindow>,
     /// The window whose last slice ran out of conflicts, with its guard,
     /// still open for a resumed slice.
     open: Option<((i64, i64), Lit)>,
 }
 
-/// A new solver and encoding per probe, bounds asserted hard.
+/// What a fresh prober keeps of the solvers it drops.
 struct Fresh {
     opts: MinimizeOptions,
     /// Statistics absorbed from every probe's solver.
@@ -123,7 +125,7 @@ impl<'p> CostProber<'p> {
         CostProber::incremental(Cow::Owned(problem), cost, opts)
     }
 
-    /// A prober that re-encodes `problem` into a new solver for every probe
+    /// A prober that encodes `problem` into a new solver for every probe
     /// ([`crate::BinSearchMode::Fresh`], the paper's baseline). Nothing is
     /// encoded until the first probe, whose encoding size [`encode`]
     /// reports.
@@ -149,34 +151,11 @@ impl<'p> CostProber<'p> {
         cost: IntVar,
         opts: &MinimizeOptions,
     ) -> CostProber<'p> {
-        let mut solver = opts.new_solver();
-        // The stopwatch both times the encoding and (when observability is
-        // enabled) records the `encode` trace span from the *same* f64, so
-        // `EncodeStats::encode_ms` and the trace can never disagree.
-        let mut sw = solver.config.obs.stopwatch(Phase::Encode);
-        let (form, decls) = problem.prepare(&opts.encoder_opt);
-        let bl = blast_with(&form, &decls, &mut solver, opts.backend, &opts.encoder_opt);
-        if sw.recording() {
-            sw.attr("vars", solver.num_vars().to_string());
-            sw.attr("constraints", solver.num_constraints().to_string());
-        }
-        let encode_ms = sw.finish();
+        let (mut inc, encode) = Incremental::encode(&problem, opts);
         // The cost bits are re-referenced by every bounded probe's guard
         // clauses; keep them out of variable elimination.
-        bl.freeze_int_var(&mut solver, cost);
-        let encode = EncodeStats {
-            bool_vars: solver.num_vars() as u64,
-            literals: solver.num_literals(),
-            constraints: solver.num_constraints(),
-            encode_ms,
-        };
-        let engine = Engine::Incremental(Incremental {
-            solver,
-            bl,
-            certified: Vec::new(),
-            open: None,
-        });
-        CostProber::with_engine(problem, cost, opts, engine, encode)
+        inc.bl.freeze_int_var(&mut inc.solver, cost);
+        CostProber::with_engine(problem, cost, opts, Engine::Incremental(inc), encode)
     }
 
     fn with_engine(
@@ -277,15 +256,7 @@ impl<'p> CostProber<'p> {
     /// what was recorded after the first.
     pub fn take_proofs(&mut self) -> Vec<WindowProof> {
         match &mut self.engine {
-            Engine::Incremental(inc) => inc
-                .solver
-                .take_proof()
-                .map(|log| WindowProof {
-                    log: Arc::new(log),
-                    windows: std::mem::take(&mut inc.certified),
-                })
-                .into_iter()
-                .collect(),
+            Engine::Incremental(inc) => inc.take_proof().into_iter().collect(),
             Engine::Fresh(fresh) => std::mem::take(&mut fresh.proofs),
         }
     }
@@ -312,25 +283,107 @@ impl<'p> CostProber<'p> {
             return Probe::Unsat;
         }
         self.solve_calls += 1;
-        let problem: &IntProblem = &self.problem;
-        match &mut self.engine {
+        // A bounded probe is one `bisect-window` span: the encoding it needs
+        // (a guard's bounds, or a fresh probe's whole problem) and the
+        // solver's own `search` span nest inside it via the thread-local
+        // span stack.
+        let obs = match &self.engine {
+            Engine::Incremental(inc) => &inc.solver.config.obs,
+            Engine::Fresh(fresh) => &fresh.opts.solver_config.obs,
+        };
+        let _span = window.map(|(lo, hi)| {
+            let mut sw = obs.stopwatch(Phase::BisectWindow);
+            if sw.recording() {
+                sw.attr("lo", lo.to_string());
+                sw.attr("hi", hi.to_string());
+            }
+            sw
+        });
+        let (problem, cost) = (&*self.problem, self.cost);
+        let fresh = match &mut self.engine {
             Engine::Incremental(inc) => {
-                inc.probe(problem, self.cost, window, limit, &mut self.encode)
+                return inc.probe(problem, cost, window, false, limit, &mut self.encode)
             }
-            Engine::Fresh(fresh) => {
-                let first = self.solve_calls == 1;
-                fresh.probe(problem, self.cost, window, limit, &mut self.encode, first)
+            Engine::Fresh(fresh) => fresh,
+        };
+        // Without certification the window is asserted hard, so interval
+        // narrowing can refute it before the solver runs. Under
+        // certification it enters through a guard: a refutation by
+        // narrowing would leave no proof trace.
+        let asserted = window.filter(|_| !self.certify);
+        let encoded = match asserted {
+            Some((lo, hi)) => {
+                let mut p = problem.clone();
+                p.assert(cost.expr().ge(lo).and(cost.expr().le(hi)));
+                Cow::Owned(p)
             }
+            None => Cow::Borrowed(problem),
+        };
+        let (mut inc, encode) = Incremental::encode(&encoded, &fresh.opts);
+        if self.solve_calls == 1 {
+            self.encode = encode;
+        } else {
+            self.encode.encode_ms += encode.encode_ms;
         }
+        if inc.bl.trivially_unsat() {
+            return Probe::Unsat;
+        }
+        let probe = inc.probe(
+            problem,
+            cost,
+            window,
+            asserted.is_some(),
+            limit,
+            &mut self.encode,
+        );
+        fresh.stats.absorb(&inc.solver.stats);
+        // Only a refuting probe's trace certifies anything.
+        fresh
+            .proofs
+            .extend(inc.take_proof().filter(|p| !p.windows.is_empty()));
+        probe
     }
 }
 
 impl Incremental {
+    /// Encodes `problem` into a new solver configured per `opts`, timed as
+    /// one `encode` span.
+    fn encode(problem: &IntProblem, opts: &MinimizeOptions) -> (Incremental, EncodeStats) {
+        let mut solver = opts.new_solver();
+        // The stopwatch both times the encoding and (when observability is
+        // enabled) records the `encode` trace span from the *same* f64, so
+        // `EncodeStats::encode_ms` and the trace can never disagree.
+        let mut sw = solver.config.obs.stopwatch(Phase::Encode);
+        let (form, decls) = problem.prepare(&opts.encoder_opt);
+        let bl = blast_with(&form, &decls, &mut solver, opts.backend, &opts.encoder_opt);
+        if sw.recording() {
+            sw.attr("vars", solver.num_vars().to_string());
+            sw.attr("constraints", solver.num_constraints().to_string());
+        }
+        let encode = EncodeStats {
+            bool_vars: solver.num_vars() as u64,
+            literals: solver.num_literals(),
+            constraints: solver.num_constraints(),
+            encode_ms: sw.finish(),
+        };
+        let inc = Incremental {
+            solver,
+            bl,
+            certified: Vec::new(),
+            open: None,
+        };
+        (inc, encode)
+    }
+
+    /// The one windowed solve: probes `window` (or the unbounded problem)
+    /// through a guard literal, unless the encoding already `asserted` the
+    /// window hard.
     fn probe(
         &mut self,
         problem: &IntProblem,
         cost: IntVar,
         window: Option<(i64, i64)>,
+        asserted: bool,
         limit: Option<u64>,
         encode: &mut EncodeStats,
     ) -> Probe {
@@ -349,34 +402,30 @@ impl Incremental {
         if limit.is_some() {
             solver.config.max_conflicts = limit;
         }
-        let result = match window {
-            Some((lo, hi)) => {
-                // The whole bounded probe is one `bisect-window` span; the
-                // guard encoding and the solver's own `search` span nest
-                // inside it via the thread-local span stack.
-                let mut probe_sw = solver.config.obs.stopwatch(Phase::BisectWindow);
-                if probe_sw.recording() {
-                    probe_sw.attr("lo", lo.to_string());
-                    probe_sw.attr("hi", hi.to_string());
+        // A bounded probe assumes a guard over its window, unless the
+        // encoding asserts the window hard.
+        let guard = window.filter(|_| !asserted).map(|(lo, hi)| {
+            resumed.unwrap_or_else(|| {
+                // Guard-clause emission is encoding work: attribute it to
+                // encode_ms so solve_ms stays pure search time even across
+                // many reused probes. Same stopwatch-as-span pattern as the
+                // base encoding.
+                let mut sw = solver.config.obs.stopwatch(Phase::Encode);
+                let guard = solver.new_var().positive();
+                self.bl.add_guarded_bounds(solver, cost, lo, hi, guard);
+                if sw.recording() {
+                    sw.attr("pass", "guard-bounds");
                 }
-                let guard = resumed.unwrap_or_else(|| {
-                    // Guard-clause emission is encoding work: attribute it
-                    // to encode_ms so solve_ms stays pure search time even
-                    // across many reused probes. Same stopwatch-as-span
-                    // pattern as the base encoding.
-                    let mut sw = solver.config.obs.stopwatch(Phase::Encode);
-                    let guard = solver.new_var().positive();
-                    self.bl.add_guarded_bounds(solver, cost, lo, hi, guard);
-                    if sw.recording() {
-                        sw.attr("pass", "guard-bounds");
-                    }
-                    encode.encode_ms += sw.finish();
-                    guard
-                });
-                solver.config.progress_window = Some((lo, hi));
-                let r = solver.solve(&[guard]);
-                probe_sw.finish();
-                if r == SolveResult::Unsat && solver.config.proof {
+                encode.encode_ms += sw.finish();
+                guard
+            })
+        });
+        solver.config.progress_window = window;
+        let result = solver.solve(guard.as_slice());
+        let refuted = result == SolveResult::Unsat && solver.config.proof;
+        match (window, guard) {
+            (Some((lo, hi)), Some(guard)) => {
+                if refuted {
                     // The failed-assumption clause ¬guard in the trace
                     // certifies "no model with lo ≤ cost ≤ hi" — anchored
                     // here, before the closing input below states it.
@@ -387,7 +436,7 @@ impl Incremental {
                         step: trace_len(solver),
                     });
                 }
-                if r == SolveResult::Unknown && limit.is_some() {
+                if result == SolveResult::Unknown && limit.is_some() {
                     // The slice ran out: keep the guard for a resumed one.
                     self.open = Some(((lo, hi), guard));
                 } else {
@@ -395,119 +444,30 @@ impl Incremental {
                     // dead bound clauses can simplify away.
                     solver.add_clause(&[!guard]);
                 }
-                r
             }
-            None => {
-                solver.config.progress_window = None;
-                let r = solver.solve(&[]);
-                if r == SolveResult::Unsat && solver.config.proof {
-                    // Unbounded refutation: the trace proves the base
-                    // formula UNSAT outright (empty claim).
-                    self.certified.push(CertifiedWindow {
-                        lo: cost.lo,
-                        hi: cost.hi,
-                        claim: Vec::new(),
-                        step: trace_len(solver),
-                    });
-                }
-                r
-            }
-        };
+            // Unbounded refutation: the trace proves the base formula UNSAT
+            // outright (empty claim).
+            (None, _) if refuted => self.certified.push(CertifiedWindow {
+                lo: cost.lo,
+                hi: cost.hi,
+                claim: Vec::new(),
+                step: trace_len(solver),
+            }),
+            // A hard-asserted window has no claim: its trace refutes the
+            // problem and the window together.
+            _ => {}
+        }
         solver.config.max_conflicts = budget;
         verdict(result, problem, cost, &self.solver, &self.bl)
     }
-}
 
-impl Fresh {
-    fn probe(
-        &mut self,
-        problem: &IntProblem,
-        cost: IntVar,
-        window: Option<(i64, i64)>,
-        limit: Option<u64>,
-        encode: &mut EncodeStats,
-        first: bool,
-    ) -> Probe {
-        let opts = &self.opts;
-        // Bounds are asserted hard — except under certification, where
-        // they enter through a guard literal instead: hard-asserted bounds
-        // are folded into the encoding by interval narrowing, which can
-        // refute the window *before* the solver runs and leave no proof
-        // trace. The guard keeps the refutation inside the trace, certified
-        // by the failed-assumption clause ¬guard.
-        let use_guard = opts.certify && window.is_some();
-        let mut solver = opts.new_solver();
-        if limit.is_some() {
-            // A fresh solver has no guard to keep open: a slice is a
-            // conflict-limited probe, and its resumption starts over.
-            solver.config.max_conflicts = limit;
-        }
-        let mut p = problem.clone();
-        if !use_guard {
-            if let Some((lo, hi)) = window {
-                p.assert(cost.expr().ge(lo).and(cost.expr().le(hi)));
-            }
-        }
-        // One `bisect-window` span per fresh-mode probe, with the `encode`
-        // and `search` spans nested inside; the same stopwatch f64 feeds
-        // `encode_ms` so the trace and stats agree exactly.
-        let mut probe_sw = solver.config.obs.stopwatch(Phase::BisectWindow);
-        if probe_sw.recording() {
-            if let Some((lo, hi)) = window {
-                probe_sw.attr("lo", lo.to_string());
-                probe_sw.attr("hi", hi.to_string());
-            }
-        }
-        let sw = solver.config.obs.stopwatch(Phase::Encode);
-        let (form, decls) = p.prepare(&opts.encoder_opt);
-        let mut bl = blast_with(&form, &decls, &mut solver, opts.backend, &opts.encoder_opt);
-        let guard = use_guard.then(|| {
-            let (lo, hi) = window.unwrap();
-            let guard = solver.new_var().positive();
-            bl.add_guarded_bounds(&mut solver, cost, lo, hi, guard);
-            guard
-        });
-        let encode_ms = sw.finish();
-        if first {
-            *encode = EncodeStats {
-                bool_vars: solver.num_vars() as u64,
-                literals: solver.num_literals(),
-                constraints: solver.num_constraints(),
-                encode_ms: 0.0,
-            };
-        }
-        encode.encode_ms += encode_ms;
-        if bl.trivially_unsat() {
-            return Probe::Unsat;
-        }
-        solver.config.progress_window = window;
-        let r = match guard {
-            Some(g) => solver.solve(&[g]),
-            None => solver.solve(&[]),
-        };
-        probe_sw.finish();
-        self.stats.absorb(&solver.stats);
-        if opts.certify && r == SolveResult::Unsat {
-            if let Some(log) = solver.take_proof() {
-                // Bounded refutation: claim ¬guard over the window. An
-                // unbounded one means overall infeasibility — keep the
-                // trace (it proves UNSAT outright) with no window.
-                let windows = match (window, guard) {
-                    (Some((lo, hi)), Some(g)) => vec![CertifiedWindow {
-                        lo,
-                        hi,
-                        claim: vec![!g],
-                        step: log.len(),
-                    }],
-                    _ => Vec::new(),
-                };
-                self.proofs.push(WindowProof {
-                    log: Arc::new(log),
-                    windows,
-                });
-            }
-        }
-        verdict(r, problem, cost, &solver, &bl)
+    /// The proof trace recorded so far, with the windows it refutes; `None`
+    /// unless the solver logs proofs. Draining.
+    fn take_proof(&mut self) -> Option<WindowProof> {
+        self.solver.take_proof().map(|log| WindowProof {
+            log: Arc::new(log),
+            windows: std::mem::take(&mut self.certified),
+        })
     }
 }
 

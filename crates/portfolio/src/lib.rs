@@ -9,6 +9,11 @@
 //! SAT window lowers the incumbent, an UNSAT window refutes its range, and
 //! refuted ranges touching the certified lower bound raise it.
 //!
+//! The search returns the same [`MinimizeOutcome`] as a single search,
+//! plus one [`WorkerReport`] of per-worker facts for each worker: its
+//! `SOLVE` calls, solver counters, wall time, probed windows and conflicts
+//! per round, and whether its result closed the search.
+//!
 //! ## Determinism contract
 //!
 //! Workers run barrier-synchronised rounds of a fixed number of conflicts
@@ -18,6 +23,7 @@
 //! optimum is also the same for every worker count.
 //!
 //! [`IntProblem`]: optalloc_intopt::IntProblem
+//! [`MinimizeOutcome`]: optalloc_intopt::MinimizeOutcome
 
 #![warn(missing_docs)]
 
@@ -34,32 +40,11 @@ mod test_problems;
 
 pub use window::minimize_window_search;
 
-/// What one worker's share of the search ended as (model-free summary).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum WorkerVerdict {
-    /// Closed the search on an optimum.
-    Optimal,
-    /// Closed the search by refuting the last of the cost range.
-    Infeasible,
-    /// Helped prove an optimum that another worker's result closed.
-    ExternalOptimal,
-    /// The conflict budget ran out, or the search was cancelled, first.
-    Unknown,
-    /// Stopped by another worker's result that proved infeasibility.
-    Interrupted,
-}
-
 /// Per-worker execution record, for stats lines and ablation tables.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
     /// Worker index.
     pub index: usize,
-    /// Human-readable configuration descriptor, e.g. `win/pb/w0`.
-    pub config: String,
-    /// How the worker's search ended.
-    pub verdict: WorkerVerdict,
-    /// The cost the worker proved or last incumbent it held, if any.
-    pub value: Option<i64>,
     /// `SOLVE` calls the worker issued.
     pub solve_calls: u32,
     /// The worker's solver counters.
@@ -81,15 +66,9 @@ impl fmt::Display for WorkerReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "worker {} [{}]{}: {:?}{} in {:.3}s — {} calls, {} conflicts, {} decisions, {} propagations, {} restarts, {} learned",
+            "worker {}{}: {:.3}s — {} calls, {} conflicts, {} decisions, {} propagations, {} restarts, {} learned",
             self.index,
-            self.config,
             if self.winner { " *winner*" } else { "" },
-            self.verdict,
-            match self.value {
-                Some(v) => format!(" (cost {v})"),
-                None => String::new(),
-            },
             self.wall.as_secs_f64(),
             self.solve_calls,
             self.stats.conflicts,

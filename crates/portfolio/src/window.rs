@@ -59,15 +59,15 @@
 //! the same search as a single-strategy solve.
 
 use std::sync::{Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use optalloc_intopt::{
-    Backend, BinSearchMode, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
-    MinimizeOptions, MinimizeOutcome, MinimizeStatus, Model, Probe, WindowProof,
+    BinSearchMode, Certificate, CostProber, EncodeStats, IntProblem, IntVar, MinimizeOptions,
+    MinimizeOutcome, MinimizeStatus, Model, Probe, WindowProof,
 };
 use optalloc_sat::SolverStats;
 
-use crate::{WorkerReport, WorkerVerdict};
+use crate::WorkerReport;
 
 // ----------------------------------------------------------------------
 // Interval arithmetic over the remaining cost range
@@ -344,18 +344,8 @@ fn step(st: &mut RoundState) {
 // Entry point
 // ----------------------------------------------------------------------
 
-/// Per-worker run record collected after the join.
-struct WorkerRun {
-    windows: Vec<(i64, i64)>,
-    round_conflicts: Vec<u64>,
-    solve_calls: u32,
-    stats: SolverStats,
-    wall: Duration,
-}
-
-/// How a search ended: its outcome, the worker whose result closed it, and
-/// every worker's run record.
-type Finish = (MinimizeOutcome, Option<usize>, Vec<WorkerRun>);
+/// How a search ended: its outcome and every worker's report.
+type Finish = (MinimizeOutcome, Vec<WorkerReport>);
 
 /// Minimizes `cost` over `problem` with `workers` window-search workers
 /// (see the module docs for the protocol and the determinism contract).
@@ -400,58 +390,12 @@ fn window_search(
         w.solver_config.progress = w.solver_config.progress.map(|h| h.with_worker(i));
         w
     };
-    let backend = match opts.backend {
-        Backend::PseudoBoolean => "pb",
-        Backend::Cnf => "cnf",
-    };
 
-    let (outcome, winner, runs) = if n == 1 {
+    if n == 1 {
         run_sequential(problem, cost, &worker_opts(0))
     } else {
         run_rounds(problem, cost, opts, n, &worker_opts, slice)
-    };
-
-    let status = &outcome.status;
-    let optimum = match status {
-        MinimizeStatus::Optimal { value, .. } => Some(*value),
-        _ => None,
-    };
-    let reports = runs
-        .into_iter()
-        .enumerate()
-        .map(|(i, run)| {
-            let (verdict, value) = match (status, winner) {
-                (MinimizeStatus::Optimal { .. }, Some(w)) if w == i => {
-                    (WorkerVerdict::Optimal, optimum)
-                }
-                // The proof is collective; non-closing workers certified an
-                // optimum whose witness may live elsewhere.
-                (MinimizeStatus::Optimal { .. }, _) => (WorkerVerdict::ExternalOptimal, optimum),
-                (MinimizeStatus::Infeasible, Some(w)) if w == i => {
-                    (WorkerVerdict::Infeasible, None)
-                }
-                (MinimizeStatus::Infeasible, _) => (WorkerVerdict::Interrupted, None),
-                (
-                    MinimizeStatus::Unknown { incumbent }
-                    | MinimizeStatus::Interrupted { incumbent },
-                    _,
-                ) => (WorkerVerdict::Unknown, incumbent.as_ref().map(|(v, _)| *v)),
-            };
-            WorkerReport {
-                index: i,
-                config: format!("win/{backend}/w{i}"),
-                verdict,
-                value,
-                solve_calls: run.solve_calls,
-                stats: run.stats,
-                wall: run.wall,
-                winner: winner == Some(i),
-                windows: run.windows,
-                round_conflicts: run.round_conflicts,
-            }
-        })
-        .collect();
-    (outcome, reports)
+    }
 }
 
 /// One worker: the paper's sequential `BIN_SEARCH` over one incremental
@@ -464,14 +408,16 @@ fn run_sequential(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
         out.status,
         MinimizeStatus::Optimal { .. } | MinimizeStatus::Infeasible
     );
-    let run = WorkerRun {
-        windows: Vec::new(),
-        round_conflicts: Vec::new(),
+    let report = WorkerReport {
+        index: 0,
         solve_calls: out.solve_calls,
         stats: out.stats.clone(),
         wall: start.elapsed(),
+        winner: closed,
+        windows: Vec::new(),
+        round_conflicts: Vec::new(),
     };
-    (out, closed.then_some(0), vec![run])
+    (out, vec![report])
 }
 
 /// Why locking the round state can fail.
@@ -499,9 +445,9 @@ fn run_rounds(
     });
     let barrier = Barrier::new(n);
 
-    // Each worker hands back its run record, its encoding size and its
-    // proof trace with the windows it certified (certify mode only).
-    let joined: Vec<(WorkerRun, EncodeStats, Vec<WindowProof>)> = std::thread::scope(|scope| {
+    // Each worker hands back its report, its encoding size and its proof
+    // trace with the windows it certified (certify mode only).
+    let joined: Vec<(WorkerReport, EncodeStats, Vec<WindowProof>)> = std::thread::scope(|scope| {
         let state = &state;
         let barrier = &barrier;
         let handles: Vec<_> = (0..n)
@@ -542,14 +488,16 @@ fn run_rounds(
                         }
                         round_conflicts.push(used);
                     }
-                    let run = WorkerRun {
-                        windows,
-                        round_conflicts,
+                    let report = WorkerReport {
+                        index: i,
                         solve_calls: prober.solve_calls(),
                         stats: prober.stats().clone(),
                         wall: start.elapsed(),
+                        winner: false,
+                        windows,
+                        round_conflicts,
                     };
-                    (run, prober.encode(), prober.take_proofs())
+                    (report, prober.encode(), prober.take_proofs())
                 })
             })
             .collect();
@@ -562,31 +510,25 @@ fn run_rounds(
     let mut stats = SolverStats::default();
     let mut solve_calls = 0;
     let mut proofs = Vec::new();
-    let mut runs = Vec::with_capacity(n);
-    for (run, _, mut worker_proofs) in joined {
-        stats.absorb(&run.stats);
-        solve_calls += run.solve_calls;
+    let mut reports = Vec::with_capacity(n);
+    for (report, _, mut worker_proofs) in joined {
+        stats.absorb(&report.stats);
+        solve_calls += report.solve_calls;
         proofs.append(&mut worker_proofs);
-        runs.push(run);
+        reports.push(report);
     }
-    let certificate = match &status {
-        MinimizeStatus::Optimal { value, model } if opts.certify => Some(Certificate {
-            optimum: *value,
-            cost_lo: cost.lo,
-            witness: model.clone(),
-            proofs: proofs.clone(),
-        }),
-        _ => None,
-    };
+    if let Some(w) = st.winner {
+        reports[w].winner = true;
+    }
+    let certificate = Certificate::of_optimum(&status, cost.lo, opts.certify.then_some(proofs));
     let outcome = MinimizeOutcome {
         status,
         solve_calls,
         encode,
         stats,
-        proofs,
         certificate,
     };
-    (outcome, st.winner, runs)
+    (outcome, reports)
 }
 
 #[cfg(test)]
@@ -713,7 +655,6 @@ mod tests {
         assert_eq!(out.stats.decisions, single.stats.decisions);
         assert_eq!(reports.len(), 1);
         assert!(reports[0].winner);
-        assert_eq!(reports[0].verdict, WorkerVerdict::Optimal);
     }
 
     #[test]

@@ -1,59 +1,69 @@
-//! LRU result cache keyed by canonical fingerprint.
+//! LRU session cache keyed by canonical fingerprint.
 //!
-//! A hit returns the prior optimum, allocation **and certificate** without
+//! One entry per fingerprint the service solved: the instance and its
+//! objective, which a delta applies to, and once the job ended in a
+//! terminal verdict its result and certificate. A hit on a stored result
+//! returns the prior optimum, allocation **and certificate** without
 //! touching the SAT layer. The stored allocation lives in the id space of
-//! the instance that was first solved; the service remaps it by name when
-//! a permuted-but-identical instance hits (see
+//! the stored instance; the service remaps it by name when a
+//! permuted-but-identical instance hits (see
 //! [`fingerprint::remap_allocation`](crate::fingerprint::remap_allocation)).
+//! The capacity bounds every per-fingerprint record the service keeps.
 
 use crate::fingerprint::Fingerprint;
 use crate::protocol::{Instance, JobResult};
-use optalloc::CertificateReport;
+use optalloc::{CertificateReport, Objective};
 use std::collections::HashMap;
 
-/// One cached terminal result.
+/// What the service remembers of one fingerprint.
 #[derive(Clone)]
-pub(crate) struct CachedResult {
-    /// The result as it was first produced (allocation in the id space of
-    /// `instance`).
-    pub result: JobResult,
-    /// The instance the result was computed for (original declaration
-    /// order) — the remap source on permuted hits, and the equality
-    /// re-check against hash collisions.
+pub(crate) struct Session {
+    /// The instance last solved under this fingerprint (original
+    /// declaration order) — a delta's base, the remap source on permuted
+    /// hits, and the equality re-check against hash collisions.
     pub instance: Instance,
+    /// The objective it was solved under, a delta's default.
+    pub objective: Objective,
+    /// The terminal result (allocation in the id space of `instance`);
+    /// `None` when the solve was aborted or failed.
+    pub result: Option<JobResult>,
     /// The verified optimality certificate, when the job was certified.
     pub certificate: Option<CertificateReport>,
 }
 
 struct Entry {
-    value: CachedResult,
+    value: Session,
     /// Monotone access stamp; smallest = least recently used.
     stamp: u64,
 }
 
 /// A small LRU map: capacity is a handful of instances, so eviction scans
 /// instead of maintaining an intrusive list.
-pub(crate) struct ResultCache {
+pub(crate) struct SessionCache {
     map: HashMap<Fingerprint, Entry>,
     capacity: usize,
     clock: u64,
 }
 
-impl ResultCache {
-    pub fn new(capacity: usize) -> ResultCache {
-        ResultCache {
+impl SessionCache {
+    pub fn new(capacity: usize) -> SessionCache {
+        SessionCache {
             map: HashMap::new(),
             capacity,
             clock: 0,
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// Entries holding a result.
+    pub fn results(&self) -> usize {
+        self.map
+            .values()
+            .filter(|e| e.value.result.is_some())
+            .count()
     }
 
     /// Looks a fingerprint up and refreshes its recency.
-    pub fn get(&mut self, key: &Fingerprint) -> Option<&CachedResult> {
+    pub fn get(&mut self, key: &Fingerprint) -> Option<&Session> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|e| {
@@ -64,7 +74,7 @@ impl ResultCache {
 
     /// Inserts (or replaces) an entry, evicting the least recently used
     /// one when over capacity. A zero-capacity cache stores nothing.
-    pub fn put(&mut self, key: Fingerprint, value: CachedResult) {
+    pub fn put(&mut self, key: Fingerprint, value: Session) {
         if self.capacity == 0 {
             return;
         }
@@ -94,10 +104,10 @@ mod tests {
     use crate::protocol::{JobOutcome, SearchSummary, WarmLabel};
     use optalloc_model::{Architecture, TaskSet};
 
-    fn dummy(fp: &str) -> (Fingerprint, CachedResult) {
+    fn dummy(fp: &str) -> (Fingerprint, Session) {
         let key: Fingerprint = format!("{fp:0>32}").parse().unwrap();
-        let value = CachedResult {
-            result: JobResult {
+        let value = Session {
+            result: Some(JobResult {
                 fingerprint: key.to_string(),
                 outcome: JobOutcome::Infeasible,
                 cached: false,
@@ -107,11 +117,12 @@ mod tests {
                 solve_ms: 0,
                 search: SearchSummary::default(),
                 phases: optalloc_obs::PhaseTotals::default(),
-            },
+            }),
             instance: Instance {
                 arch: Architecture::new(),
                 tasks: TaskSet::new(),
             },
+            objective: Objective::Feasibility,
             certificate: None,
         };
         (key, value)
@@ -119,7 +130,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
-        let mut cache = ResultCache::new(2);
+        let mut cache = SessionCache::new(2);
         let (a, va) = dummy("a");
         let (b, vb) = dummy("b");
         let (c, vc) = dummy("c");
@@ -127,7 +138,7 @@ mod tests {
         cache.put(b, vb);
         assert!(cache.get(&a).is_some()); // refresh a: b is now coldest
         cache.put(c, vc);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.results(), 2);
         assert!(cache.get(&a).is_some());
         assert!(cache.get(&b).is_none());
         assert!(cache.get(&c).is_some());
@@ -135,10 +146,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_stores_nothing() {
-        let mut cache = ResultCache::new(0);
+        let mut cache = SessionCache::new(0);
         let (a, va) = dummy("a");
         cache.put(a, va);
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.results(), 0);
         assert!(cache.get(&a).is_none());
     }
 }

@@ -46,7 +46,7 @@ pub mod fingerprint;
 pub mod protocol;
 pub mod server;
 
-use crate::cache::{CachedResult, ResultCache};
+use crate::cache::{Session, SessionCache};
 use crate::fingerprint::{canonicalize, remap_allocation, Fingerprint};
 use crate::protocol::{
     Instance, JobOutcome, JobResult, RejectReason, Request, Response, SearchSummary, WarmLabel,
@@ -76,7 +76,10 @@ pub struct ServiceConfig {
     /// Default per-job wall-clock timeout (`None` = unlimited); a request
     /// may override it.
     pub default_timeout: Option<Duration>,
-    /// Result-cache capacity in instances.
+    /// Capacity in fingerprints of the session cache, which holds every
+    /// per-fingerprint record: the base a delta applies to and, after a
+    /// terminal verdict, the cached result. At `0` the service remembers
+    /// nothing, so a delta has no base.
     pub cache_capacity: usize,
     /// Solver configuration applied to every job. Its `interrupt` field is
     /// ignored — the service installs per-worker flags.
@@ -126,14 +129,9 @@ struct QueueState {
     inflight: usize,
 }
 
-struct Session {
-    instance: Instance,
-    objective: Objective,
-}
-
-#[derive(Default)]
 struct Sessions {
-    by_fp: HashMap<Fingerprint, Session>,
+    cache: SessionCache,
+    /// The last fingerprint solved, an anonymous delta's base.
     last: Option<Fingerprint>,
 }
 
@@ -223,7 +221,6 @@ struct Shared {
     state: Mutex<QueueState>,
     job_available: Condvar,
     job_done: Condvar,
-    cache: Mutex<ResultCache>,
     sessions: Mutex<Sessions>,
     watchdog: Watchdog,
     /// Search-engine counters accumulated over every solved job (cache
@@ -253,8 +250,10 @@ impl Service {
             state: Mutex::new(QueueState::default()),
             job_available: Condvar::new(),
             job_done: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(cache_capacity)),
-            sessions: Mutex::new(Sessions::default()),
+            sessions: Mutex::new(Sessions {
+                cache: SessionCache::new(cache_capacity),
+                last: None,
+            }),
             watchdog: Watchdog {
                 state: Mutex::new(WatchdogState::default()),
                 cv: Condvar::new(),
@@ -289,7 +288,7 @@ impl Service {
                     queued: st.queue.len(),
                     inflight: st.inflight,
                     draining: st.draining,
-                    cached: self.shared.cache.lock().unwrap().len(),
+                    cached: self.shared.sessions.lock().unwrap().cache.results(),
                     search: *self.shared.search_totals.lock().unwrap(),
                     phases: *self.shared.phase_totals.lock().unwrap(),
                 }
@@ -408,11 +407,12 @@ impl Service {
     pub fn certificate(&self, fingerprint: &str) -> Option<CertificateReport> {
         let fp: Fingerprint = fingerprint.parse().ok()?;
         self.shared
-            .cache
+            .sessions
             .lock()
             .unwrap()
+            .cache
             .get(&fp)
-            .and_then(|c| c.certificate.clone())
+            .and_then(|s| s.certificate.clone())
     }
 
     /// Marks the service as draining: new submissions are rejected, queued
@@ -468,13 +468,13 @@ impl Service {
                 objective,
                 timeout_ms,
             } => {
-                let sessions = self.shared.sessions.lock().unwrap();
+                let mut sessions = self.shared.sessions.lock().unwrap();
                 let fp = match base {
                     Some(s) => s.parse::<Fingerprint>()?,
                     None => sessions.last.ok_or("no instance has been solved yet")?,
                 };
                 let session = sessions
-                    .by_fp
+                    .cache
                     .get(&fp)
                     .ok_or_else(|| format!("unknown base fingerprint {fp}"))?;
                 let mut instance = session.instance.clone();
@@ -591,9 +591,16 @@ fn run_job(
     // 1. Cache: a hit answers with zero SAT calls. Canonical equality is
     // re-checked (hash collisions degrade to misses), and the stored
     // allocation is remapped into the submitted instance's id space.
-    if let Some(hit) = shared.cache.lock().unwrap().get(&fp) {
+    if let Some((hit, result)) = shared
+        .sessions
+        .lock()
+        .unwrap()
+        .cache
+        .get(&fp)
+        .and_then(|s| Some((s, s.result.as_ref()?)))
+    {
         if canonicalize(&hit.instance).same_problem(&canonicalize(&payload.instance)) {
-            let mut result = hit.result.clone();
+            let mut result = result.clone();
             let remapped = match &result.outcome {
                 JobOutcome::Optimal {
                     cost,
@@ -692,30 +699,21 @@ fn run_job(
 
     // 3. Session bookkeeping: the instance is addressable for future
     // deltas whatever the verdict; only terminal, deterministic verdicts
-    // enter the result cache.
-    {
-        let mut sessions = shared.sessions.lock().unwrap();
-        sessions.by_fp.insert(
-            fp,
-            Session {
-                instance: payload.instance.clone(),
-                objective: payload.objective.clone(),
-            },
-        );
-        sessions.last = Some(fp);
-    }
-    if matches!(
+    // are kept as its cached result.
+    let terminal = matches!(
         result.outcome,
         JobOutcome::Optimal { .. } | JobOutcome::Infeasible
-    ) {
-        shared.cache.lock().unwrap().put(
-            fp,
-            CachedResult {
-                result: result.clone(),
-                instance: payload.instance.clone(),
-                certificate,
-            },
-        );
-    }
+    );
+    let mut sessions = shared.sessions.lock().unwrap();
+    sessions.cache.put(
+        fp,
+        Session {
+            instance: payload.instance.clone(),
+            objective: payload.objective.clone(),
+            result: terminal.then(|| result.clone()),
+            certificate,
+        },
+    );
+    sessions.last = Some(fp);
     Response::Result(result)
 }

@@ -272,6 +272,55 @@ fn delta_with_no_history_is_an_error() {
     assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
 }
 
+/// `cache_capacity` bounds the sessions too: the least recently used
+/// fingerprint is forgotten, so a delta on it has no base, while a delta on
+/// the latest still solves warm.
+#[test]
+fn cache_capacity_bounds_the_sessions() {
+    let service = Service::new(ServiceConfig {
+        cache_capacity: 2,
+        ..ServiceConfig::default()
+    });
+    let set_wcet = |ecu: &str, wcet| InstanceDelta::SetWcet {
+        task: "b".into(),
+        ecu: ecu.into(),
+        wcet,
+    };
+    let solved: Vec<JobResult> = [8, 7, 6]
+        .into_iter()
+        .map(|wcet| {
+            let mut instance = small_instance();
+            optalloc::apply_deltas(&instance.arch, &mut instance.tasks, &[set_wcet("p0", wcet)])
+                .unwrap();
+            expect_result(service.handle(solve_request(instance)))
+        })
+        .collect();
+    let delta = |base: &JobResult| {
+        service.handle(Request::Delta {
+            base: Some(base.fingerprint.clone()),
+            ops: vec![set_wcet("p1", 7)],
+            objective: None,
+            timeout_ms: None,
+        })
+    };
+    match delta(&solved[0]) {
+        Response::Error { message } => {
+            assert!(message.contains("unknown base fingerprint"), "{message}")
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let warmed = expect_result(delta(&solved[2]));
+    assert!(
+        matches!(warmed.warm, WarmLabel::Seeded | WarmLabel::Reused),
+        "got {:?}",
+        warmed.warm
+    );
+    match service.handle(Request::Status) {
+        Response::Status { cached, .. } => assert_eq!(cached, 2),
+        other => panic!("expected a status, got {other:?}"),
+    }
+}
+
 #[test]
 fn cost_bound_deltas_solve_inside_the_window() {
     let service = Service::new(ServiceConfig::default());
