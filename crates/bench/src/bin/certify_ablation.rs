@@ -26,12 +26,11 @@
 //! `OPTALLOC_ABLATION_SIZES` (comma-separated task counts) overrides the
 //! instance grid, e.g. `OPTALLOC_ABLATION_SIZES=12`.
 
-use optalloc::{Objective, Optimizer, SolveOptions, Strategy};
-use optalloc_bench::{parse_cli, solve_options};
+use optalloc::{Objective, SolveOptions, Strategy};
+use optalloc_bench::{ablation_sizes, parse_cli, run_configs, solve_options, write_json};
 use optalloc_model::MediumId;
 use optalloc_workloads::task_scaling;
 use serde::Serialize;
-use std::time::Instant;
 
 /// One measurement of the certification grid.
 #[derive(Debug, Serialize)]
@@ -63,13 +62,7 @@ struct CertifyRow {
 
 fn main() {
     let cli = parse_cli();
-    let ring = MediumId(0);
-    let objective = Objective::TokenRotationTime(ring);
-    let default_sizes: &[usize] = if cli.full { &[12, 20, 30] } else { &[12, 20] };
-    let sizes: Vec<usize> = match std::env::var("OPTALLOC_ABLATION_SIZES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
-        Err(_) => default_sizes.to_vec(),
-    };
+    let sizes = ablation_sizes(if cli.full { &[12, 20, 30] } else { &[12, 20] });
     let grid: &[(&'static str, bool, usize)] = &[
         ("single", false, 1),
         ("single+certify", true, 1),
@@ -79,41 +72,35 @@ fn main() {
     let mut rows: Vec<CertifyRow> = Vec::new();
     for &n in &sizes {
         let w = task_scaling(n);
-        let base_opts = solve_options(cli.full);
-        let mut single_time = f64::NAN;
-        let mut single_cost = 0i64;
-
-        for &(mode, certify, workers) in grid {
-            let opts = SolveOptions {
-                certify,
-                strategy: match mode {
+        let configs = grid
+            .iter()
+            .map(|&(mode, certify, workers)| {
+                let strategy = match mode {
                     "window+certify" => Strategy::WindowSearch {
                         workers,
                         deterministic: true,
                     },
                     _ => Strategy::Single,
-                },
-                ..base_opts.clone()
-            };
-            let start = Instant::now();
-            let r = Optimizer::new(&w.arch, &w.tasks)
-                .with_options(opts)
-                .minimize(&objective)
-                .unwrap_or_else(|e| panic!("{n} tasks, {mode}: {e}"));
-            let total = start.elapsed().as_secs_f64();
-            if mode == "single" {
-                single_time = total;
-                single_cost = r.cost;
-                assert!(
-                    r.certificate.is_none(),
-                    "{n} tasks: uncertified run must not carry a certificate"
-                );
-            }
-            assert_eq!(
-                r.cost, single_cost,
-                "{n} tasks: {mode} optimum diverged from the uncertified search"
-            );
+                };
+                let opts = SolveOptions {
+                    certify,
+                    strategy,
+                    ..solve_options(cli.full)
+                };
+                (format!("{n} tasks, {mode}"), opts)
+            })
+            .collect();
+        let runs = run_configs(&w, &Objective::TokenRotationTime(MediumId(0)), configs, 1);
+        let single_time = runs[0].time_s;
 
+        for (run, &(mode, certify, workers)) in runs.iter().zip(grid) {
+            let (r, total) = (run.report(), run.time_s);
+            let label = &run.label;
+            assert_eq!(
+                r.certificate.is_some(),
+                certify,
+                "{label}: a certificate must come exactly with --certify"
+            );
             let (proofs, windows, steps, adds) = match &r.certificate {
                 Some(report) => {
                     // Independent re-check: don't trust the optimizer's
@@ -121,7 +108,7 @@ fn main() {
                     let summary = report
                         .certificate
                         .verify()
-                        .unwrap_or_else(|e| panic!("{n} tasks, {mode}: certificate rejected: {e}"));
+                        .unwrap_or_else(|e| panic!("{label}: certificate rejected: {e}"));
                     (
                         summary.proofs,
                         summary.windows,
@@ -129,14 +116,11 @@ fn main() {
                         summary.adds_verified,
                     )
                 }
-                None => {
-                    assert!(!certify, "{n} tasks: {mode} produced no certificate");
-                    (0, 0, 0, 0)
-                }
+                None => (0, 0, 0, 0),
             };
             let overhead = total / single_time;
             eprintln!(
-                "{n} tasks, {mode}: TRT = {} in {total:.2}s ({overhead:.2}x single); \
+                "{label}: TRT = {} in {total:.2}s ({overhead:.2}x single); \
                  {proofs} proof(s), {windows} window(s), {adds} RUP-checked adds",
                 r.cost,
             );
@@ -150,7 +134,7 @@ fn main() {
                 solve_calls: r.solve_calls,
                 conflicts: r.stats.conflicts,
                 overhead_vs_single: overhead,
-                certified: r.certificate.is_some(),
+                certified: certify,
                 proofs,
                 windows,
                 proof_steps: steps,
@@ -159,10 +143,5 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    println!("{json}");
-    if let Some(path) = &cli.json {
-        std::fs::write(path, &json).expect("write json");
-        eprintln!("(rows written to {})", path.display());
-    }
+    println!("{}", write_json(&rows, cli.json.as_deref()));
 }

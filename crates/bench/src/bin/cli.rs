@@ -23,9 +23,7 @@
 //!                           (auto = one per host core)
 //!   --no-encoder-opt        disable the encoder optimization layer (gate
 //!                           hash-consing, interval narrowing, SAT
-//!                           preprocessing) — the pre-optimization baseline;
-//!                           OPTALLOC_ENCODER_OPT=0 in the environment does
-//!                           the same
+//!                           preprocessing) — the pre-optimization baseline
 //!   --certify               record DRAT proof traces, assemble an optimality
 //!                           certificate, and verify it (built-in backward
 //!                           checker + independent witness replay); exits
@@ -62,6 +60,8 @@
 //!   metrics                 service metrics-registry snapshot
 //!   shutdown                begin graceful drain, then exit
 //!
+//! A flag whose value is missing or does not parse exits 2 naming the flag.
+//!
 //! exit codes (solve and submit): 0 optimal/feasible, 1 internal error or
 //! rejected submission, 2 usage/input error, 3 proven infeasible,
 //! 4 timeout or conflict-budget exhaustion.
@@ -72,6 +72,7 @@
 //! witness); the output is the optimal `optalloc_model::Allocation`.
 
 use optalloc::{EncoderOpt, Objective, Optimizer, SolveOptions, Strategy};
+use optalloc_bench::{flag_value, host_cores, workers_value};
 use optalloc_model::{ticks_to_ms, MediumId};
 use optalloc_obs::{format_progress_line, Obs, ProgressHook};
 use optalloc_service::protocol::{Instance, JobOutcome, JobResult, Request, Response, WarmLabel};
@@ -104,13 +105,9 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// `n` workers, or one per host core for `auto`.
-fn parse_workers(arg: Option<&String>) -> Option<usize> {
-    let arg = arg?;
-    if arg == "auto" {
-        return Some(optalloc_bench::host_cores());
-    }
-    arg.parse().ok()
+/// `--window <n|auto>`: n workers, or one per host core for `auto`.
+fn parse_workers(value: Option<&String>) -> usize {
+    workers_value("--window", value).unwrap_or_else(host_cores)
 }
 
 /// Window search over `window` workers, or the single search without one.
@@ -195,15 +192,20 @@ fn parse_objective(name: &str, medium: u32) -> Option<Objective> {
     }
 }
 
-fn read_workload(path: &str) -> Result<Workload, ExitCode> {
+/// Reads a JSON input file; an unreadable or malformed one is a usage error.
+fn read_json<T: serde::Deserialize>(path: &str, what: &str) -> Result<T, ExitCode> {
     let input = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("cannot read {path}: {e}");
         ExitCode::from(2)
     })?;
-    let w: Workload = serde_json::from_str(&input).map_err(|e| {
-        eprintln!("bad workload file: {e}");
+    serde_json::from_str(&input).map_err(|e| {
+        eprintln!("bad {what} file: {e}");
         ExitCode::from(2)
-    })?;
+    })
+}
+
+fn read_workload(path: &str) -> Result<Workload, ExitCode> {
+    let w: Workload = read_json(path, "workload")?;
     if let Err(e) = w.arch.validate() {
         eprintln!("invalid architecture: {e}");
         return Err(ExitCode::from(2));
@@ -265,31 +267,27 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let mut trace_path: Option<String> = None;
     let mut metrics = false;
     let mut progress = false;
-    let mut encoder_opt = if optalloc_bench::encoder_opt_disabled() {
-        EncoderOpt::none()
-    } else {
-        EncoderOpt::default()
-    };
+    let mut encoder_opt = EncoderOpt::default();
     let mut it = args[2..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--objective" => objective_name = it.next().cloned().unwrap_or_default(),
-            "--medium" => medium = it.next().and_then(|s| s.parse().ok()).unwrap_or(0),
-            "--max-conflicts" => max_conflicts = it.next().and_then(|s| s.parse().ok()),
-            "--timeout-ms" => timeout_ms = it.next().and_then(|s| s.parse().ok()),
+            "--objective" => objective_name = flag_value(a, it.next()),
+            "--medium" => medium = flag_value(a, it.next()),
+            "--max-conflicts" => max_conflicts = Some(flag_value(a, it.next())),
+            "--timeout-ms" => timeout_ms = Some(flag_value(a, it.next())),
             "--json" => json = true,
-            "--window" => window = parse_workers(it.next()),
+            "--window" => window = Some(parse_workers(it.next())),
             "--certify" => certify = true,
             "--proof" => {
-                proof_path = it.next().cloned();
+                proof_path = Some(flag_value(a, it.next()));
                 certify = true;
             }
-            "--max-slot" => max_slot = it.next().and_then(|s| s.parse().ok()),
-            "--trace" => trace_path = it.next().cloned(),
+            "--max-slot" => max_slot = Some(flag_value(a, it.next())),
+            "--trace" => trace_path = Some(flag_value(a, it.next())),
             "--metrics" => metrics = true,
             "--progress" => progress = true,
             "--no-encoder-opt" => encoder_opt = EncoderOpt::none(),
-            "--out" => out_path = it.next().cloned(),
+            "--out" => out_path = Some(flag_value(a, it.next())),
             other => {
                 eprintln!("unknown option {other}");
                 return ExitCode::from(2);
@@ -496,27 +494,16 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().cloned().unwrap_or(addr),
-            "--workers" => {
-                config.workers = it.next().and_then(|s| s.parse().ok()).unwrap_or(1);
-            }
-            "--queue" => {
-                config.queue_capacity = it.next().and_then(|s| s.parse().ok()).unwrap_or(16);
-            }
-            "--cache" => {
-                config.cache_capacity = it.next().and_then(|s| s.parse().ok()).unwrap_or(64);
-            }
+            "--addr" => addr = flag_value(a, it.next()),
+            "--workers" => config.workers = flag_value(a, it.next()),
+            "--queue" => config.queue_capacity = flag_value(a, it.next()),
+            "--cache" => config.cache_capacity = flag_value(a, it.next()),
             "--timeout-ms" => {
-                config.default_timeout = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .map(Duration::from_millis);
+                config.default_timeout = Some(Duration::from_millis(flag_value(a, it.next())));
             }
-            "--max-conflicts" => {
-                config.solve.max_conflicts = it.next().and_then(|s| s.parse().ok());
-            }
+            "--max-conflicts" => config.solve.max_conflicts = Some(flag_value(a, it.next())),
             "--certify" => config.solve.certify = true,
-            "--window" => window = parse_workers(it.next()),
+            "--window" => window = Some(parse_workers(it.next())),
             other => {
                 eprintln!("unknown option {other}");
                 return ExitCode::from(2);
@@ -554,12 +541,12 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     let mut it = args.get(positional_after..).unwrap_or_default().iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().cloned().unwrap_or(addr),
+            "--addr" => addr = flag_value(a, it.next()),
             "--json" => json = true,
-            "--objective" => objective_name = it.next().cloned().unwrap_or_default(),
-            "--medium" => medium = it.next().and_then(|s| s.parse().ok()).unwrap_or(0),
-            "--timeout-ms" => timeout_ms = it.next().and_then(|s| s.parse().ok()),
-            "--base" => base = it.next().cloned(),
+            "--objective" => objective_name = flag_value(a, it.next()),
+            "--medium" => medium = flag_value(a, it.next()),
+            "--timeout-ms" => timeout_ms = Some(flag_value(a, it.next())),
+            "--base" => base = Some(flag_value(a, it.next())),
             other => {
                 eprintln!("unknown option {other}");
                 return ExitCode::from(2);
@@ -593,19 +580,9 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             let Some(path) = args.get(2) else {
                 return usage();
             };
-            let input = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let ops = match serde_json::from_str(&input) {
+            let ops = match read_json(path, "delta") {
                 Ok(ops) => ops,
-                Err(e) => {
-                    eprintln!("bad delta file: {e}");
-                    return ExitCode::from(2);
-                }
+                Err(code) => return code,
             };
             Request::Delta {
                 base,
@@ -623,31 +600,24 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         }
     };
 
-    let stream = match std::net::TcpStream::connect(&addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("connection error: {e}");
-            return ExitCode::from(1);
-        }
-    };
     let mut line = serde_json::to_string(&request).expect("serialize");
     line.push('\n');
-    let mut response_line = String::new();
-    let io = writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .and_then(|()| BufReader::new(stream).read_line(&mut response_line));
-    if let Err(e) = io {
-        eprintln!("connection error: {e}");
-        return ExitCode::from(1);
-    }
+    let exchange = || -> std::io::Result<String> {
+        let stream = std::net::TcpStream::connect(&addr)?;
+        let mut writer = stream.try_clone()?;
+        writer.write_all(line.as_bytes())?;
+        writer.flush()?;
+        let mut response_line = String::new();
+        BufReader::new(stream).read_line(&mut response_line)?;
+        Ok(response_line)
+    };
+    let response_line = match exchange() {
+        Ok(line) => line,
+        Err(e) => {
+            eprintln!("connection error with {addr}: {e}");
+            return ExitCode::from(1);
+        }
+    };
     let response: Response = match serde_json::from_str(&response_line) {
         Ok(r) => r,
         Err(e) => {

@@ -5,11 +5,11 @@
 //! constraints (e.g. a full-adder carry as two PB inequalities instead of
 //! six clauses). This harness quantifies the difference on real allocation
 //! encodings: constraint counts, literal counts and solve time per
-//! backend × product-encoding combination.
+//! backend × product-encoding combination, and asserts the optima agree.
 
-use optalloc::{Objective, Optimizer, SolveOptions};
-use optalloc_bench::{emit, parse_cli, Row};
-use optalloc_intopt::Backend;
+use optalloc::intopt::Backend;
+use optalloc::{Objective, SolveOptions};
+use optalloc_bench::{emit, parse_cli, run_configs};
 use optalloc_model::MediumId;
 use optalloc_workloads::task_scaling;
 
@@ -19,8 +19,8 @@ fn main() {
     let sizes: &[usize] = if cli.full { &[12, 20] } else { &[7, 12] };
 
     for &n in sizes {
-        let w = task_scaling(n);
-        for backend in [Backend::Cnf, Backend::PseudoBoolean] {
+        let mut configs = Vec::new();
+        for (backend, name) in [(Backend::Cnf, "CNF"), (Backend::PseudoBoolean, "PB")] {
             for product_elimination in [false, true] {
                 let opts = SolveOptions {
                     backend,
@@ -29,39 +29,29 @@ fn main() {
                     max_conflicts: if cli.full { None } else { Some(5_000_000) },
                     ..Default::default()
                 };
-                let label = format!(
-                    "{n} tasks, {}{}",
-                    match backend {
-                        Backend::Cnf => "CNF",
-                        Backend::PseudoBoolean => "PB",
-                    },
-                    if product_elimination {
-                        " + case-split"
-                    } else {
-                        ""
-                    }
-                );
-                match Optimizer::new(&w.arch, &w.tasks)
-                    .with_options(opts)
-                    .minimize(&Objective::TokenRotationTime(MediumId(0)))
-                {
-                    Ok(r) => rows.push(Row {
-                        note: format!(
-                            "{} constraints, {} conflicts",
-                            r.encode.constraints, r.stats.conflicts
-                        ),
-                        ..Row::from_report(label, &r, format!("TRT = {}", r.cost))
-                    }),
-                    Err(e) => rows.push(Row {
-                        experiment: label,
-                        result: format!("{e}"),
-                        time_s: 0.0,
-                        vars_k: 0.0,
-                        lits_k: 0.0,
-                        note: String::new(),
-                    }),
-                }
+                let split = if product_elimination {
+                    " + case-split"
+                } else {
+                    ""
+                };
+                configs.push((format!("{n} tasks, {name}{split}"), opts));
             }
+        }
+        let runs = run_configs(
+            &task_scaling(n),
+            &Objective::TokenRotationTime(MediumId(0)),
+            configs,
+            1,
+        );
+        for run in &runs {
+            let mut row = run.row(|c| format!("TRT = {c}"));
+            if let Ok(r) = &run.outcome {
+                row.note = format!(
+                    "{} constraints, {} conflicts",
+                    r.encode.constraints, r.stats.conflicts
+                );
+            }
+            rows.push(row);
         }
     }
 

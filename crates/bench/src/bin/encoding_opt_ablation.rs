@@ -26,7 +26,6 @@
 //! - `OPTALLOC_ABLATION_REPS=3` — wall-clock repetitions per stage (the
 //!   minimum is reported; conflict counts are deterministic across reps,
 //!   only the wall clock is noisy). Default 3 quick, 1 with `--full`;
-//! - `OPTALLOC_ENCODER_OPT=0` — (other binaries) run everything unoptimized;
 //! - `OPTALLOC_CHECK_REF=<ref.json>` — regression mode: compare this run's
 //!   counts per (tasks, stage) against the committed reference rows and
 //!   exit non-zero if the optimum moves, vars or lits drift by more than
@@ -34,12 +33,14 @@
 //!   is deterministic, so search-count drift means the solver changed. Used
 //!   by the CI encoding-size job.
 
-use optalloc::{EncoderOpt, Objective, Optimizer, SolveOptions};
-use optalloc_bench::parse_cli;
+use optalloc::{EncoderOpt, Objective, SolveOptions};
+use optalloc_bench::{
+    ablation_sizes, env_value, parse_cli, run_configs, solve_options, write_json,
+};
 use optalloc_model::MediumId;
 use optalloc_workloads::task_scaling;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::path::Path;
 
 /// One (instance, stage) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -185,61 +186,34 @@ fn check_reference(rows: &[OptRow], ref_path: &str) -> Result<(), String> {
 
 fn main() {
     let cli = parse_cli();
-    let objective = Objective::TokenRotationTime(MediumId(0));
-    let default_sizes: &[usize] = if cli.full { &[20, 30, 43] } else { &[20, 30] };
-    let sizes: Vec<usize> = match std::env::var("OPTALLOC_ABLATION_SIZES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
-        Err(_) => default_sizes.to_vec(),
-    };
-    let reps: usize = std::env::var("OPTALLOC_ABLATION_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(if cli.full { 1 } else { 3 });
+    let sizes = ablation_sizes(if cli.full { &[20, 30, 43] } else { &[20, 30] });
+    // The search is deterministic — conflicts and optimum repeat exactly —
+    // so repetitions only de-noise the wall clock.
+    let reps = env_value("OPTALLOC_ABLATION_REPS", if cli.full { 1 } else { 3 });
 
     let mut rows: Vec<OptRow> = Vec::new();
     for &n in &sizes {
         let w = task_scaling(n);
-        let mut baseline: Option<(i64, u64, f64)> = None; // (cost, lits, time)
-        for (stage, encoder_opt) in stages() {
+        let configs = stages().map(|(stage, encoder_opt)| {
             let opts = SolveOptions {
-                max_conflicts: if cli.full { None } else { Some(3_000_000) },
-                max_slot: if cli.full { 48 } else { 24 },
                 encoder_opt,
-                ..Default::default()
+                ..solve_options(cli.full)
             };
-            // The search is deterministic — conflicts and optimum repeat
-            // exactly — so repetitions only de-noise the wall clock; keep
-            // the fastest.
-            let mut best: Option<(optalloc::OptimizeReport, f64)> = None;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let r = Optimizer::new(&w.arch, &w.tasks)
-                    .with_options(opts.clone())
-                    .minimize(&objective)
-                    .unwrap_or_else(|e| panic!("{n} tasks, {stage}: {e}"));
-                let elapsed = start.elapsed().as_secs_f64();
-                if let Some((prev, _)) = &best {
-                    assert_eq!(
-                        prev.cost, r.cost,
-                        "{n} tasks, {stage}: nondeterministic cost"
-                    );
-                }
-                if best.as_ref().is_none_or(|(_, t)| elapsed < *t) {
-                    best = Some((r, elapsed));
-                }
-            }
-            let (r, time_s) = best.expect("reps >= 1");
-            let (base_cost, base_lits, base_time) =
-                *baseline.get_or_insert((r.cost, r.encode.literals, time_s));
-            assert_eq!(
-                r.cost, base_cost,
-                "{n} tasks: {stage} optimum diverged from the baseline encoder"
-            );
-            let row = OptRow {
+            (stage.to_string(), opts)
+        });
+        let runs = run_configs(
+            &w,
+            &Objective::TokenRotationTime(MediumId(0)),
+            configs.into(),
+            reps,
+        );
+        let (base_lits, base_time) = (runs[0].report().encode.literals, runs[0].time_s);
+        for run in &runs {
+            let r = run.report();
+            rows.push(OptRow {
                 instance: w.name.clone(),
                 tasks: n,
-                stage: stage.to_string(),
+                stage: run.label.clone(),
                 cost: r.cost,
                 vars: r.encode.bool_vars,
                 lits: r.encode.literals,
@@ -248,25 +222,10 @@ fn main() {
                 propagations: r.stats.propagations,
                 encode_ms: r.encode.encode_ms,
                 solve_ms: r.stats.solve_ms,
-                time_s,
+                time_s: run.time_s,
                 lit_reduction_pct: 100.0 * (1.0 - r.encode.literals as f64 / base_lits as f64),
-                speedup_vs_baseline: base_time / time_s,
-            };
-            eprintln!(
-                "{n} tasks, {stage}: TRT = {} | {} vars, {} lits, {} conflicts, {} props | \
-                 encode {:.1}ms, solve {:.2}s, total {:.2}s ({:.1}% fewer lits, {:.2}x)",
-                row.cost,
-                row.vars,
-                row.lits,
-                row.conflicts,
-                row.propagations,
-                row.encode_ms,
-                row.solve_ms / 1e3,
-                row.time_s,
-                row.lit_reduction_pct,
-                row.speedup_vs_baseline
-            );
-            rows.push(row);
+                speedup_vs_baseline: base_time / run.time_s,
+            });
         }
     }
 
@@ -274,14 +233,15 @@ fn main() {
     println!("\n== encoder-optimization ablation (identical optima asserted) ==");
     print!("{table}");
 
-    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    if let Some(path) = &cli.json {
-        std::fs::write(path, &json).expect("write json");
-        eprintln!("(rows written to {})", path.display());
-    } else if std::fs::create_dir_all("results").is_ok() {
-        std::fs::write("results/encoding_opt_ablation.json", &json).expect("write json");
-        std::fs::write("results/encoding_opt_ablation.txt", &table).expect("write txt");
-        eprintln!("(rows written to results/encoding_opt_ablation.{{json,txt}})");
+    match &cli.json {
+        Some(path) => {
+            write_json(&rows, Some(path));
+        }
+        None if std::fs::create_dir_all("results").is_ok() => {
+            write_json(&rows, Some(Path::new("results/encoding_opt_ablation.json")));
+            std::fs::write("results/encoding_opt_ablation.txt", &table).expect("write txt");
+        }
+        None => {}
     }
 
     if let Ok(ref_path) = std::env::var("OPTALLOC_CHECK_REF") {

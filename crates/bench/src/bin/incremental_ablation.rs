@@ -11,9 +11,9 @@
 //! prints the speedup, and asserts both modes prove the same optimum.
 //! `--full` uses larger instances.
 
-use optalloc::{Objective, Optimizer, SolveOptions};
-use optalloc_bench::{emit, parse_cli, Row};
-use optalloc_intopt::BinSearchMode;
+use optalloc::intopt::BinSearchMode;
+use optalloc::{Objective, SolveOptions};
+use optalloc_bench::{emit, parse_cli, run_configs, Row};
 use optalloc_model::MediumId;
 use optalloc_workloads::task_scaling;
 
@@ -27,52 +27,29 @@ fn main() {
     };
 
     for &n in sizes {
-        let w = task_scaling(n);
-        let mut times = Vec::new();
-        let mut optima = Vec::new();
-        for mode in [BinSearchMode::Fresh, BinSearchMode::Incremental] {
+        let configs = [BinSearchMode::Fresh, BinSearchMode::Incremental].map(|mode| {
             let opts = SolveOptions {
                 mode,
                 max_slot: 48,
                 max_conflicts: if cli.full { None } else { Some(5_000_000) },
                 ..Default::default()
             };
-            match Optimizer::new(&w.arch, &w.tasks)
-                .with_options(opts)
-                .minimize(&Objective::TokenRotationTime(MediumId(0)))
-            {
-                Ok(r) => {
-                    times.push(r.wall.as_secs_f64());
-                    optima.push(r.cost);
-                    rows.push(Row::from_report(
-                        format!("{n} tasks, {mode:?}"),
-                        &r,
-                        format!("TRT = {}", r.cost),
-                    ));
-                }
-                Err(e) => rows.push(Row {
-                    experiment: format!("{n} tasks, {mode:?}"),
-                    result: format!("{e}"),
-                    time_s: 0.0,
-                    vars_k: 0.0,
-                    lits_k: 0.0,
-                    note: String::new(),
-                }),
-            }
-        }
-        assert!(
-            optima.windows(2).all(|o| o[0] == o[1]),
-            "{n} tasks: fresh and incremental optima differ: {optima:?}"
+            (format!("{n} tasks, {mode:?}"), opts)
+        });
+        let runs = run_configs(
+            &task_scaling(n),
+            &Objective::TokenRotationTime(MediumId(0)),
+            configs.into(),
+            1,
         );
-        if times.len() == 2 && times[1] > 0.0 {
-            rows.push(Row {
-                experiment: format!("{n} tasks: speedup"),
-                result: format!("{:.2}x", times[0] / times[1]),
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: "fresh / incremental wall time".into(),
-            });
+        rows.extend(runs.iter().map(|run| run.row(|c| format!("TRT = {c}"))));
+        if runs.iter().all(|run| run.outcome.is_ok()) {
+            rows.push(Row::plain(
+                format!("{n} tasks: speedup"),
+                format!("{:.2}x", runs[0].time_s / runs[1].time_s),
+                0.0,
+                "fresh / incremental wall time",
+            ));
         }
     }
 

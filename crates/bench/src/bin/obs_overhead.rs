@@ -2,9 +2,10 @@
 //!
 //! Runs the same minimization twice per repetition, once with the default
 //! disabled [`Obs`] handle and once with a live one (spans + metrics +
-//! a progress hook throttled at the default cadence), keeps the fastest
-//! repetition of each, and prints the ratio. Exits 1 when the enabled run
-//! is more than `OPTALLOC_OBS_MAX_OVERHEAD_PCT` percent slower (default
+//! a progress hook throttled at the default cadence; one handle records
+//! every repetition), keeps the fastest repetition of each, and prints the
+//! ratio. Exits 1 when the enabled run is more than
+//! `OPTALLOC_OBS_MAX_OVERHEAD_PCT` percent slower (default
 //! 5 — the CI `obs-smoke` gate; the design target in
 //! `docs/OBSERVABILITY.md` is ≤2% for the *disabled* path, which this
 //! enabled-vs-disabled bound dominates).
@@ -16,60 +17,42 @@
 //! - `OPTALLOC_OBS_REPS=5` — repetitions per variant (default 3);
 //! - `OPTALLOC_OBS_MAX_OVERHEAD_PCT=5` — failure threshold.
 
-use optalloc::{Objective, Optimizer, SolveOptions};
+use optalloc::{Objective, SolveOptions};
+use optalloc_bench::{env_value, run_configs, solve_options};
 use optalloc_model::MediumId;
 use optalloc_obs::{Obs, ProgressHook};
 use optalloc_workloads::task_scaling;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn run_once(n: usize, obs: Obs, progress: Option<ProgressHook>) -> f64 {
-    let w = task_scaling(n);
-    let opts = SolveOptions {
-        max_conflicts: Some(3_000_000),
-        max_slot: 24,
-        obs,
-        progress,
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let r = Optimizer::new(&w.arch, &w.tasks)
-        .with_options(opts)
-        .minimize(&Objective::TokenRotationTime(MediumId(0)))
-        .expect("canonical instance solves");
-    std::hint::black_box(r.cost);
-    start.elapsed().as_secs_f64()
-}
 
 fn main() -> ExitCode {
-    let n: usize = env_or("OPTALLOC_OBS_SIZE", 12);
-    let reps: usize = env_or("OPTALLOC_OBS_REPS", 3).max(1);
-    let max_pct: f64 = env_or("OPTALLOC_OBS_MAX_OVERHEAD_PCT", 5.0);
+    let n: usize = env_value("OPTALLOC_OBS_SIZE", 12);
+    let reps: usize = env_value("OPTALLOC_OBS_REPS", 3).max(1);
+    let max_pct: f64 = env_value("OPTALLOC_OBS_MAX_OVERHEAD_PCT", 5.0);
 
     let events = Arc::new(AtomicU64::new(0));
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    for _ in 0..reps {
-        // Interleave the variants so clock drift hits both equally.
-        disabled = disabled.min(run_once(n, Obs::disabled(), None));
-        let counter = Arc::clone(&events);
-        enabled = enabled.min(run_once(
-            n,
-            Obs::enabled(),
-            Some(ProgressHook::new(move |_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            })),
-        ));
+    let counter = Arc::clone(&events);
+    let enabled = SolveOptions {
+        obs: Obs::enabled(),
+        progress: Some(ProgressHook::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        })),
+        ..solve_options(false)
+    };
+    let runs = run_configs(
+        &task_scaling(n),
+        &Objective::TokenRotationTime(MediumId(0)),
+        vec![
+            ("disabled".into(), solve_options(false)),
+            ("enabled".into(), enabled),
+        ],
+        reps,
+    );
+    for run in &runs {
+        run.report(); // the canonical instance solves
     }
+    let (disabled, enabled) = (runs[0].time_s, runs[1].time_s);
 
     let overhead_pct = (enabled / disabled - 1.0) * 100.0;
     println!(

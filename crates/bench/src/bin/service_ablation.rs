@@ -36,24 +36,19 @@ fn cost_of(result: &JobResult) -> i64 {
 }
 
 fn row(label: String, r: &JobResult, note: String) -> Row {
-    Row {
-        experiment: label,
-        result: format!("optimum {}", cost_of(r)),
-        time_s: r.solve_ms as f64 / 1000.0,
-        vars_k: 0.0,
-        lits_k: 0.0,
-        note: format!(
-            "{} SOLVE calls, {} conflicts{}{}",
-            r.solve_calls,
-            r.conflicts,
-            if r.cached { ", cache hit" } else { "" },
-            if note.is_empty() {
-                String::new()
-            } else {
-                format!("; {note}")
-            }
-        ),
-    }
+    let note = format!(
+        "{} SOLVE calls, {} conflicts{}{}",
+        r.solve_calls,
+        r.conflicts,
+        if r.cached { ", cache hit" } else { "" },
+        if note.is_empty() {
+            String::new()
+        } else {
+            format!("; {note}")
+        }
+    );
+    let result = format!("optimum {}", cost_of(r));
+    Row::plain(label, result, r.solve_ms as f64 / 1000.0, note)
 }
 
 fn main() {
@@ -168,20 +163,18 @@ fn main() {
                 baseline.stats.conflicts, baseline_ms
             ),
         ));
-        rows.push(Row {
-            experiment: format!("t{n} warm/cold ratio"),
-            result: format!(
+        rows.push(Row::plain(
+            format!("t{n} warm/cold ratio"),
+            format!(
                 "{:.2}x conflicts",
                 baseline.stats.conflicts.max(1) as f64 / warm.conflicts.max(1) as f64
             ),
-            time_s: 0.0,
-            vars_k: 0.0,
-            lits_k: 0.0,
-            note: format!(
+            0.0,
+            format!(
                 "time {:.2}x",
                 baseline_ms.max(1) as f64 / warm.solve_ms.max(1) as f64
             ),
-        });
+        ));
         service.shutdown();
     }
 

@@ -15,17 +15,32 @@
 //! Quick mode runs a reduced instance (same generator, fewer tasks);
 //! `--full` runs the whole 43-task synthetic benchmark.
 
-use optalloc::{Objective, Optimizer};
-use optalloc_bench::{emit, parse_cli, solve_options, Row};
+use optalloc::Objective;
+use optalloc_bench::{emit, ms, parse_cli, run_configs, solve_options, Row};
 use optalloc_heuristics::{anneal, greedy, HeuristicObjective, SaParams};
-use optalloc_model::{ticks_to_ms, MediumId};
+use optalloc_model::MediumId;
 use optalloc_workloads::{generate, GenParams};
 use std::time::Instant;
 
+/// A heuristic's row: its objective value, or `infeasible`.
+fn heuristic_row(
+    label: &str,
+    start: Instant,
+    feasible: bool,
+    objective: i64,
+    fmt_cost: impl Fn(i64) -> String,
+    note: String,
+) -> Row {
+    let result = if feasible {
+        fmt_cost(objective)
+    } else {
+        "infeasible".into()
+    };
+    Row::plain(label, result, start.elapsed().as_secs_f64(), note)
+}
+
 fn main() {
     let cli = parse_cli();
-    let mut rows = Vec::new();
-
     let params = if cli.full {
         GenParams::tindell43()
     } else {
@@ -37,96 +52,60 @@ fn main() {
         }
     };
     let ring = MediumId(0);
-
-    // --- token ring, minimize TRT: SAT vs SA vs greedy -------------------
-    let w = generate(&params);
-    match Optimizer::new(&w.arch, &w.tasks)
-        .with_options(solve_options(cli.full))
-        .minimize(&Objective::TokenRotationTime(ring))
-    {
-        Ok(r) => rows.push(Row::from_report(
-            format!("[5]-style ring (SAT, n={})", params.n_tasks),
-            &r,
-            format!("TRT = {:.2}ms", ticks_to_ms(r.cost as u64)),
-        )),
-        Err(e) => rows.push(Row {
-            experiment: format!("[5]-style ring (SAT, n={})", params.n_tasks),
-            result: format!("{e}"),
-            time_s: 0.0,
-            vars_k: 0.0,
-            lits_k: 0.0,
-            note: String::new(),
-        }),
-    }
-
+    let u_can = |c: i64| format!("U_CAN = {:.3}", c as f64 / 1000.0);
     let sa_params = SaParams {
         restarts: if cli.full { 8 } else { 4 },
         ..Default::default()
     };
-    let t = Instant::now();
-    let sa = anneal(
-        &w.arch,
-        &w.tasks,
-        &HeuristicObjective::TokenRotationTime(ring),
-        &sa_params,
-    );
-    rows.push(Row {
-        experiment: "  simulated annealing [5]".into(),
-        result: if sa.feasible {
-            format!("TRT = {:.2}ms", ticks_to_ms(sa.objective as u64))
-        } else {
-            "infeasible".into()
-        },
-        time_s: t.elapsed().as_secs_f64(),
-        vars_k: 0.0,
-        lits_k: 0.0,
-        note: format!("{} evaluations", sa.evaluations),
-    });
 
-    let t = Instant::now();
-    let gr = greedy(
-        &w.arch,
-        &w.tasks,
-        &HeuristicObjective::TokenRotationTime(ring),
+    // --- token ring, minimize TRT: SAT vs SA vs greedy -------------------
+    let w = generate(&params);
+    let sat = run_configs(
+        &w,
+        &Objective::TokenRotationTime(ring),
+        vec![(
+            format!("[5]-style ring (SAT, n={})", params.n_tasks),
+            solve_options(cli.full),
+        )],
+        1,
     );
-    rows.push(Row {
-        experiment: "  greedy first-fit".into(),
-        result: if gr.feasible {
-            format!("TRT = {:.2}ms", ticks_to_ms(gr.objective as u64))
-        } else {
-            "infeasible".into()
-        },
-        time_s: t.elapsed().as_secs_f64(),
-        vars_k: 0.0,
-        lits_k: 0.0,
-        note: String::new(),
-    });
+    let mut rows: Vec<Row> = sat.iter().map(|run| run.row(ms("TRT"))).collect();
+
+    let ring_objective = HeuristicObjective::TokenRotationTime(ring);
+    let t = Instant::now();
+    let sa = anneal(&w.arch, &w.tasks, &ring_objective, &sa_params);
+    rows.push(heuristic_row(
+        "  simulated annealing [5]",
+        t,
+        sa.feasible,
+        sa.objective,
+        ms("TRT"),
+        format!("{} evaluations", sa.evaluations),
+    ));
+    let t = Instant::now();
+    let gr = greedy(&w.arch, &w.tasks, &ring_objective);
+    rows.push(heuristic_row(
+        "  greedy first-fit",
+        t,
+        gr.feasible,
+        gr.objective,
+        ms("TRT"),
+        String::new(),
+    ));
 
     // --- CAN variant, minimize U_CAN --------------------------------------
-    let can_params = GenParams {
+    let wc = generate(&GenParams {
         token_ring: false,
         name: format!("{}-can", params.name),
         ..params.clone()
-    };
-    let wc = generate(&can_params);
-    match Optimizer::new(&wc.arch, &wc.tasks)
-        .with_options(solve_options(cli.full))
-        .minimize(&Objective::BusLoadPermille(ring))
-    {
-        Ok(r) => rows.push(Row::from_report(
-            "[5] + CAN (SAT)",
-            &r,
-            format!("U_CAN = {:.3}", r.cost as f64 / 1000.0),
-        )),
-        Err(e) => rows.push(Row {
-            experiment: "[5] + CAN (SAT)".into(),
-            result: format!("{e}"),
-            time_s: 0.0,
-            vars_k: 0.0,
-            lits_k: 0.0,
-            note: String::new(),
-        }),
-    }
+    });
+    let sat_can = run_configs(
+        &wc,
+        &Objective::BusLoadPermille(ring),
+        vec![("[5] + CAN (SAT)".into(), solve_options(cli.full))],
+        1,
+    );
+    rows.extend(sat_can.iter().map(|run| run.row(u_can)));
 
     let t = Instant::now();
     let sa_can = anneal(
@@ -135,18 +114,14 @@ fn main() {
         &HeuristicObjective::BusLoadPermille(ring),
         &sa_params,
     );
-    rows.push(Row {
-        experiment: "  simulated annealing".into(),
-        result: if sa_can.feasible {
-            format!("U_CAN = {:.3}", sa_can.objective as f64 / 1000.0)
-        } else {
-            "infeasible".into()
-        },
-        time_s: t.elapsed().as_secs_f64(),
-        vars_k: 0.0,
-        lits_k: 0.0,
-        note: format!("{} evaluations", sa_can.evaluations),
-    });
+    rows.push(heuristic_row(
+        "  simulated annealing",
+        t,
+        sa_can.feasible,
+        sa_can.objective,
+        u_can,
+        format!("{} evaluations", sa_can.evaluations),
+    ));
 
     emit(
         "Table 1: [5]-style benchmark — optimal SAT allocation vs heuristics",

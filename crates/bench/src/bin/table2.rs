@@ -9,68 +9,47 @@
 //! Quick mode uses a 14-task set over the same ECU sweep; `--full` runs
 //! the paper's 30-task set.
 
-use optalloc::{Objective, Optimizer};
-use optalloc_bench::{emit, parse_cli, solve_options, Row};
-use optalloc_model::{ticks_to_ms, MediumId};
+use optalloc::Objective;
+use optalloc_bench::{emit, ms, parse_cli, run_configs, solve_options};
+use optalloc_model::MediumId;
 use optalloc_workloads::{architecture_scaling, generate, GenParams, TABLE2_ECUS};
 
 fn main() {
     let cli = parse_cli();
-    let mut rows = Vec::new();
-
     let ecu_counts: &[usize] = if cli.full {
         &TABLE2_ECUS
     } else {
         &TABLE2_ECUS[..4]
     };
 
-    for &ecus in ecu_counts {
-        let w = if cli.full {
-            architecture_scaling(ecus)
-        } else {
-            generate(&GenParams {
-                name: format!("table2q-e{ecus}"),
-                n_tasks: 14,
-                n_chains: 4,
-                n_ecus: ecus,
-                seed: 0x7ab1_e200 + ecus as u64,
-                utilization: 0.35,
-                restricted_fraction: 0.2,
-                redundant_pairs: 1,
-                token_ring: true,
-                deadline_slack: 1.4,
-            })
-        };
-        let result = Optimizer::new(&w.arch, &w.tasks)
-            .with_options(solve_options(cli.full))
-            .minimize(&Objective::TokenRotationTime(MediumId(0)));
-        match result {
-            Ok(r) => rows.push(Row::from_report(
-                format!("{ecus} ECUs"),
-                &r,
-                format!("TRT = {:.2}ms", ticks_to_ms(r.cost as u64)),
-            )),
-            Err(optalloc::OptError::Budget { incumbent }) => rows.push(Row {
-                experiment: format!("{ecus} ECUs"),
-                result: match incumbent {
-                    Some((c, _)) => format!("≤ {:.2}ms (budget)", ticks_to_ms(c as u64)),
-                    None => "budget exhausted".into(),
-                },
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: "conflict budget hit; rerun with --full".into(),
-            }),
-            Err(e) => rows.push(Row {
-                experiment: format!("{ecus} ECUs"),
-                result: format!("{e}"),
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: String::new(),
-            }),
-        }
-    }
+    let rows: Vec<_> = ecu_counts
+        .iter()
+        .flat_map(|&ecus| {
+            let w = if cli.full {
+                architecture_scaling(ecus)
+            } else {
+                generate(&GenParams {
+                    name: format!("table2q-e{ecus}"),
+                    n_tasks: 14,
+                    n_chains: 4,
+                    n_ecus: ecus,
+                    seed: 0x7ab1_e200 + ecus as u64,
+                    utilization: 0.35,
+                    restricted_fraction: 0.2,
+                    redundant_pairs: 1,
+                    token_ring: true,
+                    deadline_slack: 1.4,
+                })
+            };
+            run_configs(
+                &w,
+                &Objective::TokenRotationTime(MediumId(0)),
+                vec![(format!("{ecus} ECUs"), solve_options(cli.full))],
+                1,
+            )
+        })
+        .map(|run| run.row(ms("TRT")))
+        .collect();
 
     emit(
         "Table 2: complexity vs architecture size (token ring, TRT objective)",

@@ -7,53 +7,31 @@
 //!
 //! Quick mode runs the 7/12/20-task partitions; `--full` adds 30 and 43.
 
-use optalloc::{Objective, Optimizer};
-use optalloc_bench::{emit, parse_cli, solve_options, Row};
-use optalloc_model::{ticks_to_ms, MediumId};
+use optalloc::Objective;
+use optalloc_bench::{emit, ms, parse_cli, run_configs, solve_options};
+use optalloc_model::MediumId;
 use optalloc_workloads::{task_scaling, TABLE3_TASKS};
 
 fn main() {
     let cli = parse_cli();
-    let mut rows = Vec::new();
-
     let sizes: &[usize] = if cli.full {
         &TABLE3_TASKS
     } else {
         &TABLE3_TASKS[..3]
     };
 
-    for &n in sizes {
-        let w = task_scaling(n);
-        let result = Optimizer::new(&w.arch, &w.tasks)
-            .with_options(solve_options(cli.full))
-            .minimize(&Objective::TokenRotationTime(MediumId(0)));
-        match result {
-            Ok(r) => rows.push(Row::from_report(
-                format!("{n} tasks"),
-                &r,
-                format!("TRT = {:.2}ms", ticks_to_ms(r.cost as u64)),
-            )),
-            Err(optalloc::OptError::Budget { incumbent }) => rows.push(Row {
-                experiment: format!("{n} tasks"),
-                result: match incumbent {
-                    Some((c, _)) => format!("≤ {:.2}ms (budget)", ticks_to_ms(c as u64)),
-                    None => "budget exhausted".into(),
-                },
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: "conflict budget hit; rerun with --full".into(),
-            }),
-            Err(e) => rows.push(Row {
-                experiment: format!("{n} tasks"),
-                result: format!("{e}"),
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: String::new(),
-            }),
-        }
-    }
+    let rows: Vec<_> = sizes
+        .iter()
+        .flat_map(|&n| {
+            run_configs(
+                &task_scaling(n),
+                &Objective::TokenRotationTime(MediumId(0)),
+                vec![(format!("{n} tasks"), solve_options(cli.full))],
+                1,
+            )
+        })
+        .map(|run| run.row(ms("TRT")))
+        .collect();
 
     emit(
         "Table 3: complexity vs task-set size (8-ECU token ring, TRT objective)",

@@ -16,15 +16,13 @@
 //!
 //! Quick mode uses a 14-task set; `--full` the 43-task benchmark.
 
-use optalloc::{Objective, Optimizer};
-use optalloc_bench::{emit, parse_cli, solve_options, Row};
-use optalloc_model::{ticks_to_ms, MediumId};
+use optalloc::Objective;
+use optalloc_bench::{emit, ms, parse_cli, run_configs, solve_options};
+use optalloc_model::MediumId;
 use optalloc_workloads::{generate, table4_workload, Fig2, GenParams};
 
 fn main() {
     let cli = parse_cli();
-    let mut rows = Vec::new();
-
     let params = if cli.full {
         GenParams::tindell43()
     } else {
@@ -37,59 +35,26 @@ fn main() {
     };
 
     // Baseline: the same task set on the original single ring.
-    let base = generate(&params);
-    match Optimizer::new(&base.arch, &base.tasks)
-        .with_options(solve_options(cli.full))
-        .minimize(&Objective::TokenRotationTime(MediumId(0)))
-    {
-        Ok(r) => rows.push(Row::from_report(
-            "single ring (baseline)",
-            &r,
-            format!("TRT = {:.2}ms", ticks_to_ms(r.cost as u64)),
-        )),
-        Err(e) => rows.push(Row {
-            experiment: "single ring (baseline)".into(),
-            result: format!("{e}"),
-            time_s: 0.0,
-            vars_k: 0.0,
-            lits_k: 0.0,
-            note: String::new(),
-        }),
-    }
-
+    let mut rows: Vec<_> = run_configs(
+        &generate(&params),
+        &Objective::TokenRotationTime(MediumId(0)),
+        vec![("single ring (baseline)".into(), solve_options(cli.full))],
+        1,
+    )
+    .iter()
+    .map(|run| run.row(ms("TRT")))
+    .collect();
     for which in [Fig2::A, Fig2::B, Fig2::C] {
-        let w = table4_workload(which, &params);
-        let result = Optimizer::new(&w.arch, &w.tasks)
-            .with_options(solve_options(cli.full))
-            .minimize(&Objective::SumTokenRotationTimes);
-        match result {
-            Ok(r) => rows.push(Row::from_report(
+        let runs = run_configs(
+            &table4_workload(which, &params),
+            &Objective::SumTokenRotationTimes,
+            vec![(
                 format!("Arch {which:?} + [5]-style"),
-                &r,
-                format!("ΣTRT = {:.2}ms", ticks_to_ms(r.cost as u64)),
-            )),
-            Err(optalloc::OptError::Budget { incumbent }) => rows.push(Row {
-                experiment: format!("Arch {which:?} + [5]-style"),
-                result: match incumbent {
-                    Some((c, _)) => {
-                        format!("≤ {:.2}ms (budget)", ticks_to_ms(c as u64))
-                    }
-                    None => "budget exhausted".into(),
-                },
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: "conflict budget hit; rerun with --full".into(),
-            }),
-            Err(e) => rows.push(Row {
-                experiment: format!("Arch {which:?} + [5]-style"),
-                result: format!("{e}"),
-                time_s: 0.0,
-                vars_k: 0.0,
-                lits_k: 0.0,
-                note: String::new(),
-            }),
-        }
+                solve_options(cli.full),
+            )],
+            1,
+        );
+        rows.extend(runs.iter().map(|run| run.row(ms("ΣTRT"))));
     }
 
     emit(

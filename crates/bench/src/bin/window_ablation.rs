@@ -38,12 +38,13 @@
 //! `OPTALLOC_ABLATION_SIZES` (comma-separated task counts) overrides the
 //! instance grid, e.g. `OPTALLOC_ABLATION_SIZES=20,30`.
 
-use optalloc::{Objective, Optimizer, SolveOptions, Strategy};
-use optalloc_bench::{parse_cli, solve_options};
+use optalloc::{Objective, SolveOptions, Strategy};
+use optalloc_bench::{
+    ablation_sizes, host_cores, parse_cli, run_configs, solve_options, write_json,
+};
 use optalloc_model::MediumId;
 use optalloc_workloads::task_scaling;
 use serde::Serialize;
-use std::time::Instant;
 
 /// One measurement of the ablation grid.
 #[derive(Debug, Serialize)]
@@ -83,57 +84,42 @@ struct WindowRow {
 
 fn main() {
     let cli = parse_cli();
-    let ring = MediumId(0);
-    let objective = Objective::TokenRotationTime(ring);
-    let default_sizes: &[usize] = if cli.full { &[20, 30, 43] } else { &[12, 20] };
-    let sizes: Vec<usize> = match std::env::var("OPTALLOC_ABLATION_SIZES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
-        Err(_) => default_sizes.to_vec(),
-    };
+    let sizes = ablation_sizes(if cli.full { &[20, 30, 43] } else { &[12, 20] });
+    // Grid: the single baseline (one worker), and window search from 2
+    // workers up to the peak.
     let peak = cli.max_workers().max(2);
-    let mut counts: Vec<usize> = vec![2, 4, peak];
-    counts.retain(|&w| w <= peak);
-    counts.sort_unstable();
-    counts.dedup();
-    // Grid: the single baseline, and window search from 2 workers up to
-    // the peak.
-    let mut grid: Vec<(&'static str, usize)> = vec![("single", 1)];
-    grid.extend(counts.iter().map(|&w| ("window", w)));
+    let mut grid = vec![1, 2, 4, peak];
+    grid.retain(|&w| w <= peak);
+    grid.sort_unstable();
+    grid.dedup();
+    let mode = |workers| if workers == 1 { "single" } else { "window" };
 
     let mut rows: Vec<WindowRow> = Vec::new();
     for &n in &sizes {
         let w = task_scaling(n);
-        let base_opts = solve_options(cli.full);
-        let mut single_time = f64::NAN;
-        let mut single_cost = 0i64;
-        let mut single_conflicts = 0u64;
-
-        for &(mode, workers) in &grid {
-            let opts = SolveOptions {
-                strategy: match mode {
-                    "single" => Strategy::Single,
+        let configs = grid
+            .iter()
+            .map(|&workers| {
+                let strategy = match workers {
+                    1 => Strategy::Single,
                     _ => Strategy::WindowSearch {
                         workers,
                         deterministic: true,
                     },
-                },
-                ..base_opts.clone()
-            };
-            let start = Instant::now();
-            let r = Optimizer::new(&w.arch, &w.tasks)
-                .with_options(opts)
-                .minimize(&objective)
-                .unwrap_or_else(|e| panic!("{n} tasks, {workers} {mode} workers: {e}"));
-            let total = start.elapsed().as_secs_f64();
-            if mode == "single" {
-                single_time = total;
-                single_cost = r.cost;
-                single_conflicts = r.stats.conflicts;
-            }
-            assert_eq!(
-                r.cost, single_cost,
-                "{n} tasks: {mode}/{workers} optimum diverged from the single search"
-            );
+                };
+                let opts = SolveOptions {
+                    strategy,
+                    ..solve_options(cli.full)
+                };
+                (format!("{n} tasks, {}/{workers}", mode(workers)), opts)
+            })
+            .collect();
+        let runs = run_configs(&w, &Objective::TokenRotationTime(MediumId(0)), configs, 1);
+        let single_time = runs[0].time_s;
+        let single_conflicts = runs[0].report().stats.conflicts;
+
+        for (run, &workers) in runs.iter().zip(&grid) {
+            let (r, total) = (run.report(), run.time_s);
             let worker_conflicts: Vec<u64> = r.workers.iter().map(|w| w.stats.conflicts).collect();
             let critical_path = worker_conflicts
                 .iter()
@@ -158,11 +144,12 @@ fn main() {
             };
             let round_vs_single = single_conflicts as f64 / round_critical_path as f64;
             eprintln!(
-                "{n} tasks, {mode}/{workers}: TRT = {} in {total:.2}s — \
+                "{}: TRT = {} in {total:.2}s — \
                  critical path {critical_path} conflicts ({critical_vs_single:.2}x \
                  vs single), {rounds} rounds with critical path \
                  {round_critical_path} conflicts ({round_vs_single:.2}x vs single), \
                  wall speedup {:.2}x measured",
+                run.label,
                 r.cost,
                 single_time / total,
             );
@@ -172,9 +159,9 @@ fn main() {
             rows.push(WindowRow {
                 instance: w.name.clone(),
                 tasks: n,
-                mode,
+                mode: mode(workers),
                 workers,
-                host_cores: optalloc_bench::host_cores(),
+                host_cores: host_cores(),
                 cost: r.cost,
                 time_s: total,
                 solve_calls: r.solve_calls,
@@ -191,10 +178,5 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    println!("{json}");
-    if let Some(path) = &cli.json {
-        std::fs::write(path, &json).expect("write json");
-        eprintln!("(rows written to {})", path.display());
-    }
+    println!("{}", write_json(&rows, cli.json.as_deref()));
 }
