@@ -8,12 +8,15 @@
 //! `OPTALLOC_OBS_MAX_OVERHEAD_PCT` percent slower (default
 //! 5 — the CI `obs-smoke` gate; the design target in
 //! `docs/OBSERVABILITY.md` is ≤2% for the *disabled* path, which this
-//! enabled-vs-disabled bound dominates).
+//! enabled-vs-disabled bound dominates), and when the progress hook never
+//! fired: a search too short for the default cadence (one event per 2,048
+//! conflicts of a solver) measures no progress events at all.
 //!
 //! Environment knobs:
 //!
 //! - `OPTALLOC_OBS_SIZE=20` — task count of the `table3-t<N>` instance
-//!   (default 12, CI-sized);
+//!   (default 20, the smallest Table-3 size whose search reaches the
+//!   default progress cadence; t12 fires no event);
 //! - `OPTALLOC_OBS_REPS=5` — repetitions per variant (default 3);
 //! - `OPTALLOC_OBS_MAX_OVERHEAD_PCT=5` — failure threshold.
 
@@ -27,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn main() -> ExitCode {
-    let n: usize = env_value("OPTALLOC_OBS_SIZE", 12);
+    let n: usize = env_value("OPTALLOC_OBS_SIZE", 20);
     let reps: usize = env_value("OPTALLOC_OBS_REPS", 3).max(1);
     let max_pct: f64 = env_value("OPTALLOC_OBS_MAX_OVERHEAD_PCT", 5.0);
 
@@ -55,12 +58,16 @@ fn main() -> ExitCode {
     let (disabled, enabled) = (runs[0].time_s, runs[1].time_s);
 
     let overhead_pct = (enabled / disabled - 1.0) * 100.0;
+    let events = events.load(Ordering::Relaxed);
     println!(
         "table3-t{n}, best of {reps}: disabled {disabled:.3}s, enabled \
-         {enabled:.3}s ({} progress events) -> overhead {overhead_pct:+.2}% \
+         {enabled:.3}s ({events} progress events) -> overhead {overhead_pct:+.2}% \
          (limit {max_pct}%)",
-        events.load(Ordering::Relaxed),
     );
+    if events == 0 {
+        eprintln!("FAIL: no progress event fired, so the hook's cost was not measured");
+        return ExitCode::from(1);
+    }
     if overhead_pct > max_pct {
         eprintln!("FAIL: observability overhead above {max_pct}%");
         return ExitCode::from(1);

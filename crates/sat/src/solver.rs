@@ -15,7 +15,8 @@
 //! - counter-based PB propagation with on-demand clause explanations,
 //! - first-UIP conflict analysis with learned-clause minimization,
 //! - EVSIDS variable activities with phase saving,
-//! - adaptive (Glucose-style LBD-EMA) restarts with trail blocking,
+//! - adaptive (Glucose-style LBD-EMA) restarts with trail blocking and a
+//!   geometric conflict-count fallback,
 //! - tiered learned-clause database (CORE/TIER2/LOCAL) with arena
 //!   compaction,
 //! - in-search vivification of kept learned clauses at restart boundaries,
@@ -115,6 +116,13 @@ const EMA_RESTART_K: f64 = 1.25;
 const EMA_BLOCK_R: f64 = 1.4;
 /// Minimum conflicts between consecutive EMA restarts.
 const EMA_MIN_RESTART_CONFLICTS: u64 = 50;
+/// Geometric fallback: whatever the EMAs say, the `k`-th restart of a
+/// solver (`SolverStats::restarts` counts them all, from 0) is due once
+/// `RESTART_FALLBACK_FIRST × 2^k` conflicts have passed since the previous
+/// one. Deciding toward target phases keeps the fast LBD EMA below the
+/// slow one on some searches, which would then never restart; a search
+/// whose EMAs do fire soon outgrows the fallback.
+const RESTART_FALLBACK_FIRST: u64 = 512;
 /// Vivification runs at a restart boundary once this many new clauses were
 /// learned since the previous pass.
 const VIVIFY_MIN_LEARNED: u64 = 2_000;
@@ -401,6 +409,16 @@ pub struct Solver {
     cla_inc: f32,
     order: VarOrderHeap,
     saved_phase: Vec<bool>,
+    /// Target phases (Biere & Fleury, "Chasing target phases", POS 2020):
+    /// the values of the longest conflict-free trail prefix seen in this
+    /// `solve` call, overwritten by every `Sat` model (so a bisection probe
+    /// starts from the last allocation found). `Undef` until a variable is
+    /// first captured; a decision prefers it over `saved_phase`.
+    target_phase: Vec<LBool>,
+    /// Length of the prefix behind `target_phase`: reset to 0 at every
+    /// `solve` entry (not at restarts), so a call's first conflict
+    /// re-targets while the targets themselves carry over.
+    target_len: usize,
 
     /// Learned clause refs, for DB reduction.
     learnts: Vec<ClauseRef>,
@@ -454,6 +472,11 @@ pub struct Solver {
     /// otherwise); stale stack entries of re-eliminated variables are
     /// recognized by this indirection.
     elim_pos: Vec<u32>,
+    /// Clauses and literals of `elim_ranges`/`elim_lits` that belong to
+    /// restored groups; `compact_elim_stack` drops them once they pass
+    /// half of either.
+    elim_dead_clauses: usize,
+    elim_dead_lits: usize,
     /// Input clauses added since the last simplification pass; drives the
     /// bounded inprocessing trigger.
     inputs_since_simplify: u64,
@@ -499,6 +522,8 @@ impl Solver {
             cla_inc: 1.0,
             order: VarOrderHeap::new(),
             saved_phase: Vec::new(),
+            target_phase: Vec::new(),
+            target_len: 0,
             learnts: Vec::new(),
             next_reduce: 0,
             reduce_interval: 0.0,
@@ -521,6 +546,8 @@ impl Solver {
             elim_lits: Vec::new(),
             elim_ranges: Vec::new(),
             elim_pos: Vec::new(),
+            elim_dead_clauses: 0,
+            elim_dead_lits: 0,
             inputs_since_simplify: 0,
             simp: SimpScratch::default(),
             proof: None,
@@ -565,6 +592,7 @@ impl Solver {
         self.trail_pos.push(0);
         self.activity.push(0.0);
         self.saved_phase.push(DEFAULT_PHASE);
+        self.target_phase.push(LBool::Undef);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -1775,6 +1803,7 @@ impl Solver {
         }
 
         let mut conflicts_this_call = 0u64;
+        self.target_len = 0;
         if self.next_reduce == 0 {
             self.reduce_interval =
                 ((self.config.first_reduce as u64 / 2).max(TIER_REDUCE_MIN_INTERVAL)) as f64;
@@ -1820,6 +1849,10 @@ impl Solver {
             // Replay the reconstruction stack so the snapshot also satisfies
             // every clause removed by variable elimination.
             self.extend_model();
+            // The next call searches from this model.
+            for (t, &m) in self.target_phase.iter_mut().zip(&self.model) {
+                *t = LBool::from_bool(m);
+            }
         }
         self.backtrack_to(0);
         self.refresh_tier_stats();
@@ -1851,6 +1884,7 @@ impl Solver {
 
     fn search(&mut self, assumptions: &[Lit], conflicts_this_call: &mut u64) -> SearchOutcome {
         let mut conflicts_since_restart = 0u64;
+        let fallback = RESTART_FALLBACK_FIRST << self.stats.restarts.min(40);
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -1860,6 +1894,7 @@ impl Solver {
                     self.set_unsat();
                     return SearchOutcome::Unsat;
                 }
+                self.update_target();
                 let trail_at_conflict = self.trail.len();
                 let (learnt, bt_level) = self.analyze(confl);
                 self.backtrack_to(bt_level);
@@ -1883,8 +1918,9 @@ impl Solver {
                 if self.interrupted() {
                     return SearchOutcome::Interrupted;
                 }
-                let restart_due = conflicts_since_restart >= EMA_MIN_RESTART_CONFLICTS
-                    && self.lbd_fast > EMA_RESTART_K * self.lbd_slow;
+                let restart_due = conflicts_since_restart >= fallback
+                    || (conflicts_since_restart >= EMA_MIN_RESTART_CONFLICTS
+                        && self.lbd_fast > EMA_RESTART_K * self.lbd_slow);
                 if restart_due && self.decision_level() > assumptions.len() as u32 {
                     self.backtrack_to(assumptions.len() as u32);
                     return SearchOutcome::Restart;
@@ -1900,6 +1936,20 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Captures the trail below the conflict level — fully propagated
+    /// without conflict — as the target phases when it is longer than the
+    /// prefix already captured in this call.
+    fn update_target(&mut self) {
+        let nc = self.trail_lim[self.decision_level() as usize - 1];
+        if nc <= self.target_len {
+            return;
+        }
+        for &l in &self.trail[..nc] {
+            self.target_phase[l.var().index()] = LBool::from_bool(l.is_positive());
+        }
+        self.target_len = nc;
     }
 
     /// Feeds one conflict into the adaptive-restart estimators.
@@ -1966,7 +2016,10 @@ impl Solver {
             if self.value_var(v) == LBool::Undef {
                 self.stats.decisions += 1;
                 self.new_decision_level();
-                let phase = self.saved_phase[v.index()];
+                let phase = match self.target_phase[v.index()] {
+                    LBool::Undef => self.saved_phase[v.index()],
+                    target => target == LBool::True,
+                };
                 self.assign(v.lit(phase), Reason::None);
                 return PickOutcome::Decided;
             }
@@ -3081,5 +3134,123 @@ mod tests {
         assert!(s.num_vars() == 6);
         assert!(s.num_literals() > 0);
         assert!(s.num_constraints() == 7);
+    }
+
+    /// 640 random 3-clauses over 150 variables, each satisfied by a
+    /// hidden assignment: satisfiable, but it takes real search.
+    fn planted_solver(seed: u64) -> Solver {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |k: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        };
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..150).map(|_| s.new_var()).collect();
+        let hidden: Vec<bool> = vars.iter().map(|_| next(2) == 0).collect();
+        let mut added = 0;
+        while added < 640 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| vars[next(vars.len())].lit(next(2) == 0))
+                .collect();
+            if c.iter().any(|l| hidden[l.var().index()] == l.is_positive()) {
+                s.add_clause(&c);
+                added += 1;
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn a_sat_model_becomes_the_target() {
+        let mut s = planted_solver(1);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert!(s.stats.conflicts > 0, "the instance must take search");
+        for (v, &t) in s.target_phase.iter().enumerate() {
+            assert_eq!(t, LBool::from_bool(s.model[v]), "var {v}");
+        }
+        // Deciding toward a model never conflicts: the next call re-finds
+        // it without search, and its `target_len` starts from 0 again.
+        let conflicts = s.stats.conflicts;
+        let model = s.model.clone();
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_eq!(s.stats.conflicts, conflicts);
+        assert_eq!(s.model, model);
+        assert_eq!(s.target_len, 0, "target_len must reset per solve call");
+    }
+
+    #[test]
+    fn the_target_grows_only_with_a_longer_conflict_free_prefix() {
+        let mut s = Solver::new();
+        let v: Vec<Var> = (0..4).map(|_| s.new_var()).collect();
+        let decide = |s: &mut Solver, l: Lit| {
+            s.new_decision_level();
+            s.assign(l, Reason::None);
+            assert!(s.propagate().is_none());
+        };
+        // Levels 1–3 decide v0, v1, v2: a conflict at level 3 captures the
+        // two-literal prefix below it.
+        for x in &v[..3] {
+            decide(&mut s, x.positive());
+        }
+        s.update_target();
+        assert_eq!(s.target_len, 2);
+        let t = |s: &Solver, i: usize| s.target_phase[v[i].index()];
+        assert_eq!(
+            [t(&s, 0), t(&s, 1), t(&s, 2)],
+            [LBool::True, LBool::True, LBool::Undef]
+        );
+        // A conflict at level 2 of an opposite trail has a shorter prefix:
+        // the target keeps its values.
+        s.backtrack_to(0);
+        decide(&mut s, v[0].negative());
+        decide(&mut s, v[1].negative());
+        s.update_target();
+        assert_eq!(s.target_len, 2);
+        assert_eq!(t(&s, 0), LBool::True);
+        // Only a longer prefix replaces it, as a whole.
+        decide(&mut s, v[2].negative());
+        decide(&mut s, v[3].negative());
+        s.update_target();
+        assert_eq!(s.target_len, 3);
+        assert_eq!([t(&s, 0), t(&s, 1), t(&s, 2)], [LBool::False; 3]);
+        assert_eq!(t(&s, 3), LBool::Undef);
+    }
+
+    #[test]
+    fn target_len_resets_per_solve_call_not_per_restart() {
+        // Budgeted calls on identical solvers replay one deterministic
+        // search to successive depths, so `target_len` after `c` conflicts
+        // is the longest prefix of the first `c`: it must never fall, even
+        // across restarts.
+        let mut last = 0;
+        let mut restarts = 0;
+        for budget in (100..3_000).step_by(300) {
+            let mut s = Solver::new();
+            add_pigeonhole(&mut s, 8, 7);
+            s.config.max_conflicts = Some(budget);
+            assert_eq!(s.solve(&[]), SolveResult::Unknown);
+            assert!(
+                s.target_len >= last,
+                "target_len fell at {budget} conflicts"
+            );
+            last = s.target_len;
+            restarts = s.stats.restarts;
+        }
+        assert!(restarts >= 2, "the replayed search must span restarts");
+        assert!(last > 0);
+    }
+
+    #[test]
+    fn a_variable_added_after_the_last_update_decides_by_its_saved_phase() {
+        let mut s = planted_solver(3);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        let w = s.new_var();
+        assert_eq!(s.target_phase[w.index()], LBool::Undef);
+        s.saved_phase[w.index()] = !DEFAULT_PHASE;
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_eq!(s.model_value(w.positive()), !DEFAULT_PHASE);
+        assert_eq!(s.target_phase[w.index()], LBool::from_bool(!DEFAULT_PHASE));
     }
 }

@@ -248,6 +248,7 @@ impl Solver {
     /// constraint.
     fn check_elim_state(&self, site: &str) {
         let mut live = 0u64;
+        let mut live_clauses = 0usize;
         for v in 0..self.eliminated.len() {
             if self.eliminated[v] {
                 live += 1;
@@ -267,6 +268,7 @@ impl Solver {
                 );
                 // Each stored clause is a range of the flat stack and
                 // mentions the variable it was stored for.
+                live_clauses += self.elim_stack[gi as usize].clauses.len();
                 for k in self.elim_stack[gi as usize].clauses.clone() {
                     assert!(
                         (k as usize) < self.elim_ranges.len(),
@@ -289,6 +291,11 @@ impl Solver {
         assert_eq!(
             live, self.stats.elim_stack_depth,
             "[{site}] elim_stack_depth gauge drifted"
+        );
+        assert_eq!(
+            live_clauses + self.elim_dead_clauses,
+            self.elim_ranges.len(),
+            "[{site}] dead reconstruction-stack clause count drifted"
         );
         // Eliminated variables were distributed away: they must not occur
         // in any live *input* clause or PB constraint. (Old *learned*

@@ -437,6 +437,12 @@ impl Solver {
             let clauses = &mut self.elim_stack[gi].clauses;
             let range = clauses.clone();
             clauses.end = clauses.start;
+            if !range.is_empty() {
+                self.elim_dead_clauses += range.len();
+                self.elim_dead_lits += (self.elim_ranges[range.end as usize - 1].1
+                    - self.elim_ranges[range.start as usize].0)
+                    as usize;
+            }
             for k in range {
                 // A stored clause may mention variables eliminated *after*
                 // this one (their own stored clauses cannot mention `v`, so
@@ -452,6 +458,49 @@ impl Solver {
                 }
             }
         }
+        self.compact_elim_stack();
+    }
+
+    /// Rewrites the reconstruction stack without its restored and stale
+    /// groups once those make up more than half of its groups, clauses or
+    /// literals, so a solver that melts and re-eliminates over many rounds
+    /// keeps the stack bounded by its live part. The live groups keep their
+    /// order (extension replays them backwards) and `elim_pos` follows them.
+    fn compact_elim_stack(&mut self) {
+        let dead_groups = self.elim_stack.len() - self.stats.elim_stack_depth as usize;
+        if 2 * dead_groups <= self.elim_stack.len()
+            && 2 * self.elim_dead_clauses <= self.elim_ranges.len()
+            && 2 * self.elim_dead_lits <= self.elim_lits.len()
+        {
+            return;
+        }
+        let (mut groups, mut clauses, mut lits) = (0usize, 0u32, 0u32);
+        for gi in 0..self.elim_stack.len() {
+            let var = self.elim_stack[gi].var;
+            if self.elim_pos[var.index()] != gi as u32 {
+                continue;
+            }
+            let first = clauses;
+            for k in self.elim_stack[gi].clauses.clone() {
+                let (start, end) = self.elim_ranges[k as usize];
+                self.elim_lits
+                    .copy_within(start as usize..end as usize, lits as usize);
+                self.elim_ranges[clauses as usize] = (lits, lits + end - start);
+                lits += end - start;
+                clauses += 1;
+            }
+            self.elim_stack[groups] = ElimGroup {
+                var,
+                clauses: first..clauses,
+            };
+            self.elim_pos[var.index()] = groups as u32;
+            groups += 1;
+        }
+        self.elim_stack.truncate(groups);
+        self.elim_ranges.truncate(clauses as usize);
+        self.elim_lits.truncate(lits as usize);
+        self.elim_dead_clauses = 0;
+        self.elim_dead_lits = 0;
     }
 
     /// Re-attaches stored clause `k`, simplified against the current root
@@ -1159,5 +1208,50 @@ mod tests {
         let mut arena = vec![v.positive(), a.positive(), v.negative(), a.negative()];
         assert!(resolve_into(&mut arena, 0..2, 2..4, v).is_none());
         assert_eq!(arena.len(), 4);
+    }
+
+    /// Melting and re-eliminating the same gates round after round leaves
+    /// restored groups behind on the reconstruction stack: compaction keeps
+    /// the stack within twice its live part, and every model (checked in
+    /// paranoid mode) still satisfies the clauses elimination removed.
+    #[test]
+    fn melting_and_re_eliminating_keeps_the_stack_bounded() {
+        let mut s = Solver::new();
+        s.config.paranoid = true;
+        // 64 gates `x ↔ a ∧ b` plus `a ∨ b`: each `x` resolves away with
+        // zero resolvents.
+        let gates: Vec<[Var; 3]> = (0..64)
+            .map(|_| [s.new_var(), s.new_var(), s.new_var()])
+            .collect();
+        for &[x, a, b] in &gates {
+            s.add_clause(&[x.negative(), a.positive()]);
+            s.add_clause(&[x.negative(), b.positive()]);
+            s.add_clause(&[x.positive(), a.negative(), b.negative()]);
+            s.add_clause(&[a.positive(), b.positive()]);
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        let live = s.num_eliminated();
+        assert!(gates.iter().all(|g| s.is_eliminated(g[0])));
+        let sizes = |s: &Solver| [s.elim_stack.len(), s.elim_ranges.len(), s.elim_lits.len()];
+        let first = sizes(&s);
+        for round in 0..20 {
+            // A duplicate of a gate clause melts its variables back in (64
+            // new inputs trigger inprocessing); the pass drops the duplicate
+            // and eliminates them again.
+            let restored = s.stats.elim_restored;
+            for &[x, a, b] in &gates {
+                s.add_clause(&[x.positive(), a.negative(), b.negative()]);
+            }
+            assert!(s.stats.elim_restored >= restored + 64, "round {round}");
+            assert_eq!(s.solve(&[]), SolveResult::Sat, "round {round}");
+            assert_eq!(s.num_eliminated(), live, "round {round}");
+            let now = sizes(&s);
+            for i in 0..3 {
+                assert!(
+                    now[i] <= 2 * first[i],
+                    "round {round}: {now:?} vs {first:?}"
+                );
+            }
+        }
     }
 }

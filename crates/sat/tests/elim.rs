@@ -520,51 +520,51 @@ fn pass_output_and_watch_order_are_pinned() {
     let cases = [
         (
             (1, 40, 160, 60),
-            [36, 1410, 70, 102],
-            0x7d0e_f39b_1642_a784,
-            0x5dac_2010_46f3_2a1f,
+            [7, 485, 38, 102],
+            0x211f_8289_68d2_7234,
+            0xc525_9164_abc7_1923,
         ),
         (
             (2, 60, 240, 120),
-            [74, 4547, 124, 100],
-            0xaf4b_ac64_3746_39cf,
-            0x0777_80de_2a90_1c85,
+            [30, 1888, 79, 100],
+            0x4199_c150_7724_2fd3,
+            0x1b04_2bc5_dc7a_1123,
         ),
         (
             (3, 30, 300, 40),
-            [106, 6226, 143, 156],
-            0xf1b2_7fce_72e8_3168,
-            0xfbaf_15c0_77e3_5faa,
+            [192, 11523, 246, 156],
+            0x0b56_3835_333c_aeec,
+            0xb2a3_4940_e001_f6a8,
         ),
         (
             (4, 80, 200, 200),
-            [95, 5544, 170, 70],
-            0xd8ba_fb2c_c95b_a19a,
-            0x0120_d2ef_15e9_3414,
+            [84, 5168, 141, 70],
+            0xd559_e8e1_8f8d_53a5,
+            0xef7d_4ac1_a33b_ed01,
         ),
         (
             (10, 150, 100, 600),
-            [376, 22104, 487, 0],
-            0xe033_6778_bf83_8035,
-            0xbeb5_2915_e24d_9a4d,
+            [519, 30901, 642, 0],
+            0x3255_b532_939a_1e07,
+            0x38aa_6025_167d_65a7,
         ),
         (
             (11, 200, 100, 820),
-            [2058, 138807, 2408, 12],
-            0xa024_ce7a_0916_98da,
-            0xac17_e0e8_a12c_e76b,
+            [1519, 101780, 1776, 0],
+            0x9f03_b169_825d_0699,
+            0x2d71_2346_0648_8dc2,
         ),
         (
             (15, 300, 100, 1250),
-            [4000, 303795, 4843, 12],
-            0xb1ee_ba28_2f53_ef4e,
-            0xbed4_049a_beaf_7d59,
+            [4000, 306864, 4978, 12],
+            0x61aa_7a3c_9e5d_754a,
+            0xfdb8_3cd1_a2aa_66d0,
         ),
         (
             (16, 120, 300, 700),
-            [951, 77458, 1120, 0],
-            0x3a31_9e9e_83de_d3a4,
-            0x2989_ede6_1380_ff6c,
+            [1101, 93247, 1351, 0],
+            0x97d6_7c7c_3ef0_0d88,
+            0x47be_e3dd_2afa_6e8d,
         ),
     ];
     for ((seed, inputs, gates, randoms), expected, formula_hash, drat_hash) in cases {
