@@ -640,7 +640,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                         if *certified { " (certified)" } else { "" },
                         result.warm,
                         result.solve_calls,
-                        result.conflicts,
+                        result.search.conflicts,
                         result.solve_ms,
                         if result.cached { " [cache hit]" } else { "" },
                     ),

@@ -39,7 +39,7 @@ fn row(label: String, r: &JobResult, note: String) -> Row {
     let note = format!(
         "{} SOLVE calls, {} conflicts{}{}",
         r.solve_calls,
-        r.conflicts,
+        r.search.conflicts,
         if r.cached { ", cache hit" } else { "" },
         if note.is_empty() {
             String::new()
@@ -90,7 +90,10 @@ fn main() {
             cached.solve_calls, 0,
             "t{n}: a cache hit must issue zero SAT calls"
         );
-        assert_eq!(cached.conflicts, 0, "t{n}: a cache hit spends no conflicts");
+        assert_eq!(
+            cached.search.conflicts, 0,
+            "t{n}: a cache hit spends no conflicts"
+        );
         assert_eq!(
             cost_of(&cached),
             cost_of(&cold),
@@ -142,10 +145,10 @@ fn main() {
             "t{n}: warm and cold optima must be identical"
         );
         assert!(
-            warm.conflicts < baseline.stats.conflicts,
+            warm.search.conflicts < baseline.stats.conflicts,
             "t{n}: warm re-solve must spend fewer conflicts \
              (warm {} vs cold {})",
-            warm.conflicts,
+            warm.search.conflicts,
             baseline.stats.conflicts
         );
         let baseline_ms = baseline.wall.as_millis() as u64;
@@ -167,7 +170,7 @@ fn main() {
             format!("t{n} warm/cold ratio"),
             format!(
                 "{:.2}x conflicts",
-                baseline.stats.conflicts.max(1) as f64 / warm.conflicts.max(1) as f64
+                baseline.stats.conflicts.max(1) as f64 / warm.search.conflicts.max(1) as f64
             ),
             0.0,
             format!(

@@ -308,7 +308,7 @@ impl<'a> Optimizer<'a> {
         let (value, model) = match outcome.status {
             MinimizeStatus::Optimal { value, model } => (value, model),
             MinimizeStatus::Infeasible => return Err(OptError::Infeasible),
-            MinimizeStatus::Unknown { incumbent } | MinimizeStatus::Interrupted { incumbent } => {
+            MinimizeStatus::Unknown { incumbent } => {
                 let incumbent = match incumbent {
                     None => None,
                     Some((value, model)) => Some((value, self.check(decode(enc, &model))?)),

@@ -11,8 +11,8 @@
 //!
 //! Infeasibility contributes a large per-violation penalty to the energy,
 //! so the chain can traverse infeasible regions (the classic \[5\] trick).
-//! Multiple independent chains run in parallel (rayon); the best final
-//! state wins.
+//! Multiple independent chains run in parallel (scoped threads, at most one
+//! per core); the best final state wins.
 
 use crate::energy::{energy, HeuristicObjective};
 use optalloc_analysis::AnalysisConfig;
@@ -22,7 +22,6 @@ use optalloc_model::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Annealing schedule and search parameters.
 #[derive(Clone, Debug)]
@@ -132,11 +131,27 @@ pub fn anneal(
     objective: &HeuristicObjective,
     params: &SaParams,
 ) -> SaResult {
-    let config = AnalysisConfig::default();
-    let chains: Vec<SaResult> = (0..params.restarts)
-        .into_par_iter()
-        .map(|chain| run_chain(arch, tasks, objective, params, &config, chain as u64))
-        .collect();
+    let config = &AnalysisConfig::default();
+    // Contiguous runs of chains, one run per thread, joined in chain order
+    // so `min_by_key` below keeps the first of equal energies.
+    let ids: Vec<u64> = (0..params.restarts as u64).collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per_thread = ids.len().div_ceil(threads).max(1);
+    let chains: Vec<SaResult> = std::thread::scope(|s| {
+        let runs: Vec<_> = ids
+            .chunks(per_thread)
+            .map(|run| {
+                s.spawn(move || {
+                    run.iter()
+                        .map(|&chain| run_chain(arch, tasks, objective, params, config, chain))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .flat_map(|run| run.join().expect("SA chain panicked"))
+            .collect()
+    });
     let evaluations = chains.iter().map(|c| c.evaluations).sum();
     let mut best = chains
         .into_iter()

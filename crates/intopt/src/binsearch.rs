@@ -126,15 +126,11 @@ pub enum MinimizeStatus {
     },
     /// The constraints admit no solution at all.
     Infeasible,
-    /// Budget exhausted; carries the best incumbent, if any was found.
+    /// The search stopped before a verdict: a conflict budget ran out or
+    /// the cooperative cancellation flag was raised. Carries the best
+    /// incumbent, if any was found.
     Unknown {
         /// Best (value, model) discovered before giving up.
-        incumbent: Option<(i64, Model)>,
-    },
-    /// The cooperative cancellation flag was raised mid-search; carries the
-    /// best incumbent, if any was found before the abort.
-    Interrupted {
-        /// Best (value, model) discovered before the interrupt.
         incumbent: Option<(i64, Model)>,
     },
 }
@@ -184,8 +180,11 @@ pub struct MinimizeOutcome {
 /// one refutation instead of log₂(range) halvings. Hints are probed, never
 /// assumed: a wrong one costs time, not the optimum.
 ///
-/// Solve calls and solver counters are deltas against the prober's state
-/// on entry, so a prober reused across runs reports each run on its own.
+/// Solve calls and solver counters are deltas, so a prober reused across
+/// runs reports each run on its own: solve calls against the prober's
+/// state on entry, counters against the last report (the first run also
+/// reports the prober's encoding work, as a fresh prober's per-probe
+/// solvers do).
 pub(crate) fn bisect(
     prober: &mut CostProber<'_>,
     window: Option<(i64, i64)>,
@@ -196,7 +195,6 @@ pub(crate) fn bisect(
         Some((lo, hi)) => (lo.max(cost.lo), hi.min(cost.hi)),
         None => (cost.lo, cost.hi),
     };
-    let stats_base = prober.stats().clone();
     let calls_base = prober.solve_calls();
     let status = search(prober, lo, hi, window.is_some(), hint);
     let proofs = prober.take_proofs();
@@ -205,7 +203,7 @@ pub(crate) fn bisect(
         status,
         solve_calls: prober.solve_calls() - calls_base,
         encode: prober.report_encode(),
-        stats: prober.stats().delta_since(&stats_base),
+        stats: prober.report_stats(),
         certificate,
     }
 }
@@ -234,8 +232,7 @@ fn search(
     let (mut upper, mut best) = match first {
         Probe::Sat { value, model } => (value, model),
         Probe::Unsat => return MinimizeStatus::Infeasible,
-        Probe::Unknown => return MinimizeStatus::Unknown { incumbent: None },
-        Probe::Interrupted => return MinimizeStatus::Interrupted { incumbent: None },
+        Probe::Unknown | Probe::Interrupted => return MinimizeStatus::Unknown { incumbent: None },
     };
     let mut lower = lo;
     let mut confirm = hint.is_some();
@@ -257,13 +254,8 @@ fn search(
             // [L, L] repeats forever. See the regression test
             // `terminates_from_r_equals_l_plus_one` below.)
             Probe::Unsat => lower = mid + 1,
-            Probe::Unknown => {
+            Probe::Unknown | Probe::Interrupted => {
                 return MinimizeStatus::Unknown {
-                    incumbent: Some((upper, best)),
-                }
-            }
-            Probe::Interrupted => {
-                return MinimizeStatus::Interrupted {
                     incumbent: Some((upper, best)),
                 }
             }
@@ -379,8 +371,8 @@ mod tests {
         let x = p.int_var(0, 10);
         p.assert(x.expr().ge(3));
         match p.minimize(x, &opts).status {
-            MinimizeStatus::Interrupted { incumbent } => assert!(incumbent.is_none()),
-            ref s => panic!("expected Interrupted, got {s:?}"),
+            MinimizeStatus::Unknown { incumbent } => assert!(incumbent.is_none()),
+            ref s => panic!("expected Unknown, got {s:?}"),
         }
 
         flag.store(false, Ordering::Relaxed);

@@ -62,6 +62,9 @@ pub struct CostProber<'p> {
     /// The part of `encode.encode_ms` already handed out by
     /// [`CostProber::report_encode`].
     encode_ms_reported: f64,
+    /// The solver counters already handed out by
+    /// [`CostProber::report_stats`].
+    stats_reported: SolverStats,
     solve_calls: u32,
     certify: bool,
 }
@@ -171,6 +174,7 @@ impl<'p> CostProber<'p> {
             engine,
             encode,
             encode_ms_reported: 0.0,
+            stats_reported: SolverStats::default(),
             solve_calls: 0,
             certify: opts.certify,
         }
@@ -247,6 +251,16 @@ impl<'p> CostProber<'p> {
         encode.encode_ms -= self.encode_ms_reported;
         self.encode_ms_reported = self.encode.encode_ms;
         encode
+    }
+
+    /// The solver counters no earlier call handed out — so the work of
+    /// encoding (level-0 propagation of the input constraints) is reported
+    /// once, by the search that built the prober, and a retained prober's
+    /// later searches each report their own.
+    pub(crate) fn report_stats(&mut self) -> SolverStats {
+        let stats = self.stats().delta_since(&self.stats_reported);
+        self.stats_reported = self.stats().clone();
+        stats
     }
 
     /// Takes the proof traces recorded so far, each with the windows it

@@ -97,12 +97,6 @@ impl IntProblem {
         self.asserts.len() + self.pb_asserts.len()
     }
 
-    /// Declared integer variable ranges, indexed by variable id. The blast
-    /// API ([`crate::blast`]) takes this as its declaration table.
-    pub fn int_decls(&self) -> &[(i64, i64)] {
-        &self.int_decls
-    }
-
     /// Structural equality: same declarations and the same assertions in
     /// the same order, compared node by node (expression identity is *not*
     /// required — two independently built copies of the same problem are

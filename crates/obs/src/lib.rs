@@ -35,6 +35,11 @@ pub use registry::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot, DEFAULT_MS_BUCKETS,
 };
+/// The serialization crate behind every wire type of the stack, re-exported
+/// so the solver crate derives its statistics' wire form without a
+/// dependency of its own (its dependency list, which the benchmark package's
+/// `Cargo.lock` pins, stays as it is).
+pub use serde;
 pub use span::{phase_totals, Phase, PhaseTotal, PhaseTotals, SpanRecord, Stopwatch};
 
 use serde::Value;
@@ -46,10 +51,6 @@ use std::time::Instant;
 
 /// Schema tag of the JSONL trace format (first line of every export).
 pub const TRACE_SCHEMA: &str = "optalloc-trace-v1";
-
-pub(crate) fn thread_shard() -> usize {
-    span::current_tid() as usize
-}
 
 /// Shared observability state behind an enabled [`Obs`] handle.
 pub(crate) struct ObsCore {
@@ -519,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counter_sums_across_threads() {
+    fn shared_counter_sums_across_threads() {
         let obs = Obs::enabled();
         let c = obs.metrics().unwrap().counter("work");
         std::thread::scope(|s| {

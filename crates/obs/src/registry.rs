@@ -1,38 +1,27 @@
 //! Lock-light metrics registry: named counters, gauges and fixed-bucket
 //! histograms.
 //!
-//! Registration (name lookup) takes a mutex, but it happens once per
-//! metric: callers hold cheap `Arc` handles and every update is a plain
-//! atomic operation. Hot counters shard across cache-line-padded slots
-//! indexed by a per-thread id, so concurrent workers don't contend on one
-//! cache line.
+//! Registration (name lookup) takes a mutex; callers hold cheap `Arc`
+//! handles and every update is a plain atomic operation. Updates are rare
+//! (the solver exports once per `solve` exit, the service once per job), so
+//! a counter is one shared atomic.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shards per [`Counter`]; a power of two so the thread-id fold is a mask.
-const COUNTER_SHARDS: usize = 8;
-
-/// One cache line of counter state (padded so neighbouring shards never
-/// false-share).
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotonically increasing counter, sharded per thread.
+/// A monotonically increasing counter.
 #[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[PaddedU64; COUNTER_SHARDS]>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = crate::thread_shard() & (COUNTER_SHARDS - 1);
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -41,12 +30,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over shards).
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 

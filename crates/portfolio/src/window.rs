@@ -352,8 +352,8 @@ type Finish = (MinimizeOutcome, Vec<WorkerReport>);
 /// `opts` configure every worker's solver; their `mode` is ignored, since
 /// workers are incremental. `solver_config.interrupt` is honoured as the
 /// job-scoped cancel flag: raising it ends the search cooperatively with an
-/// `Unknown` outcome (`Interrupted` for one worker) carrying the best
-/// incumbent. The search never raises it itself.
+/// `Unknown` outcome carrying the best incumbent, whatever the worker
+/// count. The search never raises it itself.
 ///
 /// The outcome sums solve calls and solver counters over all workers and
 /// reports worker 0's encoding size (every worker encodes the same

@@ -33,6 +33,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+// `serde` by name: the derives on `SolverStats` expand to `serde::` paths.
+use optalloc_obs::serde::{self, Deserialize, Serialize};
 use optalloc_obs::{Obs, Phase, ProgressEvent, ProgressHook, ProgressThrottle, DEFAULT_MS_BUCKETS};
 
 mod paranoid;
@@ -291,16 +293,19 @@ impl StatField for f64 {
 /// Declares [`SolverStats`] from a single field list, generating the
 /// struct, [`absorb`](SolverStats::absorb),
 /// [`delta_since`](SolverStats::delta_since) and
-/// [`for_each_metric`](SolverStats::for_each_metric) together so a new
-/// counter can never be added to one and silently dropped from the others
-/// (the attribution-drift bug this replaces: three hand-maintained
-/// field-by-field copies).
+/// [`for_each_metric`](SolverStats::for_each_metric) and the serde wire
+/// form together so a new counter can never be added to one and silently
+/// dropped from the others (the attribution-drift bug this replaces: three
+/// hand-maintained field-by-field copies).
 macro_rules! define_solver_stats {
     ($( [$kind:ident] $name:ident : $ty:ty = $doc:expr; )+) => {
         /// Execution counters, exposed for the paper's complexity tables.
-        #[derive(Default, Clone, Debug)]
+        /// Also the `search` object of the service's result lines: every
+        /// field is `#[serde(default)]`, so a line written before a counter
+        /// existed still parses.
+        #[derive(Default, Clone, Debug, PartialEq, Serialize, Deserialize)]
         pub struct SolverStats {
-            $( #[doc = $doc] pub $name: $ty, )+
+            $( #[doc = $doc] #[serde(default)] pub $name: $ty, )+
         }
 
         impl SolverStats {
@@ -492,6 +497,11 @@ pub struct Solver {
 
     /// Execution counters.
     pub stats: SolverStats,
+    /// `stats` as of the last metrics export: the next export pushes the
+    /// increment since then, so work done between `solve` calls (level-0
+    /// propagation of added clauses, melting eliminated variables) reaches
+    /// the registry with the next call.
+    exported: SolverStats,
 }
 
 impl Default for Solver {
@@ -553,6 +563,7 @@ impl Solver {
             proof: None,
             progress_throttle: None,
             stats: SolverStats::default(),
+            exported: SolverStats::default(),
         }
     }
 
@@ -1679,7 +1690,6 @@ impl Solver {
         // always measures, and when observability is enabled the *same* f64
         // it returns becomes the recorded `search` span's `dur_ms` — so the
         // trace and `stats.solve_ms` can never disagree.
-        let before = self.config.obs.is_enabled().then(|| self.stats.clone());
         let mut sw = self.config.obs.stopwatch(Phase::Search);
         let result = self.solve_inner(assumptions);
         if sw.recording() {
@@ -1695,23 +1705,24 @@ impl Solver {
             sw.attr("assumptions", assumptions.len().to_string());
         }
         self.stats.solve_ms += sw.finish();
-        if let Some(before) = before {
-            self.export_metrics(&before);
+        if self.config.obs.is_enabled() {
+            self.export_metrics();
         }
         result
     }
 
-    /// Pushes the per-call increment of every stat field into the metrics
-    /// registry as `solver.<field>` counters/gauges, plus a latency
-    /// histogram over `solver.solve_ms`. Driven by
+    /// Pushes the increment of every stat field since the last export into
+    /// the metrics registry as `solver.<field>` counters/gauges, plus a
+    /// latency histogram over `solver.solve_ms`. Driven by
     /// [`SolverStats::for_each_metric`], so a field added to the struct is
     /// exported automatically.
     #[cold]
-    fn export_metrics(&mut self, before: &SolverStats) {
+    fn export_metrics(&mut self) {
         let Some(metrics) = self.config.obs.metrics() else {
             return;
         };
-        let delta = self.stats.delta_since(before);
+        let delta = self.stats.delta_since(&self.exported);
+        self.exported = self.stats.clone();
         let mut name = String::with_capacity(32);
         delta.for_each_metric(&mut |field, kind, value| {
             name.clear();
@@ -1866,11 +1877,6 @@ impl Solver {
             }
         }
         result
-    }
-
-    /// Convenience: solve with no assumptions.
-    pub fn solve_unassuming(&mut self) -> SolveResult {
-        self.solve(&[])
     }
 
     /// True when an external [`SolverConfig::interrupt`] flag is raised.

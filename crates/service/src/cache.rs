@@ -101,23 +101,16 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{JobOutcome, SearchSummary, WarmLabel};
+    use crate::protocol::JobOutcome;
     use optalloc_model::{Architecture, TaskSet};
 
     fn dummy(fp: &str) -> (Fingerprint, Session) {
         let key: Fingerprint = format!("{fp:0>32}").parse().unwrap();
         let value = Session {
-            result: Some(JobResult {
-                fingerprint: key.to_string(),
-                outcome: JobOutcome::Infeasible,
-                cached: false,
-                warm: WarmLabel::Cold,
-                solve_calls: 1,
-                conflicts: 0,
-                solve_ms: 0,
-                search: SearchSummary::default(),
-                phases: optalloc_obs::PhaseTotals::default(),
-            }),
+            result: Some(JobResult::unsearched(
+                key.to_string(),
+                JobOutcome::Infeasible,
+            )),
             instance: Instance {
                 arch: Architecture::new(),
                 tasks: TaskSet::new(),

@@ -49,8 +49,9 @@ pub mod server;
 use crate::cache::{Session, SessionCache};
 use crate::fingerprint::{canonicalize, remap_allocation, Fingerprint};
 use crate::protocol::{
-    Instance, JobOutcome, JobResult, RejectReason, Request, Response, SearchSummary, WarmLabel,
+    Instance, JobOutcome, JobResult, RejectReason, Request, Response, WarmLabel,
 };
+use optalloc::sat::SolverStats;
 use optalloc::{
     apply_deltas, CertificateReport, Objective, Optimizer, SolveOptions, Strategy, WarmEngine,
     WarmMode,
@@ -225,7 +226,7 @@ struct Shared {
     watchdog: Watchdog,
     /// Search-engine counters accumulated over every solved job (cache
     /// hits contribute nothing) — reported by [`Response::Status`].
-    search_totals: Mutex<SearchSummary>,
+    search_totals: Mutex<SolverStats>,
     /// Span-derived phase times accumulated over every solved job —
     /// reported by [`Response::Status`].
     phase_totals: Mutex<PhaseTotals>,
@@ -258,7 +259,7 @@ impl Service {
                 state: Mutex::new(WatchdogState::default()),
                 cv: Condvar::new(),
             },
-            search_totals: Mutex::new(SearchSummary::default()),
+            search_totals: Mutex::new(SolverStats::default()),
             phase_totals: Mutex::new(PhaseTotals::default()),
             metrics: MetricsRegistry::new(),
         });
@@ -289,7 +290,7 @@ impl Service {
                     inflight: st.inflight,
                     draining: st.draining,
                     cached: self.shared.sessions.lock().unwrap().cache.results(),
-                    search: *self.shared.search_totals.lock().unwrap(),
+                    search: self.shared.search_totals.lock().unwrap().clone(),
                     phases: *self.shared.phase_totals.lock().unwrap(),
                 }
             }
@@ -383,19 +384,12 @@ impl Service {
         // Still queued: withdraw it without running anything.
         let job = st.jobs.get_mut(&id).unwrap();
         let payload = job.payload.take().expect("queued job has a payload");
-        job.result = Some(Response::Result(JobResult {
-            fingerprint: payload.fingerprint.to_string(),
-            outcome: JobOutcome::Timeout {
+        job.result = Some(Response::Result(JobResult::unsearched(
+            payload.fingerprint.to_string(),
+            JobOutcome::Timeout {
                 incumbent_cost: None,
             },
-            cached: false,
-            warm: WarmLabel::Cold,
-            solve_calls: 0,
-            conflicts: 0,
-            solve_ms: 0,
-            search: SearchSummary::default(),
-            phases: PhaseTotals::default(),
-        }));
+        )));
         st.queue.retain(|&q| q != id);
         self.shared.job_done.notify_all();
         true
@@ -552,19 +546,12 @@ fn worker_loop(shared: &Shared) {
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".to_string());
-            Response::Result(JobResult {
-                fingerprint: payload.fingerprint.to_string(),
-                outcome: JobOutcome::Error {
+            Response::Result(JobResult::unsearched(
+                payload.fingerprint.to_string(),
+                JobOutcome::Error {
                     message: format!("solver panicked: {message}"),
                 },
-                cached: false,
-                warm: WarmLabel::Cold,
-                solve_calls: 0,
-                conflicts: 0,
-                solve_ms: 0,
-                search: SearchSummary::default(),
-                phases: PhaseTotals::default(),
-            })
+            ))
         });
 
         let mut st = shared.state.lock().unwrap();
@@ -600,7 +587,6 @@ fn run_job(
         .and_then(|s| Some((s, s.result.as_ref()?)))
     {
         if canonicalize(&hit.instance).same_problem(&canonicalize(&payload.instance)) {
-            let mut result = result.clone();
             let remapped = match &result.outcome {
                 JobOutcome::Optimal {
                     cost,
@@ -616,16 +602,13 @@ fn run_job(
                 other => Some(other.clone()),
             };
             if let Some(outcome) = remapped {
-                result.outcome = outcome;
-                result.cached = true;
-                result.warm = WarmLabel::Cache;
-                result.solve_calls = 0;
-                result.conflicts = 0;
-                result.solve_ms = start.elapsed().as_millis() as u64;
-                result.search = SearchSummary::default();
-                result.phases = PhaseTotals::default();
                 shared.metrics.counter("service.cache_hits").inc();
-                return Response::Result(result);
+                return Response::Result(JobResult {
+                    cached: true,
+                    warm: WarmLabel::Cache,
+                    solve_ms: start.elapsed().as_millis() as u64,
+                    ..JobResult::unsearched(result.fingerprint.clone(), outcome)
+                });
             }
         }
     }
@@ -691,7 +674,7 @@ fn run_job(
     shared
         .metrics
         .counter("service.conflicts")
-        .add(result.conflicts);
+        .add(result.search.conflicts);
     shared
         .metrics
         .histogram("service.job_ms", DEFAULT_MS_BUCKETS)

@@ -5,6 +5,7 @@
 //! the CLI's `--json` output, so a script driving the TCP server and a
 //! script parsing CLI output read the same shape.
 
+use optalloc::sat::SolverStats;
 use optalloc::{InstanceDelta, Objective, OptError, OptimizeReport, WarmMode};
 use optalloc_model::{Allocation, Architecture, TaskSet};
 use optalloc_obs::{MetricsSnapshot, PhaseTotals};
@@ -136,97 +137,6 @@ pub enum JobOutcome {
     },
 }
 
-/// Search-engine counters of one job, summed over every solver the job ran
-/// (all zero on a cache hit — the SAT layer was never touched). Guarded by
-/// `#[serde(default)]` wherever it is embedded, so result lines written
-/// before the engine existed still parse.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SearchSummary {
-    /// Literals propagated (clause + PB).
-    pub propagations: u64,
-    /// Restarts taken (all adaptive EMA restarts).
-    #[serde(default)]
-    pub restarts: u64,
-    /// EMA restarts suppressed by trail-size blocking.
-    pub restarts_blocked: u64,
-    /// Learned clauses strengthened by in-search vivification.
-    pub vivified: u64,
-    /// Variables removed by bounded variable elimination.
-    #[serde(default)]
-    pub elim_vars: u64,
-    /// Resolvents added when distributing eliminated variables.
-    #[serde(default)]
-    pub elim_resolvents: u64,
-    /// Eliminated variables restored by melt-on-reuse.
-    #[serde(default)]
-    pub elim_restored: u64,
-    /// Clause distributions the simplification pass attempted.
-    #[serde(default)]
-    pub elim_attempts: u64,
-    /// Resolvent pairs the simplification pass examined.
-    #[serde(default)]
-    pub elim_pairs: u64,
-    /// Subsumption checks the simplification pass ran.
-    #[serde(default)]
-    pub subsume_checks: u64,
-    /// Reconstruction-stack depth (live elimination groups) when the job
-    /// finished — the extension work a model extraction pays.
-    #[serde(default)]
-    pub elim_stack_depth: u64,
-    /// CORE-tier learned clauses retained when the job finished.
-    pub tier_core: u64,
-    /// TIER2 learned clauses retained when the job finished.
-    pub tier_mid: u64,
-    /// LOCAL-tier learned clauses retained when the job finished.
-    pub tier_local: u64,
-    /// High-water mark of retained learned clauses.
-    pub peak_learnts: u64,
-}
-
-impl SearchSummary {
-    /// Extracts the wire summary from full solver statistics.
-    pub fn from_stats(stats: &optalloc::sat::SolverStats) -> SearchSummary {
-        SearchSummary {
-            propagations: stats.propagations,
-            restarts: stats.restarts,
-            restarts_blocked: stats.restarts_blocked,
-            vivified: stats.vivified,
-            elim_vars: stats.elim_vars,
-            elim_resolvents: stats.elim_resolvents,
-            elim_restored: stats.elim_restored,
-            elim_attempts: stats.elim_attempts,
-            elim_pairs: stats.elim_pairs,
-            subsume_checks: stats.subsume_checks,
-            elim_stack_depth: stats.elim_stack_depth,
-            tier_core: stats.tier_core,
-            tier_mid: stats.tier_mid,
-            tier_local: stats.tier_local,
-            peak_learnts: stats.peak_learnts,
-        }
-    }
-
-    /// Adds every counter of `other` into `self` (tier gauges and the peak
-    /// follow [`optalloc::sat::SolverStats::absorb`] semantics: tiers sum,
-    /// the peak takes the max).
-    pub fn absorb(&mut self, other: &SearchSummary) {
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.restarts_blocked += other.restarts_blocked;
-        self.vivified += other.vivified;
-        self.elim_vars += other.elim_vars;
-        self.elim_resolvents += other.elim_resolvents;
-        self.elim_restored += other.elim_restored;
-        self.elim_attempts += other.elim_attempts;
-        self.elim_pairs += other.elim_pairs;
-        self.subsume_checks += other.subsume_checks;
-        self.elim_stack_depth += other.elim_stack_depth;
-        self.tier_core += other.tier_core;
-        self.tier_mid += other.tier_mid;
-        self.tier_local += other.tier_local;
-        self.peak_learnts = self.peak_learnts.max(other.peak_learnts);
-    }
-}
-
 /// The result of one solve or delta job.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobResult {
@@ -241,14 +151,14 @@ pub struct JobResult {
     pub warm: WarmLabel,
     /// `SOLVE` calls the binary search issued (0 on a cache hit).
     pub solve_calls: u32,
-    /// CDCL conflicts spent on this job (0 on a cache hit).
-    pub conflicts: u64,
     /// Wall-clock time of the job in milliseconds.
     pub solve_ms: u64,
-    /// Search-engine counters (restarts by policy, tier sizes,
-    /// vivification); all zero on a cache hit.
+    /// Every solver counter (conflicts, propagations, restarts, tier
+    /// sizes, elimination, vivification), summed over the solvers the job
+    /// ran; all zero on a cache hit. Absent from lines written before the
+    /// search engine existed, which parse with zeros.
     #[serde(default)]
-    pub search: SearchSummary,
+    pub search: SolverStats,
     /// Per-phase wall-time breakdown (encode / search / certify, in ms) —
     /// the span-derived numbers, so they match any trace the job recorded.
     /// All zero on a cache hit.
@@ -257,6 +167,22 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// A result no search stands behind (a withdrawn job, a panicked
+    /// solve, the base of a cache hit): cold, no `SOLVE` calls, zero
+    /// counters and times.
+    pub fn unsearched(fingerprint: String, outcome: JobOutcome) -> JobResult {
+        JobResult {
+            fingerprint,
+            outcome,
+            cached: false,
+            warm: WarmLabel::Cold,
+            solve_calls: 0,
+            solve_ms: 0,
+            search: SolverStats::default(),
+            phases: PhaseTotals::default(),
+        }
+    }
+
     /// The result line of one solve: the optimizer's verdict mapped to a
     /// [`JobOutcome`] — a budget abort reads as [`JobOutcome::Timeout`]
     /// when `timed_out` says the job's wall-clock limit raised the
@@ -289,20 +215,17 @@ impl JobResult {
                 message: e.to_string(),
             },
         };
-        let report = solved.as_ref().ok();
-        JobResult {
-            fingerprint,
-            outcome,
-            cached: false,
+        let mut result = JobResult {
             warm,
-            solve_calls: report.map_or(0, |r| r.solve_calls),
-            conflicts: report.map_or(0, |r| r.stats.conflicts),
             solve_ms,
-            search: report.map_or_else(SearchSummary::default, |r| {
-                SearchSummary::from_stats(&r.stats)
-            }),
-            phases: report.map_or_else(PhaseTotals::default, |r| r.phases),
+            ..JobResult::unsearched(fingerprint, outcome)
+        };
+        if let Ok(report) = solved {
+            result.solve_calls = report.solve_calls;
+            result.search = report.stats.clone();
+            result.phases = report.phases;
         }
+        result
     }
 }
 
@@ -332,10 +255,10 @@ pub enum Response {
         draining: bool,
         /// Entries in the result cache.
         cached: usize,
-        /// Search-engine counters accumulated over every job the service
-        /// solved since startup (cache hits contribute nothing).
+        /// Solver counters accumulated over every job the service solved
+        /// since startup (cache hits contribute nothing).
         #[serde(default)]
-        search: SearchSummary,
+        search: SolverStats,
         /// Phase-time totals (encode / search / certify, ms) accumulated
         /// over every solved job.
         #[serde(default)]
@@ -389,16 +312,19 @@ mod tests {
     #[test]
     fn result_lines_without_search_counters_still_parse() {
         // Result lines written before the search engine existed carry no
-        // `search` object; `#[serde(default)]` fills in zeros.
+        // `search` object; `#[serde(default)]` fills in zeros. Their
+        // top-level `conflicts` (now `search.conflicts`) is ignored.
         let old = r#"{"fingerprint":"00","outcome":"Infeasible","cached":false,
                       "warm":"Cold","solve_calls":3,"conflicts":17,"solve_ms":5}"#;
         let r: JobResult = serde_json::from_str(old).unwrap();
-        assert_eq!(r.conflicts, 17);
-        assert_eq!(r.search, SearchSummary::default());
+        assert_eq!(r.solve_calls, 3);
+        assert_eq!(r.search, SolverStats::default());
         // Lines written while restarts were split by policy carry one
         // counter per policy (`restarts_` + `luby` / `ema`) and no
         // `restarts`: the old fields are ignored and `restarts` defaults to
-        // zero. The line below has the shape such a result line had.
+        // zero. The line below has the shape such a result line had: a
+        // `search` object with only some of the solver counters, the rest
+        // of which default to zero.
         let split = format!(
             r#"{{"fingerprint":"00","outcome":"Infeasible","cached":false,
                 "warm":"Cold","solve_calls":3,"conflicts":17,"solve_ms":5,
@@ -415,13 +341,37 @@ mod tests {
         assert_eq!(r2.search.propagations, 40);
         assert_eq!(r2.search.restarts_blocked, 1);
         assert_eq!(r2.search.peak_learnts, 9);
+        assert_eq!(r2.search.conflicts, 0);
         // And a fully populated line round-trips.
         let mut modern = r.clone();
+        modern.search.conflicts = 17;
+        modern.search.solve_ms = 2.5;
         modern.search.restarts = 4;
         modern.search.tier_core = 2;
         modern.search.peak_learnts = 99;
         let line = serde_json::to_string(&modern).unwrap();
         assert_eq!(serde_json::from_str::<JobResult>(&line).unwrap(), modern);
+    }
+
+    #[test]
+    fn every_solver_counter_reaches_the_result_line() {
+        let result = JobResult::from_solve(
+            "00".into(),
+            &Err(OptError::Infeasible),
+            WarmLabel::Cold,
+            false,
+            0,
+        );
+        let line = serde_json::to_string(&result).unwrap();
+        let value: serde::Value = serde_json::from_str(&line).unwrap();
+        let search = value.get("search").expect("a result line has `search`");
+        let mut missing = Vec::new();
+        SolverStats::default().for_each_metric(&mut |name, _, _| {
+            if search.get(name).is_none() {
+                missing.push(name);
+            }
+        });
+        assert!(missing.is_empty(), "not on the wire: {missing:?}");
     }
 
     #[test]
@@ -441,11 +391,11 @@ mod tests {
                 inflight: 2,
                 draining: false,
                 cached: 3,
-                search: SearchSummary {
+                search: SolverStats {
                     propagations: 10,
                     restarts: 2,
                     tier_core: 1,
-                    ..SearchSummary::default()
+                    ..SolverStats::default()
                 },
                 phases: PhaseTotals {
                     encode_ms: 1.5,

@@ -4,6 +4,7 @@
 
 use optalloc::{analysis, InstanceDelta, Objective, OptError, Optimizer, SolveOptions};
 use optalloc_model::{Architecture, Ecu, EcuId, Medium, Task, TaskId, TaskSet};
+use optalloc_obs::Obs;
 use optalloc_service::protocol::{
     Instance, JobOutcome, JobResult, RejectReason, Request, Response, WarmLabel,
 };
@@ -72,9 +73,47 @@ fn cache_hit_answers_without_touching_the_sat_layer() {
     assert!(second.cached);
     assert_eq!(second.warm, WarmLabel::Cache);
     assert_eq!(second.solve_calls, 0);
-    assert_eq!(second.conflicts, 0);
+    assert_eq!(second.search.conflicts, 0);
     assert_eq!(second.fingerprint, first.fingerprint);
     assert_eq!(optimal_cost(&second), optimal_cost(&first));
+}
+
+/// The `search` object of a result line and the `solver.*` counters of the
+/// metrics registry read the same solver record: after one single-search
+/// job, every `u64` counter of the one equals the other.
+#[test]
+fn result_counters_match_the_exported_solver_metrics() {
+    let obs = Obs::enabled();
+    let service = Service::new(ServiceConfig {
+        solve: SolveOptions {
+            obs: obs.clone(),
+            ..SolveOptions::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let workload = optalloc_workloads::task_scaling(12);
+    let result = expect_result(service.handle(Request::Solve {
+        instance: Instance {
+            arch: workload.arch,
+            tasks: workload.tasks,
+        },
+        objective: Objective::MaxUtilizationPermille,
+        timeout_ms: None,
+    }));
+    optimal_cost(&result);
+    assert!(result.search.conflicts > 0 && result.search.elim_vars > 0);
+    let snapshot = obs.metrics().expect("enabled").snapshot();
+    let mut disagree = Vec::new();
+    result.search.for_each_metric(&mut |name, kind, value| {
+        // `solve_ms` is the one `f64` counter.
+        if kind.starts_with("counter") && name != "solve_ms" {
+            let exported = snapshot.counter(&format!("solver.{name}")).unwrap_or(0);
+            if exported as f64 != value {
+                disagree.push(format!("{name}: result {value}, registry {exported}"));
+            }
+        }
+    });
+    assert!(disagree.is_empty(), "{disagree:#?}");
 }
 
 #[test]

@@ -190,11 +190,6 @@ impl InstanceSpec {
         Ok((arch, tasks))
     }
 
-    /// `true` if any medium is TDMA.
-    pub fn has_tdma(&self) -> bool {
-        self.media.iter().any(|m| m.tdma_slots.is_some())
-    }
-
     /// Drops task `i`, remapping every index that pointed past it and
     /// erasing messages/separations that pointed *at* it — mirrors the
     /// semantics of [`optalloc::InstanceDelta::RemoveTask`].
